@@ -1,6 +1,4 @@
 from .base import (
-    BackendDescriptor,
-    BackendKind,
     ClassifierBackend,
     ClassifierScore,
     Decision,
@@ -21,8 +19,6 @@ from .baseline import (
 from .remote import RemoteBackend, encode_request, remote_score
 
 __all__ = [
-    "BackendDescriptor",
-    "BackendKind",
     "BaselineBackend",
     "BaselineModel",
     "ClassifierBackend",

@@ -1,15 +1,14 @@
-"""Classifier backend abstraction: scores, thresholded decisions, descriptors."""
+"""Classifier backend abstraction: scores and thresholded decisions."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
 from ..corpus import T1Label, T2Label, Tier
 from ..errors import ValidationError
-from ..preprocess import NormalizedInput, PipelineVariant
+from ..preprocess import NormalizedInput
 
 
 @dataclass(frozen=True)
@@ -35,23 +34,11 @@ class Decision:
     score: ClassifierScore
     threshold: float
     backend_id: str
+    task: Tier
 
     @property
     def is_positive(self) -> bool:
-        return self.label in (T1Label.CANCER, T2Label.REPORTABLE)
-
-
-class BackendKind(str, Enum):
-    NATIVE_BASELINE = "native_baseline"
-    REMOTE = "remote"
-
-
-@dataclass(frozen=True)
-class BackendDescriptor:
-    backend_id: str
-    task: Tier
-    variant: PipelineVariant
-    kind: BackendKind
+        return self.label is self.task.positive
 
 
 @runtime_checkable
@@ -67,4 +54,5 @@ def decide(score: ClassifierScore, threshold: float, task: Tier, backend_id: str
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
     label = task.positive if score.probability >= threshold else task.negative
-    return Decision(label=label, score=score, threshold=threshold, backend_id=backend_id)
+    return Decision(label=label, score=score, threshold=threshold, backend_id=backend_id,
+                    task=task)

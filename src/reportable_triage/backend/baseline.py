@@ -28,7 +28,6 @@ from ..util import atomic_write_bytes
 from .base import ClassifierScore
 
 DEFAULT_FEATURE_DIM = 1 << 18
-NGRAM_ORDERS = (1, 2)
 
 _MAGIC = b"RTBL"
 _FORMAT_VERSION = 1
@@ -54,6 +53,12 @@ def _sigmoid(z: float) -> float:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def check_feature_dim(feature_dim: int) -> None:
+    """The hash mask is feature_dim - 1, so the dimension must be a power of two."""
+    if feature_dim < 2 or feature_dim & (feature_dim - 1):
+        raise ValidationError(f"feature_dim must be a power of two >= 2, got {feature_dim}")
+
+
 @dataclass(frozen=True)
 class TrainHyper:
     epochs: int = 5
@@ -64,10 +69,7 @@ class TrainHyper:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.learning_rate <= 0 or self.l2 < 0:
             raise ValidationError("epochs and learning_rate must be positive, l2 >= 0")
-        if self.feature_dim < 2 or self.feature_dim & (self.feature_dim - 1):
-            raise ValidationError(
-                f"feature_dim must be a power of two >= 2, got {self.feature_dim}"
-            )
+        check_feature_dim(self.feature_dim)
 
 
 @dataclass
@@ -80,7 +82,6 @@ class BaselineModel:
     learning_rate: float
     l2: float
     final_loss: float
-    ngram_orders: tuple[int, ...] = NGRAM_ORDERS
     loss_history: list[float] = field(default_factory=list, compare=False)
 
     def __eq__(self, other: object) -> bool:
@@ -218,6 +219,10 @@ def load_baseline(path: str | Path) -> BaselineModel:
         raise BaselineFormatError(
             f"{path}: unsupported format version {version} (expected {_FORMAT_VERSION})"
         )
+    try:
+        check_feature_dim(dim)
+    except ValidationError as exc:
+        raise BaselineFormatError(f"{path}: {exc}") from None
     expected = _HEADER.size + 8 * dim
     if len(raw) != expected:
         raise BaselineFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")

@@ -23,14 +23,10 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .backend.base import ClassifierBackend, Decision, decide
+from .config import MemberConfig, check_members
 from .corpus import PathologyReport, T1Label, T2Label, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
-from .preprocess import (
-    DEFAULT_FALLBACK_SECTIONS,
-    DEFAULT_TOKEN_BUDGET,
-    PipelineVariant,
-    assemble_input,
-)
+from .preprocess import assemble_input
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -42,38 +38,27 @@ class FinalLabel(str, Enum):
 
 
 @dataclass(frozen=True)
-class TierMember:
-    backend: ClassifierBackend
-    variant: PipelineVariant
-    threshold: float = 0.5
-    token_budget: int = DEFAULT_TOKEN_BUDGET
-    fallback_sections: tuple[str, ...] = DEFAULT_FALLBACK_SECTIONS
-
-
-@dataclass(frozen=True)
 class TierConfig:
+    """A tier's two members, each scored by the backend at the same index."""
+
     task: Tier
-    members: tuple[TierMember, TierMember]
+    members: tuple[MemberConfig, MemberConfig]
+    backends: tuple[ClassifierBackend, ClassifierBackend]
 
     def __post_init__(self) -> None:
-        if len(self.members) != 2:
-            raise ConfigurationError("a tier needs exactly two members")
-        variants = {m.variant for m in self.members}
-        if len(variants) != 2:
-            raise ConfigurationError(
-                "tier members must use distinct pipeline variants (one A, one B)"
-            )
+        check_members(self.members, f"{self.task.value} tier")
+        if len(self.backends) != len(self.members):
+            raise ConfigurationError(f"{self.task.value} tier: one backend per member")
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     member_decisions: tuple[Decision, ...]
     combined_label: T1Label | T2Label
-    combined_by: str = "or"
 
     @property
     def is_positive(self) -> bool:
-        return self.combined_label in (T1Label.CANCER, T2Label.REPORTABLE)
+        return self.combined_label is self.member_decisions[0].task.positive
 
 
 @dataclass(frozen=True)
@@ -88,34 +73,37 @@ def or_combine(decisions: Sequence[Decision]) -> T1Label | T2Label:
     """Positive iff at least one member decision is positive."""
     if not decisions:
         raise ConfigurationError("or_combine requires at least one decision")
-    tasks = {type(d.label) for d in decisions}
-    if len(tasks) != 1:
-        raise ConfigurationError("or_combine received decisions from mixed tasks")
-    positive = any(d.is_positive for d in decisions)
-    tier = Tier.T1 if tasks.pop() is T1Label else Tier.T2
-    return tier.positive if positive else tier.negative
+    task = decisions[0].task
+    combined = task.negative
+    for d in decisions:
+        if d.task is not task:
+            raise ConfigurationError("or_combine received decisions from mixed tasks")
+        if d.is_positive:
+            combined = task.positive
+    return combined
 
 
 def _score_batch(
-    member: TierMember,
+    member: MemberConfig,
+    backend: ClassifierBackend,
     task: Tier,
     batch: Sequence[PathologyReport],
 ) -> list[Decision]:
     inputs = [assemble_input(r, member.variant, member.token_budget,
                              member.fallback_sections) for r in batch]
     try:
-        scores = member.backend.score_batch(inputs)
+        scores = backend.score_batch(inputs)
     except TriageError as exc:
         raise TierExecutionError(
-            f"backend {member.backend.backend_id!r} failed on reports "
+            f"backend {member.backend_id!r} failed on reports "
             f"{batch[0].report_id!r}..{batch[-1].report_id!r}: {exc}"
         ) from exc
     if len(scores) != len(batch):
         raise TierExecutionError(
-            f"backend {member.backend.backend_id!r} returned {len(scores)} scores "
+            f"backend {member.backend_id!r} returned {len(scores)} scores "
             f"for {len(batch)} reports"
         )
-    return [decide(s, member.threshold, task, member.backend.backend_id) for s in scores]
+    return [decide(s, member.threshold, task, member.backend_id) for s in scores]
 
 
 def run_tier(
@@ -143,13 +131,15 @@ def run_tier(
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             futures = {
-                (mi, si): pool.submit(_score_batch, config.members[mi], config.task, batch)
+                (mi, si): pool.submit(_score_batch, config.members[mi], config.backends[mi],
+                                      config.task, batch)
                 for mi, si, batch in jobs
             }
             pieces = {key: fut.result() for key, fut in futures.items()}
     else:
         for mi, si, batch in jobs:
-            pieces[(mi, si)] = _score_batch(config.members[mi], config.task, batch)
+            pieces[(mi, si)] = _score_batch(config.members[mi], config.backends[mi],
+                                            config.task, batch)
 
     per_member = [
         [d for si in range(len(starts)) for d in pieces[(mi, si)]]
@@ -221,7 +211,7 @@ def check_gating_soundness(outcomes: Iterable[TriageOutcome]) -> None:
 def _ensemble_to_dict(res: EnsembleResult) -> dict:
     return {
         "combined": res.combined_label.value,
-        "combined_by": res.combined_by,
+        "combined_by": "or",
         "members": [
             {
                 "backend_id": d.backend_id,

@@ -20,7 +20,7 @@ from . import cascade, metrics, sampler
 from .backend.base import ClassifierBackend
 from .backend.baseline import BaselineBackend, load_baseline, save_baseline, train_baseline
 from .backend.remote import RemoteBackend
-from .config import MemberConfig, RunConfig, TierSettings, load_run_config
+from .config import MemberConfig, RunConfig, load_run_config
 from .corpus import Corpus, SynthSpec, Tier, load_corpus, synth_corpus, write_corpus
 from .errors import ConfigurationError, TriageError, ValidationError
 from .preprocess import assemble_input
@@ -126,20 +126,6 @@ def _make_backend(cfg: RunConfig, tier: Tier, member: MemberConfig) -> Classifie
                          timeout=cfg.remote.timeout, max_retries=cfg.remote.max_retries)
 
 
-def _tier_config(cfg: RunConfig, settings: TierSettings) -> cascade.TierConfig:
-    members = tuple(
-        cascade.TierMember(
-            backend=_make_backend(cfg, settings.task, m),
-            variant=m.variant,
-            threshold=m.threshold,
-            token_budget=m.token_budget,
-            fallback_sections=m.fallback_sections,
-        )
-        for m in settings.members
-    )
-    return cascade.TierConfig(task=settings.task, members=members)  # type: ignore[arg-type]
-
-
 def _sectioned(corpus: Corpus, cfg: RunConfig) -> Corpus:
     """Parse sections for any record that arrived with raw text only."""
     table = cfg.synonym_table()
@@ -234,8 +220,11 @@ def cmd_train_baseline(args) -> int:
 
 def cmd_triage(args) -> int:
     cfg = _load_config(args)
-    t1 = _tier_config(cfg, cfg.tier(Tier.T1))
-    t2 = _tier_config(cfg, cfg.tier(Tier.T2))
+    t1, t2 = (
+        cascade.TierConfig(task=s.task, members=s.members,
+                           backends=tuple(_make_backend(cfg, s.task, m) for m in s.members))
+        for s in (cfg.tier(Tier.T1), cfg.tier(Tier.T2))
+    )
     corpus_path = _require_file(_resolve_corpus(args, cfg), "corpus file")
     corpus = _sectioned(load_corpus(corpus_path, strict=args.strict), cfg)
 
@@ -278,7 +267,11 @@ def cmd_evaluate(args) -> int:
     tier = Tier(args.tier)
     outcomes = cascade.read_outcomes(_require_file(Path(args.outcomes), "outcomes file"))
     gold = load_corpus(_require_file(Path(args.gold), "gold corpus"), strict=args.strict)
-    by_id = {o["report_id"]: o for o in outcomes}
+    by_id: dict[str, dict] = {}
+    for o in outcomes:
+        if o["report_id"] in by_id:
+            raise ValidationError(f"outcomes file repeats report_id {o['report_id']!r}")
+        by_id[o["report_id"]] = o
 
     labeled = [r for r in gold if r.label_for(tier) is not None]
     if not labeled:

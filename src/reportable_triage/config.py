@@ -43,7 +43,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .backend.baseline import TrainHyper
 from .backend.remote import DEFAULT_MAX_RETRIES, DEFAULT_TIMEOUT
@@ -122,84 +122,114 @@ class RunConfig:
         return self.out_dir / task.value
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", dict: "an object", list: "a list"}
+
+
+def _get(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """obj[key] as kind, or default when the key is absent.
+
+    A missing required key, a value of the wrong type or a number beyond float
+    range raises ConfigurationError naming the key path. Integers are accepted
+    as numbers; booleans are not integers. null is accepted only where the
+    default is None.
+    """
+    value = obj.get(key, default)
+    if value is _REQUIRED:
         raise ConfigurationError(f"{where}: missing required key {key!r}")
-    return obj[key]
+    if value is None and default is None:
+        return None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigurationError(
+            f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}"
+        )
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{where}: {key!r} is out of range") from None
+
+
+def check_members(members: Sequence[MemberConfig], where: str) -> None:
+    """A tier has exactly two members, variants A and B, with distinct backend_ids."""
+    if len(members) != 2:
+        raise ConfigurationError(f"{where}: exactly two members are required per tier")
+    if {m.variant for m in members} != set(PipelineVariant):
+        raise ConfigurationError(f"{where}: members must cover variants A and B exactly")
+    if members[0].backend_id == members[1].backend_id:
+        raise ConfigurationError(f"{where}: member backend_ids must be distinct")
 
 
 def _parse_member(obj: dict, where: str) -> MemberConfig:
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{where}: member must be an object")
-    kind = _need(obj, "kind", where)
+    kind = _get(obj, "kind", str, where)
     if kind not in ("native_baseline", "remote"):
         raise ConfigurationError(f"{where}: unknown backend kind {kind!r}")
-    threshold = float(obj.get("threshold", 0.5))
+    threshold = _get(obj, "threshold", float, where, 0.5)
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError(f"{where}: threshold must be in (0, 1)")
-    token_budget = int(obj.get("token_budget", DEFAULT_TOKEN_BUDGET))
+    token_budget = _get(obj, "token_budget", int, where, DEFAULT_TOKEN_BUDGET)
     if token_budget <= 0:
         raise ConfigurationError(f"{where}: token_budget must be positive")
-    fallback = obj.get("fallback_sections", list(DEFAULT_FALLBACK_SECTIONS))
-    if (not isinstance(fallback, list)
-            or not all(isinstance(s, str) and is_normalized_section_name(s)
-                       for s in fallback)):
+    fallback = _get(obj, "fallback_sections", list, where, list(DEFAULT_FALLBACK_SECTIONS))
+    if not all(isinstance(s, str) and is_normalized_section_name(s) for s in fallback):
         raise ConfigurationError(
             f"{where}: fallback_sections must be a list of normalized section names"
         )
     return MemberConfig(
-        backend_id=str(_need(obj, "backend_id", where)),
+        backend_id=_get(obj, "backend_id", str, where),
         kind=kind,
-        variant=PipelineVariant.parse(str(_need(obj, "variant", where))),
+        variant=PipelineVariant.parse(_get(obj, "variant", str, where)),
         threshold=threshold,
         token_budget=token_budget,
         fallback_sections=tuple(fallback),
-        model_path=obj.get("model_path"),
+        model_path=_get(obj, "model_path", str, where, None),
     )
 
 
 def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
-    split_obj = _need(obj, "split", where)
+    split_obj = _get(obj, "split", dict, where)
     split = SplitSpec(
-        seed=int(_need(split_obj, "seed", f"{where}.split")),
-        train_fraction=float(split_obj.get("train_fraction", 0.8)),
-        stratified=bool(split_obj.get("stratified", True)),
+        seed=_get(split_obj, "seed", int, f"{where}.split"),
+        train_fraction=_get(split_obj, "train_fraction", float, f"{where}.split", 0.8),
+        stratified=_get(split_obj, "stratified", bool, f"{where}.split", True),
     )
 
-    under_obj = _need(obj, "undersample", where)
-    under_seed = int(_need(under_obj, "seed", f"{where}.undersample"))
+    under_where = f"{where}.undersample"
+    under_obj = _get(obj, "undersample", dict, where)
+    under_seed = _get(under_obj, "seed", int, under_where)
     base_policy = default_policy(task, under_seed)
-    kept = under_obj.get("kept_class", base_policy.kept_class.value)
-    sampled = under_obj.get("sampled_class", base_policy.sampled_class.value)
+    kept = _get(under_obj, "kept_class", str, under_where, base_policy.kept_class.value)
+    sampled = _get(under_obj, "sampled_class", str, under_where,
+                   base_policy.sampled_class.value)
     policy = UndersamplePolicy(
         task=task,
         kept_class=task.parse_label(kept),
         sampled_class=task.parse_label(sampled),
-        ratio=float(under_obj.get("ratio", base_policy.ratio)),
+        ratio=_get(under_obj, "ratio", float, under_where, base_policy.ratio),
         seed=under_seed,
     )
 
-    train_obj = _need(obj, "train", where)
+    train_where = f"{where}.train"
+    train_obj = _get(obj, "train", dict, where)
     hyper = TrainHyper(
-        epochs=int(train_obj.get("epochs", 5)),
-        learning_rate=float(train_obj.get("learning_rate", 0.2)),
-        feature_dim=int(train_obj.get("feature_dim", TrainHyper().feature_dim)),
-        l2=float(train_obj.get("l2", 1e-6)),
+        epochs=_get(train_obj, "epochs", int, train_where, 5),
+        learning_rate=_get(train_obj, "learning_rate", float, train_where, 0.2),
+        feature_dim=_get(train_obj, "feature_dim", int, train_where,
+                         TrainHyper().feature_dim),
+        l2=_get(train_obj, "l2", float, train_where, 1e-6),
     )
-    train_seed = int(_need(train_obj, "seed", f"{where}.train"))
+    train_seed = _get(train_obj, "seed", int, train_where)
 
-    members_obj = _need(obj, "members", where)
-    if not isinstance(members_obj, list) or len(members_obj) != 2:
-        raise ConfigurationError(f"{where}: exactly two members are required per tier")
     members = tuple(
-        _parse_member(m, f"{where}.members[{i}]") for i, m in enumerate(members_obj)
+        _parse_member(m, f"{where}.members[{i}]")
+        for i, m in enumerate(_get(obj, "members", list, where))
     )
-    if {m.variant for m in members} != {PipelineVariant.A_SYNOPTIC_FIRST,
-                                        PipelineVariant.B_DIAGNOSIS_FIRST}:
-        raise ConfigurationError(f"{where}: members must cover variants A and B exactly")
-    ids = [(m.backend_id) for m in members]
-    if len(set(ids)) != 2:
-        raise ConfigurationError(f"{where}: member backend_ids must be distinct")
+    check_members(members, where)
     return TierSettings(task=task, split=split, policy=policy, train=hyper,
                         train_seed=train_seed, members=members)  # type: ignore[arg-type]
 
@@ -216,43 +246,41 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"{path}: config must be a JSON object")
 
     base_dir = path.resolve().parent
-    out_dir = Path(str(_need(obj, "out_dir", str(path))))
-    if not out_dir.is_absolute():
-        out_dir = base_dir / out_dir
+    where = str(path)
 
-    corpus_raw = obj.get("corpus")
-    corpus_path = None
-    if corpus_raw is not None:
-        corpus_path = Path(str(corpus_raw))
-        if not corpus_path.is_absolute():
-            corpus_path = base_dir / corpus_path
+    def resolve(raw: Optional[str]) -> Optional[Path]:
+        if raw is None:
+            return None
+        p = Path(raw)
+        return p if p.is_absolute() else base_dir / p
 
-    workers = int(obj.get("workers", 1))
+    out_dir = resolve(_get(obj, "out_dir", str, where))
+    corpus_path = resolve(_get(obj, "corpus", str, where, None))
+
+    workers = _get(obj, "workers", int, where, 1)
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
 
-    tiers_obj = _need(obj, "tiers", str(path))
+    tiers_obj = _get(obj, "tiers", dict, where)
     tiers: dict[Tier, TierSettings] = {}
     for tier in (Tier.T1, Tier.T2):
         if tier.value in tiers_obj:
-            tiers[tier] = _parse_tier(tier, tiers_obj[tier.value], f"tiers.{tier.value}")
+            tiers[tier] = _parse_tier(tier, _get(tiers_obj, tier.value, dict, "tiers"),
+                                      f"tiers.{tier.value}")
     if not tiers:
         raise ConfigurationError(f"{path}: config defines no tiers")
 
-    remote_obj = obj.get("remote", {})
+    remote_obj = _get(obj, "remote", dict, where, {})
+    endpoints = _get(remote_obj, "endpoints", dict, "remote", {})
+    for name in endpoints:
+        _get(endpoints, name, str, "remote.endpoints", None)
     remote = RemoteSettings(
-        timeout=float(remote_obj.get("timeout", DEFAULT_TIMEOUT)),
-        max_retries=int(remote_obj.get("max_retries", DEFAULT_MAX_RETRIES)),
-        endpoints=dict(remote_obj.get("endpoints", {})),
+        timeout=_get(remote_obj, "timeout", float, "remote", DEFAULT_TIMEOUT),
+        max_retries=_get(remote_obj, "max_retries", int, "remote", DEFAULT_MAX_RETRIES),
+        endpoints=dict(endpoints),
     )
-
-    synonyms_raw = obj.get("section_synonyms")
-    synonyms_path = None
-    if synonyms_raw is not None:
-        synonyms_path = Path(str(synonyms_raw))
-        if not synonyms_path.is_absolute():
-            synonyms_path = base_dir / synonyms_path
 
     return RunConfig(base_dir=base_dir, out_dir=out_dir, corpus_path=corpus_path,
                      workers=workers, tiers=tiers, remote=remote,
-                     section_synonyms_path=synonyms_path)
+                     section_synonyms_path=resolve(
+                         _get(obj, "section_synonyms", str, where, None)))

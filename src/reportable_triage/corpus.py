@@ -24,6 +24,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -55,11 +56,12 @@ class Tier(str, Enum):
     def label_type(self) -> type:
         return T1Label if self is Tier.T1 else T2Label
 
-    @property
+    @cached_property
     def positive(self) -> "T1Label | T2Label":
+        """The one statement of which label is positive for each tier."""
         return T1Label.CANCER if self is Tier.T1 else T2Label.REPORTABLE
 
-    @property
+    @cached_property
     def negative(self) -> "T1Label | T2Label":
         return T1Label.NON_CANCER if self is Tier.T1 else T2Label.NON_REPORTABLE
 

@@ -15,14 +15,13 @@ live behind the backend boundary.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 from .corpus import PathologyReport
 from .errors import ValidationError
+from .util import is_punct
 
 DEFAULT_TOKEN_BUDGET = 512
 
@@ -63,14 +62,9 @@ class NormalizedInput:
     sections_used: tuple[str, ...]
 
 
-@lru_cache(maxsize=4096)
-def _punct_to_space(ch: str) -> str:
-    return " " if unicodedata.category(ch).startswith("P") else ch
-
-
 def normalize_text(text: str) -> str:
     """Lowercase, punctuation to single spaces, whitespace collapsed, trimmed."""
-    replaced = "".join(_punct_to_space(ch) for ch in text.lower())
+    replaced = "".join(" " if is_punct(ch) else ch for ch in text.lower())
     return " ".join(replaced.split())
 
 

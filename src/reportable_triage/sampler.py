@@ -143,7 +143,7 @@ def undersample(train: Corpus, policy: UndersamplePolicy) -> Corpus:
         raise ValidationError(
             f"empty kept class: no {policy.kept_class.value!r} records in training set"
         )
-    target = min(ratio_floor(policy.ratio, len(kept_idx)), len(sampled_idx))
+    target = undersample_target(policy, len(kept_idx), len(sampled_idx))
     rng = random.Random(policy.seed)
     chosen = set(rng.sample(sampled_idx, target))
     keep = set(kept_idx) | chosen

@@ -19,14 +19,13 @@ section's header line and body, in order, reproduces the input exactly.
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .corpus import PathologyReport, Section, is_normalized_section_name
 from .errors import ValidationError
+from .util import is_punct
 
 PREAMBLE = "preamble"
 OTHER = "other"
@@ -62,14 +61,9 @@ class HeaderRule:
 DEFAULT_HEADER_RULE = HeaderRule()
 
 
-@lru_cache(maxsize=4096)
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
 def normalize_header_key(raw: str) -> str:
     """Lookup key for a raw header: lowercase, punctuation removed, spaces collapsed."""
-    stripped = "".join(c for c in raw.lower() if not _is_punct(c))
+    stripped = "".join(c for c in raw.lower() if not is_punct(c))
     return " ".join(stripped.split())
 
 

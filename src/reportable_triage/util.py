@@ -1,12 +1,14 @@
-"""Small shared helpers: exact ratio arithmetic and atomic file writes."""
+"""Small shared helpers: exact ratio arithmetic, punctuation and atomic file writes."""
 
 from __future__ import annotations
 
 import math
 import os
 import tempfile
+import unicodedata
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 
@@ -29,6 +31,12 @@ def round_half_up(value: float, ndigits: int = 2) -> float:
     """Decimal round-half-up, the convention used for two-decimal tables."""
     q = Decimal(1).scaleb(-ndigits)
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+
+
+@lru_cache(maxsize=4096)
+def is_punct(ch: str) -> bool:
+    """Whether ch is Unicode punctuation (any general category P*)."""
+    return unicodedata.category(ch).startswith("P")
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:

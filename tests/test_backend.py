@@ -253,6 +253,17 @@ def test_load_rejects_truncated_file(tmp_path):
         load_baseline(path)
 
 
+def test_load_rejects_feature_dim_not_power_of_two(tmp_path):
+    model = train_baseline(separable_set(4), TrainHyper(epochs=1, feature_dim=4), seed=6)
+    path = tmp_path / "model.bin"
+    save_baseline(model, path)
+    raw = bytearray(path.read_bytes()[:-8])  # three weights for a dim of 3
+    raw[8:16] = (3).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BaselineFormatError, match="power of two"):
+        load_baseline(path)
+
+
 def test_baseline_backend_adapter():
     model = train_baseline(separable_set(4), TrainHyper(epochs=2), seed=8)
     backend = BaselineBackend(model=model, backend_id="b-a")

@@ -7,7 +7,6 @@ from reportable_triage.backend.baseline import TrainHyper, BaselineBackend, trai
 from reportable_triage.cascade import (
     FinalLabel,
     TierConfig,
-    TierMember,
     check_gating_soundness,
     dumps_outcome,
     or_combine,
@@ -15,6 +14,7 @@ from reportable_triage.cascade import (
     run_tier,
     triage,
 )
+from reportable_triage.config import MemberConfig
 from reportable_triage.corpus import (
     PathologyReport,
     SynthSpec,
@@ -85,19 +85,37 @@ def report_from_raw(rid, raw):
                            sections=tuple(parse_sections(raw, default_synonym_table())))
 
 
+def member(backend_id, variant, **settings):
+    return MemberConfig(backend_id=backend_id, kind="native_baseline", variant=variant,
+                        **settings)
+
+
+def tier_of(task, backend_a, backend_b, **settings):
+    """A tier whose variant-A and variant-B members are scored by these backends."""
+    return TierConfig(task=task,
+                      members=(member(backend_a.backend_id, A, **settings),
+                               member(backend_b.backend_id, B, **settings)),
+                      backends=(backend_a, backend_b))
+
+
 def keyword_tier(task, keyword_a="carcinoma", keyword_b="carcinoma"):
-    return TierConfig(task=task, members=(
-        TierMember(backend=KeywordBackend("kw-a", keyword_a), variant=A),
-        TierMember(backend=KeywordBackend("kw-b", keyword_b), variant=B),
-    ))
+    return tier_of(task, KeywordBackend("kw-a", keyword_a), KeywordBackend("kw-b", keyword_b))
 
 
 # --- TierConfig validation ----------------------------------------------------
 
 def test_tier_config_needs_two_distinct_variants():
-    member = TierMember(backend=KeywordBackend("x", "k"), variant=A)
-    with pytest.raises(ConfigurationError):
-        TierConfig(task=Tier.T1, members=(member, member))
+    x, y = KeywordBackend("x", "k"), KeywordBackend("y", "k")
+    TierConfig(task=Tier.T1, members=(member("x", A), member("y", B)), backends=(x, y))
+    rejected = [
+        ((member("x", A), member("y", A)), (x, y), "variants A and B"),
+        ((member("x", A),), (x,), "exactly two members"),
+        ((member("x", A), member("x", B)), (x, x), "backend_ids must be distinct"),
+        ((member("x", A), member("y", B)), (x,), "one backend per member"),
+    ]
+    for members, backends, reason in rejected:
+        with pytest.raises(ConfigurationError, match=reason):
+            TierConfig(task=Tier.T1, members=members, backends=backends)
 
 
 # --- run_tier ------------------------------------------------------------------
@@ -111,10 +129,8 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     report = report_from_raw("R1", raw)
     # member A reads synoptic-first, member B reads diagnosis-first with a tight
     # budget so only its priority section is visible to it
-    config = TierConfig(task=Tier.T1, members=(
-        TierMember(backend=KeywordBackend("kw-a", "carcinoma"), variant=A, token_budget=2),
-        TierMember(backend=KeywordBackend("kw-b", "carcinoma"), variant=B, token_budget=2),
-    ))
+    config = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
+                     KeywordBackend("kw-b", "carcinoma"), token_budget=2)
     [result] = run_tier([report], config)
     by_id = {d.backend_id: d for d in result.member_decisions}
     assert by_id["kw-a"].is_positive
@@ -154,10 +170,7 @@ def test_run_tier_worker_count_does_not_change_results():
 
 
 def test_run_tier_backend_failure_names_report_range():
-    config = TierConfig(task=Tier.T1, members=(
-        TierMember(backend=FailingBackend(), variant=A),
-        TierMember(backend=KeywordBackend("kw-b", "x"), variant=B),
-    ))
+    config = tier_of(Tier.T1, FailingBackend(), KeywordBackend("kw-b", "x"))
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
     with pytest.raises(TierExecutionError) as exc:
         run_tier(reports, config, batch_size=2)
@@ -309,13 +322,12 @@ def test_end_to_end_with_trained_baselines_on_synth():
         return out
 
     def tier_config(tier):
-        members = []
-        for variant, name in ((A, "a"), (B, "b")):
-            model = train_baseline(pairs(variant, tier), hyper, seed=5)
-            members.append(TierMember(
-                backend=BaselineBackend(model=model, backend_id=f"bl-{name}"),
-                variant=variant, token_budget=256))
-        return TierConfig(task=tier, members=tuple(members))
+        backends = [
+            BaselineBackend(model=train_baseline(pairs(variant, tier), hyper, seed=5),
+                            backend_id=f"bl-{name}")
+            for variant, name in ((A, "a"), (B, "b"))
+        ]
+        return tier_of(tier, *backends, token_budget=256)
 
     outcomes = triage([r.report for r in corpus], tier_config(Tier.T1),
                       tier_config(Tier.T2))

@@ -2,6 +2,12 @@ import json
 
 import pytest
 
+from reportable_triage.backend.baseline import (
+    TrainHyper,
+    load_baseline,
+    score_batch,
+    train_baseline,
+)
 from reportable_triage.cli import main
 from reportable_triage.corpus import (
     Corpus,
@@ -14,6 +20,7 @@ from reportable_triage.corpus import (
     synth_corpus,
     write_corpus,
 )
+from reportable_triage.preprocess import PipelineVariant, assemble_input
 
 from cli_util import write_config
 from mock_server import MockClassifyServer
@@ -122,6 +129,28 @@ def test_build_dataset_missing_corpus_exits_1(tmp_path, capsys):
     code = main(["--config", str(config), "build-dataset", "--tier", "t1"])
     assert code == 1
     assert "absent.jsonl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key_path, value", [
+    (("tiers", "t1", "members", 0, "threshold"), "abc"),
+    (("remote",), [1]),
+    (("tiers", "t1", "train", "epochs"), None),
+    (("tiers", "t1", "split"), 5),
+    (("tiers", "t1", "train", "learning_rate"), 10 ** 400),
+], ids=["threshold-string", "remote-list", "epochs-null", "split-number", "huge-number"])
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    parent = doc
+    for key in key_path[:-1]:
+        parent = parent[key]
+    parent[key_path[-1]] = value
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--config", str(config), "build-dataset", "--tier", "t1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and repr(key_path[-1]) in err
+    assert "Traceback" not in err
 
 
 # --- train-baseline -------------------------------------------------------------
@@ -370,6 +399,48 @@ def test_evaluate_unjoinable_ids_exit_1(tmp_path, capsys):
                  "--tier", "t1", "--out", str(tmp_path)])
     assert code == 1
     assert "E0" in capsys.readouterr().err
+
+
+def test_evaluate_repeated_report_id_exits_1(tmp_path, capsys):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
+                                        miss_a=set(), miss_b=set())
+    lines = outcomes.read_text().splitlines()
+    outcomes.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
+    code = main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "'E2'" in capsys.readouterr().err
+
+
+def test_training_and_triage_read_the_same_member_settings(tmp_path):
+    corpus = synth_corpus(SynthSpec(n_reports=200, vocabulary_signal_strength=0.5), seed=3)
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    config = write_config(tmp_path, epochs=2, feature_dim=1 << 12)
+    doc = json.loads(config.read_text())
+    doc["tiers"]["t1"]["members"][0].update(token_budget=40, fallback_sections=["other"])
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    for tier in ("t1", "t2"):
+        assert main(["--config", str(config), "build-dataset", "--tier", tier]) == 0
+        for variant in ("a", "b"):
+            assert main(["--config", str(config), "train-baseline",
+                         "--tier", tier, "--variant", variant]) == 0
+    out = tmp_path / "outcomes.jsonl"
+    assert main(["--config", str(config), "triage", "--out", str(out)]) == 0
+
+    def member_input(report):
+        return assemble_input(report, PipelineVariant.A_SYNOPTIC_FIRST, 40, ("other",))
+
+    model = load_baseline(tmp_path / "out/models/t1_a.bin")
+    train = load_corpus(tmp_path / "out/t1/train.jsonl")
+    pairs = [(member_input(r.report), int(r.t1_label is T1Label.CANCER)) for r in train]
+    assert train_baseline(pairs, TrainHyper(epochs=2, feature_dim=1 << 12), seed=13) == model
+
+    inputs = [member_input(r.report) for r in corpus]
+    defaults = [assemble_input(r.report, PipelineVariant.A_SYNOPTIC_FIRST) for r in corpus]
+    assert inputs != defaults  # the member's settings change what it reads
+    outcomes = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [o["t1"]["members"][0]["probability"] for o in outcomes] == \
+        [s.probability for s in score_batch(model, inputs)]
 
 
 def test_triage_worker_count_does_not_change_output(pipeline, tmp_path):
