@@ -7,6 +7,13 @@ Training is plain per-example SGD on the L2-regularized logistic loss, with a
 seeded shuffle each epoch, so equal data + hyperparameters + seed reproduce
 the weight vector bit-for-bit.
 
+Each scoring or training call hashes its batch once into CSR arrays
+(`FeatureRows`). A row's logit is the bias plus a left-to-right sum of
+weight * count over the row, in the order hashing first saw each index, so
+it is the same float as a sum over the row's dict. Sums stay sequential
+(`np.cumsum(...)[-1]`): `np.sum`, `np.add.reduceat` and `np.dot` add in
+other orders and would move the last bits.
+
 Model files are little-endian binary: a fixed header (magic, format version,
 feature_dim, seed, epochs, learning_rate, l2, bias, final_loss) followed by
 the float64 weight vector. The loader rejects unknown versions.
@@ -16,9 +23,10 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +54,51 @@ def hash_token_features(tokens: Sequence[str], feature_dim: int) -> dict[int, fl
         idx = zlib.crc32(b"b\x00" + a.encode("utf-8") + b"\x1f" + b.encode("utf-8")) & mask
         feats[idx] = feats.get(idx, 0.0) + 1.0
     return feats
+
+
+@dataclass(frozen=True)
+class FeatureRows:
+    """Hashed features of a batch in CSR form: row r is
+    indices[indptr[r]:indptr[r + 1]] with the counts at the same places in
+    values. Indices are unique within a row, because hashing merges them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping[int, float]]) -> "FeatureRows":
+        # typed buffers, not lists of Python ints: a batch of long reports
+        # holds a million entries
+        indptr, indices, values = array("q", [0]), array("q"), array("d")
+        for row in rows:
+            indices.extend(row.keys())
+            values.extend(row.values())
+            indptr.append(len(indices))
+        return cls(np.frombuffer(indptr, dtype=np.int64),
+                   np.frombuffer(indices, dtype=np.int64),
+                   np.frombuffer(values, dtype=np.float64))
+
+    @classmethod
+    def hash_texts(cls, texts: Iterable[str], feature_dim: int) -> "FeatureRows":
+        return cls.from_rows(hash_token_features(t.split(), feature_dim) for t in texts)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(indices, values) views of each row."""
+        bounds = self.indptr.tolist()
+        return [(self.indices[a:b], self.values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def logits(self, weights: np.ndarray, bias: float) -> list[float]:
+        products = weights[self.indices] * self.values
+        bounds = self.indptr.tolist()
+        return [bias + _sequential_sum(products[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    return np.cumsum(values)[-1] if len(values) else 0.0
 
 
 def _sigmoid(z: float) -> float:
@@ -98,43 +151,46 @@ class BaselineModel:
             and self.final_loss == other.final_loss
         )
 
-    def score_text_tokens(self, tokens: Sequence[str]) -> float:
-        feats = hash_token_features(tokens, self.feature_dim)
-        logit = self.bias + sum(self.weights[i] * v for i, v in feats.items())
-        return float(_sigmoid(logit))
+
+def _as_rows(features: FeatureRows | Sequence[Mapping[int, float]]) -> FeatureRows:
+    return features if isinstance(features, FeatureRows) else FeatureRows.from_rows(features)
 
 
 def regularized_loss(
     weights: np.ndarray,
     bias: float,
-    features: Sequence[dict[int, float]],
+    features: FeatureRows | Sequence[Mapping[int, float]],
     labels: Sequence[int],
     l2: float,
 ) -> float:
-    """Mean logistic NLL plus (l2/2)*||w||^2 (bias unregularized)."""
-    total = 0.0
-    for feats, y in zip(features, labels):
-        z = bias + sum(weights[i] * v for i, v in feats.items())
-        # softplus(z) - y*z, computed stably
-        total += float(np.logaddexp(0.0, z)) - y * z
-    return total / len(features) + 0.5 * l2 * float(np.dot(weights, weights))
+    """Mean logistic NLL plus (l2/2)*||w||^2 (bias unregularized).
+
+    features is a FeatureRows batch or a sequence of hash_token_features rows.
+    """
+    rows = _as_rows(features)
+    z = np.array(rows.logits(weights, bias))
+    # softplus(z) - y*z, computed stably, summed in row order
+    nll = np.logaddexp(0.0, z) - np.asarray(labels) * z
+    # ||w||^2 without BLAS: np.dot splits the sum across BLAS threads, so its
+    # last bits, and the model file's final_loss, would follow the thread count
+    return (float(_sequential_sum(nll)) / len(rows)
+            + 0.5 * l2 * float(np.sum(weights * weights)))
 
 
 def regularized_gradient(
     weights: np.ndarray,
     bias: float,
-    features: Sequence[dict[int, float]],
+    features: FeatureRows | Sequence[Mapping[int, float]],
     labels: Sequence[int],
     l2: float,
 ) -> tuple[np.ndarray, float]:
+    rows = _as_rows(features)
     grad_w = l2 * weights.copy()
     grad_b = 0.0
-    n = len(features)
-    for feats, y in zip(features, labels):
-        z = bias + sum(weights[i] * v for i, v in feats.items())
+    n = len(rows)
+    for (idx, val), z, y in zip(rows.row_slices(), rows.logits(weights, bias), labels):
         err = _sigmoid(z) - y
-        for i, v in feats.items():
-            grad_w[i] += err * v / n
+        grad_w[idx] += err * val / n
         grad_b += err / n
     return grad_w, grad_b
 
@@ -153,7 +209,8 @@ def train_baseline(
     if len(labels) < 2:
         raise ValidationError("degenerate training set: only one class present")
 
-    features = [hash_token_features(inp.text.split(), hyper.feature_dim) for inp, _ in train]
+    rows = FeatureRows.hash_texts((inp.text for inp, _ in train), hyper.feature_dim)
+    examples = rows.row_slices()
     ys = [y for _, y in train]
 
     rng = np.random.default_rng(seed)
@@ -162,15 +219,15 @@ def train_baseline(
     lr = hyper.learning_rate
     history: list[float] = []
     for _ in range(hyper.epochs):
-        for idx in rng.permutation(len(features)):
-            feats, y = features[idx], ys[idx]
-            z = bias + sum(weights[i] * v for i, v in feats.items())
-            err = _sigmoid(z) - y
-            # l2 applied lazily to the active coordinates of this example
-            for i, v in feats.items():
-                weights[i] -= lr * (err * v + hyper.l2 * weights[i])
+        for k in rng.permutation(len(examples)):
+            idx, val = examples[k]
+            w = weights[idx]
+            err = _sigmoid(bias + _sequential_sum(w * val)) - ys[k]
+            # l2 applied lazily to the active coordinates of this example;
+            # the indices of a row are unique, so one scattered write is exact
+            weights[idx] = w - lr * (err * val + hyper.l2 * w)
             bias -= lr * err
-        history.append(regularized_loss(weights, bias, features, ys, hyper.l2))
+        history.append(regularized_loss(weights, bias, rows, ys, hyper.l2))
 
     return BaselineModel(
         feature_dim=hyper.feature_dim,
@@ -188,7 +245,8 @@ def train_baseline(
 def score_batch(model: BaselineModel, inputs: Sequence[NormalizedInput]) -> list[ClassifierScore]:
     if not inputs:
         raise ValidationError("score_batch requires a non-empty input batch")
-    return [ClassifierScore(model.score_text_tokens(inp.text.split())) for inp in inputs]
+    rows = FeatureRows.hash_texts((inp.text for inp in inputs), model.feature_dim)
+    return [ClassifierScore(float(_sigmoid(z))) for z in rows.logits(model.weights, model.bias)]
 
 
 def save_baseline(model: BaselineModel, path: str | Path) -> None:

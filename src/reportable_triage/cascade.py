@@ -18,15 +18,17 @@ Member failure fails the whole batch: silently degrading to a single-model
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .backend.base import ClassifierBackend, Decision, decide
 from .config import MemberConfig, check_members
 from .corpus import PathologyReport, T1Label, T2Label, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
-from .preprocess import assemble_input
+from .preprocess import NormalizedInput, assemble_input
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -83,14 +85,22 @@ def or_combine(decisions: Sequence[Decision]) -> T1Label | T2Label:
     return combined
 
 
+def _assembly_key(member: MemberConfig) -> tuple:
+    """Members with equal keys assemble the same input from a report."""
+    return member.variant, member.token_budget, tuple(member.fallback_sections)
+
+
 def _score_batch(
     member: MemberConfig,
     backend: ClassifierBackend,
     task: Tier,
     batch: Sequence[PathologyReport],
-) -> list[Decision]:
-    inputs = [assemble_input(r, member.variant, member.token_budget,
-                             member.fallback_sections) for r in batch]
+    inputs: Optional[Sequence[NormalizedInput]],
+) -> tuple[Sequence[NormalizedInput], list[Decision]]:
+    """The batch's inputs (assembled here unless given) and the member's decisions."""
+    if inputs is None:
+        inputs = [assemble_input(r, member.variant, member.token_budget,
+                                 member.fallback_sections) for r in batch]
     try:
         scores = backend.score_batch(inputs)
     except TriageError as exc:
@@ -103,7 +113,27 @@ def _score_batch(
             f"backend {member.backend_id!r} returned {len(scores)} scores "
             f"for {len(batch)} reports"
         )
-    return [decide(s, member.threshold, task, member.backend_id) for s in scores]
+    return inputs, [decide(s, member.threshold, task, member.backend_id) for s in scores]
+
+
+@dataclass
+class Handover:
+    """Assembled inputs that one run_tier call keeps for the next tier.
+
+    For each report i whose result passes goes_on(i, result), kept[i] holds
+    every member's input. The inputs of the other reports are dropped as soon
+    as the tier's last member has scored their batch.
+    """
+
+    goes_on: Callable[[int, EnsembleResult], bool]
+    kept: dict[int, tuple[NormalizedInput, ...]] = field(default_factory=dict)
+
+    def keep(self, start: int, results: Sequence[EnsembleResult],
+             inputs: Sequence[Sequence[NormalizedInput]]) -> None:
+        """Keep, of one batch from report `start` on, the inputs of the reports that go on."""
+        for j, result in enumerate(results):
+            if self.goes_on(start + j, result):
+                self.kept[start + j] = tuple(member_inputs[j] for member_inputs in inputs)
 
 
 def run_tier(
@@ -111,44 +141,52 @@ def run_tier(
     config: TierConfig,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_workers: int = 1,
+    *,
+    inputs: Sequence[Optional[Sequence[NormalizedInput]]] = (),
+    handover: Optional[Handover] = None,
 ) -> list[EnsembleResult]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
+    Each member scores all its batches before the next member starts.
     Batches may be scored by up to max_workers threads; results are
     reassembled by batch index, so the output never depends on scheduling.
+    inputs[m], where given and not None, holds member m's assembled input
+    for each report, so that member assembles nothing. A handover, where
+    given, keeps the inputs of the reports that go on to the next tier.
     """
     if not reports:
         return []
-    starts = list(range(0, len(reports), batch_size))
-    jobs = [
-        (mi, si, reports[start:start + batch_size])
-        for mi, _ in enumerate(config.members)
-        for si, start in enumerate(starts)
-    ]
-    pieces: dict[tuple[int, int], list[Decision]] = {}
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    starts = range(0, len(reports), batch_size)
+    last = len(config.members) - 1
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                (mi, si): pool.submit(_score_batch, config.members[mi], config.backends[mi],
-                                      config.task, batch)
-                for mi, si, batch in jobs
-            }
-            pieces = {key: fut.result() for key, fut in futures.items()}
-    else:
-        for mi, si, batch in jobs:
-            pieces[(mi, si)] = _score_batch(config.members[mi], config.backends[mi],
-                                            config.task, batch)
+    def job(mi: int, start: int):
+        given = inputs[mi] if mi < len(inputs) else None
+        return _score_batch(config.members[mi], config.backends[mi], config.task,
+                            reports[start:start + batch_size],
+                            None if given is None else given[start:start + batch_size])
 
-    per_member = [
-        [d for si in range(len(starts)) for d in pieces[(mi, si)]]
-        for mi, _ in enumerate(config.members)
-    ]
-    return [
-        EnsembleResult(member_decisions=tuple(pair), combined_label=or_combine(pair))
-        for pair in zip(*per_member)
-    ]
+    order = [(mi, start) for mi in range(last + 1) for start in starts]
+    # (inputs, decisions) per scored batch, inputs only for a handover
+    scored: dict[tuple[int, int], tuple[Optional[Sequence[NormalizedInput]], list[Decision]]] = {}
+    results: list[EnsembleResult] = []
+    with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
+        if pool is None:
+            done = (job(*key) for key in order)
+        else:
+            futures = {key: pool.submit(job, *key) for key in order}
+            done = (futures.pop(key).result() for key in order)
+        for (mi, start), (batch_inputs, batch_decisions) in zip(order, done):
+            scored[mi, start] = (batch_inputs if handover is not None else None, batch_decisions)
+            if mi != last:
+                continue
+            # every member has now scored this batch
+            per_member = [scored.pop((m, start)) for m in range(last + 1)]
+            batch = [EnsembleResult(member_decisions=pair, combined_label=or_combine(pair))
+                     for pair in zip(*(ds for _, ds in per_member))]
+            results.extend(batch)
+            if handover is not None:
+                handover.keep(start, batch, [inp for inp, _ in per_member])
+    return results
 
 
 def triage(
@@ -167,16 +205,26 @@ def triage(
     for those reports instead (gold-gated evaluation); the final label still
     follows production semantics, i.e. a tier-1-negative report stays
     non_cancer no matter what tier 2 said.
+
+    A tier-2 member that assembles its input like a tier-1 member reads the
+    input that member assembled, so tier 2 assembles it again for no report.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ConfigurationError("triage needs a t1 config and a t2 config, in that order")
-    t1_results = run_tier(reports, t1, batch_size, max_workers)
+    t1_keys = [_assembly_key(m) for m in t1.members]
+    # per t2 member, the t1 member whose input it reads, or None
+    sources = [t1_keys.index(k) if k in t1_keys else None
+               for k in map(_assembly_key, t2.members)]
+    goes_on = ((lambda i, result: result.is_positive) if t2_report_ids is None
+               else (lambda i, result: reports[i].report_id in t2_report_ids))
+    handover = Handover(goes_on)
+    t1_results = run_tier(reports, t1, batch_size, max_workers, handover=handover)
 
-    if t2_report_ids is None:
-        selected = [i for i, res in enumerate(t1_results) if res.is_positive]
-    else:
-        selected = [i for i, r in enumerate(reports) if r.report_id in t2_report_ids]
-    t2_results = run_tier([reports[i] for i in selected], t2, batch_size, max_workers)
+    selected = sorted(handover.kept)
+    t2_inputs = [None if m is None else [handover.kept[i][m] for i in selected]
+                 for m in sources]
+    t2_results = run_tier([reports[i] for i in selected], t2, batch_size, max_workers,
+                          inputs=t2_inputs)
     t2_by_index = dict(zip(selected, t2_results))
 
     outcomes: list[TriageOutcome] = []
@@ -248,8 +296,12 @@ def read_outcomes(path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{path}: line {lineno}: not a JSON object")
             for key in ("report_id", "final", "t1"):
                 if key not in obj:
                     raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
+            if not isinstance(obj["report_id"], str):
+                raise ValidationError(f"{path}: line {lineno}: report_id is not a string")
             out.append(obj)
     return out

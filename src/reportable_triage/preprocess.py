@@ -62,10 +62,29 @@ class NormalizedInput:
     sections_used: tuple[str, ...]
 
 
+class _PunctToSpace(dict):
+    """A str.translate table: punctuation to a space, any other code point to
+    itself. It fills itself in as code points are first seen."""
+
+    def __missing__(self, codepoint: int) -> int:
+        value = 0x20 if is_punct(chr(codepoint)) else codepoint
+        self[codepoint] = value
+        return value
+
+
+_PUNCT_TO_SPACE = _PunctToSpace()
+
+
 def normalize_text(text: str) -> str:
     """Lowercase, punctuation to single spaces, whitespace collapsed, trimmed."""
-    replaced = "".join(" " if is_punct(ch) else ch for ch in text.lower())
-    return " ".join(replaced.split())
+    # lower() the whole string, never per character: a final sigma lowercases
+    # by its context ("ΟΔΟΣ" -> "οδος")
+    return " ".join(text.lower().translate(_PUNCT_TO_SPACE).split())
+
+
+def _has_token(text: str) -> bool:
+    """Whether normalize_text(text) is non-empty, without normalizing all of it."""
+    return any(not ch.isspace() and not is_punct(ch) for ch in text.lower())
 
 
 DEFAULT_FALLBACK_SECTIONS = ("specimen",)
@@ -122,12 +141,15 @@ def assemble_input(
     remaining = token_budget
     truncated = False
     for name, raw in chunks:
+        if remaining == 0:
+            # the budget is spent: the next chunk with a token marks truncation
+            if _has_token(raw):
+                truncated = True
+                break
+            continue
         tokens = normalize_text(raw).split()
         if not tokens:
             continue
-        if remaining == 0:
-            truncated = True
-            break
         take = tokens[:remaining]
         if len(take) < len(tokens):
             truncated = True

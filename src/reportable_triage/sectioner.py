@@ -41,6 +41,8 @@ class HeaderRule:
 
     def matches(self, line: str) -> Optional[int]:
         """Return the offset just past the header colon, or None."""
+        if ":" not in line:  # the header pattern needs a colon; most lines have none
+            return None
         m = _HEADER_PREFIX_RE.match(line)
         if m is None:
             return None

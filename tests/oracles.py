@@ -1,9 +1,15 @@
-"""Independent brute-force recomputations used to cross-check the metrics
-module. Deliberately naive and written from the raw definitions only; these
-functions must never import from reportable_triage.metrics.
+"""Independent brute-force recomputations used to cross-check the program.
+
+The metric oracles are deliberately naive and written from the raw
+definitions only; they must never import from reportable_triage.metrics.
 """
 
 from __future__ import annotations
+
+import unicodedata
+import zlib
+
+import numpy as np
 
 
 def naive_counts(preds, golds, positive):
@@ -52,3 +58,73 @@ def naive_eval(preds, golds, positive, negative):
         "missed_positive_count": fn,
         "n_evaluated": len(preds),
     }
+
+
+# --- reference featurization --------------------------------------------------
+# The per-character normalization and the per-example dict scoring and SGD that
+# the program used before it hashed each batch into CSR arrays. They must never
+# import from reportable_triage.preprocess or reportable_triage.backend; the
+# bit-exactness tests compare the program against them with ==.
+
+_MAX_LOGIT = 35.0
+
+
+def reference_normalize_text(text):
+    """Lowercase the whole string, punctuation to spaces, one character at a time."""
+    replaced = "".join(" " if unicodedata.category(ch).startswith("P") else ch
+                       for ch in text.lower())
+    return " ".join(replaced.split())
+
+
+def reference_hash(tokens, feature_dim):
+    mask = feature_dim - 1
+    feats = {}
+    for tok in tokens:
+        idx = zlib.crc32(b"u\x00" + tok.encode("utf-8")) & mask
+        feats[idx] = feats.get(idx, 0.0) + 1.0
+    for a, b in zip(tokens, tokens[1:]):
+        idx = zlib.crc32(b"b\x00" + a.encode("utf-8") + b"\x1f" + b.encode("utf-8")) & mask
+        feats[idx] = feats.get(idx, 0.0) + 1.0
+    return feats
+
+
+def _reference_sigmoid(z):
+    z = max(min(z, _MAX_LOGIT), -_MAX_LOGIT)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_score(weights, bias, text):
+    """The probability a model gives a normalized text, by a sum over its dict."""
+    feats = reference_hash(text.split(), len(weights))
+    logit = bias + sum(weights[i] * v for i, v in feats.items())
+    return float(_reference_sigmoid(logit))
+
+
+def _reference_loss(weights, bias, features, labels, l2):
+    total = 0.0
+    for feats, y in zip(features, labels):
+        z = bias + sum(weights[i] * v for i, v in feats.items())
+        total += float(np.logaddexp(0.0, z)) - y * z
+    # The regularizer is summed without BLAS, as in the program: np.dot's
+    # result depends on the BLAS thread count. This is the one deliberate
+    # departure from the per-example code it reproduces.
+    return total / len(features) + 0.5 * l2 * float(np.sum(weights * weights))
+
+
+def reference_train(texts, labels, feature_dim, epochs, learning_rate, l2, seed):
+    """Seeded per-example SGD over dict rows: (weights, bias, loss_history)."""
+    features = [reference_hash(t.split(), feature_dim) for t in texts]
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(feature_dim, dtype=np.float64)
+    bias = 0.0
+    history = []
+    for _ in range(epochs):
+        for idx in rng.permutation(len(features)):
+            feats, y = features[idx], labels[idx]
+            z = bias + sum(weights[i] * v for i, v in feats.items())
+            err = _reference_sigmoid(z) - y
+            for i, v in feats.items():
+                weights[i] -= learning_rate * (err * v + l2 * weights[i])
+            bias -= learning_rate * err
+        history.append(_reference_loss(weights, bias, features, labels, l2))
+    return weights, bias, history

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,10 @@ from reportable_triage.backend.baseline import (
 from reportable_triage.corpus import T1Label, Tier
 from reportable_triage.errors import BaselineFormatError, ValidationError
 from reportable_triage.preprocess import NormalizedInput
+
+from oracles import reference_hash, reference_score, reference_train
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def ni(text):
@@ -180,6 +188,56 @@ def test_scoring_is_pure_and_thread_safe():
     assert np.array_equal(model.weights, before)
 
 
+# --- bit-exactness against the per-example dict code ------------------------
+
+EXACT_VOCAB = ["carcinoma", "invasive", "benign", "tissue", "margin", "grade", "node", "2cm"]
+
+
+def exact_texts(seed, n):
+    rng = np.random.default_rng(seed)
+    return [" ".join(rng.choice(EXACT_VOCAB, size=int(rng.integers(1, 30)))) for _ in range(n)]
+
+
+def test_hashing_matches_reference():
+    for text in exact_texts(11, 50):
+        for dim in (16, 1 << 18):
+            feats = hash_token_features(text.split(), dim)
+            assert list(feats.items()) == list(reference_hash(text.split(), dim).items())
+
+
+def test_score_batch_equals_dict_sum_scorer():
+    rng = np.random.default_rng(12)
+    for dim in (16, 1 << 10):
+        model = BaselineModel(feature_dim=dim, weights=rng.normal(scale=0.7, size=dim),
+                              bias=-0.37, seed=0, epochs=0, learning_rate=0.1, l2=0.0,
+                              final_loss=0.0)
+        texts = exact_texts(13, 40) + [""]
+        scores = score_batch(model, [ni(t) for t in texts])
+        assert [s.probability for s in scores] == [
+            reference_score(model.weights, model.bias, t) for t in texts]
+        # an empty input has no features and scores sigmoid(bias)
+        assert scores[-1].probability == 1.0 / (1.0 + np.exp(0.37))
+
+
+def test_train_equals_per_example_dict_sgd():
+    # feature_dim 16 folds many unigrams and bigrams onto one index; the
+    # hashing merges them, so every row still has unique indices
+    texts = exact_texts(14, 60) + [""]
+    labels = [int(("carcinoma" in t) or ("invasive" in t)) for t in texts]
+    collided = [hash_token_features(t.split(), 16) for t in texts]
+    assert any(v > 1.0 for row in collided for v in row.values())
+    uni = {zlib.crc32(b"u\x00" + w.encode()) & 15 for w in EXACT_VOCAB}
+    assert any(i in uni for t in texts
+               for a, b in zip(t.split(), t.split()[1:])
+               for i in [zlib.crc32(b"b\x00" + a.encode() + b"\x1f" + b.encode()) & 15])
+    hyper = TrainHyper(epochs=4, learning_rate=0.3, feature_dim=16, l2=1e-3)
+    model = train_baseline(list(zip(map(ni, texts), labels)), hyper, seed=21)
+    weights, bias, history = reference_train(texts, labels, 16, 4, 0.3, 1e-3, 21)
+    assert np.array_equal(model.weights, weights)
+    assert model.bias == bias
+    assert model.loss_history == history
+
+
 # --- gradient check ----------------------------------------------------------
 
 def test_gradient_matches_central_finite_differences():
@@ -224,6 +282,36 @@ def test_save_load_round_trip(tmp_path):
     assert loaded == model
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.seed == 5 and loaded.epochs == 3
+
+
+TRAIN_AND_SAVE = """
+import sys
+import numpy as np
+from reportable_triage.backend.baseline import TrainHyper, save_baseline, train_baseline
+from reportable_triage.preprocess import NormalizedInput
+rng = np.random.default_rng(0)
+vocab = [f"w{i}" for i in range(2000)]
+train = [(NormalizedInput(" ".join(rng.choice(vocab, size=60)), 60, False, ("diagnosis",)),
+          i % 2) for i in range(80)]
+save_baseline(train_baseline(train, TrainHyper(epochs=2, l2=1e-3), seed=3), sys.argv[1])
+"""
+
+
+def test_model_file_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # ||w||^2 over 2^18 weights is long enough for OpenBLAS to split a dot
+    # product across threads, which moved final_loss by an ulp
+    files = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"model_{threads}.bin"
+        result = subprocess.run(
+            [sys.executable, "-c", TRAIN_AND_SAVE, str(path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                 "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
 
 
 def test_load_rejects_bad_magic(tmp_path):

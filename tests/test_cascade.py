@@ -240,6 +240,55 @@ def test_triage_explicit_t2_scope():
         check_gating_soundness(outcomes)
 
 
+class RecordingBackend(KeywordBackend):
+    def __init__(self, backend_id, keyword):
+        super().__init__(backend_id, keyword)
+        self.texts = []
+
+    def score_batch(self, inputs):
+        self.texts.extend(inp.text for inp in inputs)
+        return super().score_batch(inputs)
+
+
+@pytest.mark.parametrize("t2_scope", ["predicted", "gold"])
+@pytest.mark.parametrize("t2_budget_b", [256, 3])
+def test_triage_t2_reads_the_inputs_t1_assembled(monkeypatch, t2_scope, t2_budget_b):
+    import reportable_triage.cascade as cascade
+
+    calls = []
+
+    def counting_assemble(*args):
+        calls.append(args)
+        return assemble_input(*args)
+
+    monkeypatch.setattr(cascade, "assemble_input", counting_assemble)
+    rng = random.Random(8)
+    # the members' inputs differ: the sections hold different words
+    reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma staging {i}\n"
+                                        f"DIAGNOSIS:\ncarcinoma note\nSPECIMEN:\nskin\n"
+                               if rng.random() < 0.4 else BENIGN_RAW) for i in range(20)]
+    t1 = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
+                 KeywordBackend("kw-b", "carcinoma"), token_budget=256)
+    t2_a, t2_b = RecordingBackend("t2-a", "staging"), RecordingBackend("t2-b", "staging")
+    t2 = TierConfig(task=Tier.T2,
+                    members=(member("t2-a", A, token_budget=256),
+                             member("t2-b", B, token_budget=t2_budget_b)),
+                    backends=(t2_a, t2_b))
+    ids = {r.report_id for r in reports[::3]} if t2_scope == "gold" else None
+    outcomes = triage(reports, t1, t2, batch_size=3, t2_report_ids=ids)
+
+    selected = [r for r, o in zip(reports, outcomes) if o.t2 is not None]
+    assert 0 < len(selected) < len(reports)
+    assert [r.report_id for r in selected] == [
+        r.report_id for r, o in zip(reports, outcomes)
+        if (o.t1.is_positive if ids is None else r.report_id in ids)]
+    assert t2_a.texts == [assemble_input(r, A, 256).text for r in selected]
+    assert t2_b.texts == [assemble_input(r, B, t2_budget_b).text for r in selected]
+    # tier 2 assembles only for the member whose settings no t1 member shares
+    shared = t2_budget_b == 256
+    assert len(calls) == 2 * len(reports) + (0 if shared else len(selected))
+
+
 def test_triage_rejects_swapped_tier_configs():
     t1, t2 = full_cascade()
     with pytest.raises(ConfigurationError):

@@ -412,6 +412,28 @@ def test_evaluate_repeated_report_id_exits_1(tmp_path, capsys):
     assert "'E2'" in capsys.readouterr().err
 
 
+def evaluate_one_outcome_line(tmp_path, line):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
+                                        miss_a=set(), miss_b=set())
+    lines = outcomes.read_text().splitlines()
+    outcomes.write_text("\n".join(lines[:1] + [line] + lines[1:]) + "\n", encoding="utf-8")
+    return main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t1", "--out", str(tmp_path)])
+
+
+def test_evaluate_outcome_line_not_an_object_exits_1(tmp_path, capsys):
+    assert evaluate_one_outcome_line(tmp_path, "5") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2: not a JSON object" in err
+
+
+def test_evaluate_report_id_not_a_string_exits_1(tmp_path, capsys):
+    line = '{"report_id":[1],"final":"non_cancer","t1":{}}'
+    assert evaluate_one_outcome_line(tmp_path, line) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2: report_id is not a string" in err
+
+
 def test_training_and_triage_read_the_same_member_settings(tmp_path):
     corpus = synth_corpus(SynthSpec(n_reports=200, vocabulary_signal_strength=0.5), seed=3)
     write_corpus(corpus, tmp_path / "corpus.jsonl")

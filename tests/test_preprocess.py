@@ -10,6 +10,8 @@ from reportable_triage.preprocess import (
     normalize_text,
 )
 
+from oracles import reference_normalize_text
+
 A = PipelineVariant.A_SYNOPTIC_FIRST
 B = PipelineVariant.B_DIAGNOSIS_FIRST
 
@@ -53,6 +55,41 @@ def test_normalize_invariants(text):
     assert out == out.lower()
     assert "  " not in out
     assert out == out.strip()
+
+
+@given(st.text(max_size=300))
+def test_normalize_equals_per_character_reference(text):
+    assert normalize_text(text) == reference_normalize_text(text)
+
+
+def test_normalize_lowercases_in_context():
+    # a final capital sigma lowercases to a final sigma only in context
+    assert normalize_text("ΟΔΟΣ.") == reference_normalize_text("ΟΔΟΣ.") == "οδος"
+    # one capital letter lowercases to two code points
+    assert normalize_text("İstanbul") == reference_normalize_text("İstanbul") == "i\u0307stanbul"
+
+
+def budget_spent_report(after):
+    return report_with([Section(name="synoptic", text="Carcinoma, grade 2."),
+                        Section(name="diagnosis", text=after)])
+
+
+def test_punctuation_only_chunk_after_spent_budget_does_not_truncate():
+    out = assemble_input(budget_spent_report(" -- ; ... !? "), A, token_budget=3)
+    assert out == NormalizedInput(text="carcinoma grade 2", approx_token_count=3,
+                                  truncated=False, sections_used=("synoptic",))
+
+
+def test_chunk_with_a_token_after_spent_budget_truncates():
+    out = assemble_input(budget_spent_report("... Benign."), A, token_budget=3)
+    assert out == NormalizedInput(text="carcinoma grade 2", approx_token_count=3,
+                                  truncated=True, sections_used=("synoptic",))
+
+
+@given(st.text(max_size=100))
+def test_truncation_after_spent_budget_follows_the_reference(after):
+    out = assemble_input(budget_spent_report(after), A, token_budget=3)
+    assert out.truncated == bool(reference_normalize_text(after).split())
 
 
 def test_variant_priority_sections():
