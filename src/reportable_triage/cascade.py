@@ -11,6 +11,14 @@ evaluation against gold tier-2 annotations there is an explicit-scope mode
 that scores tier 2 for a caller-supplied report set instead; outcomes written
 that way are evaluation artifacts, not production triage.
 
+run_tier returns, with its results, the input each member scored for each
+report. triage hands tier 2 the inputs of the selected reports from the
+tier-1 member that assembles inputs the same way, so no report is assembled
+twice for the same settings.
+
+read_outcomes validates an outcomes file completely as it loads it, the OR
+rule included; evaluate_outcomes joins it to gold labels without I/O.
+
 Member failure fails the whole batch: silently degrading to a single-model
 "ensemble" would misstate the sensitivity guarantee.
 """
@@ -20,13 +28,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from . import metrics
 from .backend.base import ClassifierBackend, Decision, decide
 from .config import MemberConfig, check_members
-from .corpus import PathologyReport, T1Label, T2Label, Tier
+from .corpus import Corpus, PathologyReport, T1Label, T2Label, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
 
@@ -116,26 +125,6 @@ def _score_batch(
     return inputs, [decide(s, member.threshold, task, member.backend_id) for s in scores]
 
 
-@dataclass
-class Handover:
-    """Assembled inputs that one run_tier call keeps for the next tier.
-
-    For each report i whose result passes goes_on(i, result), kept[i] holds
-    every member's input. The inputs of the other reports are dropped as soon
-    as the tier's last member has scored their batch.
-    """
-
-    goes_on: Callable[[int, EnsembleResult], bool]
-    kept: dict[int, tuple[NormalizedInput, ...]] = field(default_factory=dict)
-
-    def keep(self, start: int, results: Sequence[EnsembleResult],
-             inputs: Sequence[Sequence[NormalizedInput]]) -> None:
-        """Keep, of one batch from report `start` on, the inputs of the reports that go on."""
-        for j, result in enumerate(results):
-            if self.goes_on(start + j, result):
-                self.kept[start + j] = tuple(member_inputs[j] for member_inputs in inputs)
-
-
 def run_tier(
     reports: Sequence[PathologyReport],
     config: TierConfig,
@@ -143,50 +132,36 @@ def run_tier(
     max_workers: int = 1,
     *,
     inputs: Sequence[Optional[Sequence[NormalizedInput]]] = (),
-    handover: Optional[Handover] = None,
-) -> list[EnsembleResult]:
+) -> tuple[list[EnsembleResult], tuple[Sequence[NormalizedInput], ...]]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
-    Each member scores all its batches before the next member starts.
-    Batches may be scored by up to max_workers threads; results are
-    reassembled by batch index, so the output never depends on scheduling.
-    inputs[m], where given and not None, holds member m's assembled input
-    for each report, so that member assembles nothing. A handover, where
-    given, keeps the inputs of the reports that go on to the next tier.
+    Returns the ensemble result per report and, per member, the input it
+    scored for each report. inputs[m], where given and not None, holds member
+    m's input for each report, so that member assembles nothing. Batches run
+    member by member; with max_workers > 1 every batch of every member is
+    submitted to a thread pool before any result is read, and results are
+    read back in submission order, so the output never depends on scheduling.
     """
-    if not reports:
-        return []
     starts = range(0, len(reports), batch_size)
-    last = len(config.members) - 1
 
-    def job(mi: int, start: int):
+    def job(key: tuple[int, int]):
+        mi, start = key
         given = inputs[mi] if mi < len(inputs) else None
         return _score_batch(config.members[mi], config.backends[mi], config.task,
                             reports[start:start + batch_size],
                             None if given is None else given[start:start + batch_size])
 
-    order = [(mi, start) for mi in range(last + 1) for start in starts]
-    # (inputs, decisions) per scored batch, inputs only for a handover
-    scored: dict[tuple[int, int], tuple[Optional[Sequence[NormalizedInput]], list[Decision]]] = {}
-    results: list[EnsembleResult] = []
+    members = range(len(config.members))
+    keys = [(mi, start) for mi in members for start in starts]
     with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
-        if pool is None:
-            done = (job(*key) for key in order)
-        else:
-            futures = {key: pool.submit(job, *key) for key in order}
-            done = (futures.pop(key).result() for key in order)
-        for (mi, start), (batch_inputs, batch_decisions) in zip(order, done):
-            scored[mi, start] = (batch_inputs if handover is not None else None, batch_decisions)
-            if mi != last:
-                continue
-            # every member has now scored this batch
-            per_member = [scored.pop((m, start)) for m in range(last + 1)]
-            batch = [EnsembleResult(member_decisions=pair, combined_label=or_combine(pair))
-                     for pair in zip(*(ds for _, ds in per_member))]
-            results.extend(batch)
-            if handover is not None:
-                handover.keep(start, batch, [inp for inp, _ in per_member])
-    return results
+        scored = list((map if pool is None else pool.map)(job, keys))
+    per_member = [scored[mi * len(starts):(mi + 1) * len(starts)] for mi in members]
+    member_inputs = tuple([x for batch_inputs, _ in batches for x in batch_inputs]
+                          for batches in per_member)
+    decisions = [[d for _, ds in batches for d in ds] for batches in per_member]
+    results = [EnsembleResult(member_decisions=pair, combined_label=or_combine(pair))
+               for pair in zip(*decisions)]
+    return results, member_inputs
 
 
 def triage(
@@ -206,25 +181,23 @@ def triage(
     follows production semantics, i.e. a tier-1-negative report stays
     non_cancer no matter what tier 2 said.
 
-    A tier-2 member that assembles its input like a tier-1 member reads the
-    input that member assembled, so tier 2 assembles it again for no report.
+    A tier-2 member whose assembly key (variant, token budget, fallback
+    sections) equals a tier-1 member's reads, from the inputs tier 1 returned,
+    the input that member scored, so tier 2 assembles it again for no report.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ConfigurationError("triage needs a t1 config and a t2 config, in that order")
-    t1_keys = [_assembly_key(m) for m in t1.members]
-    # per t2 member, the t1 member whose input it reads, or None
-    sources = [t1_keys.index(k) if k in t1_keys else None
-               for k in map(_assembly_key, t2.members)]
-    goes_on = ((lambda i, result: result.is_positive) if t2_report_ids is None
-               else (lambda i, result: reports[i].report_id in t2_report_ids))
-    handover = Handover(goes_on)
-    t1_results = run_tier(reports, t1, batch_size, max_workers, handover=handover)
+    t1_results, t1_inputs = run_tier(reports, t1, batch_size, max_workers)
 
-    selected = sorted(handover.kept)
-    t2_inputs = [None if m is None else [handover.kept[i][m] for i in selected]
-                 for m in sources]
-    t2_results = run_tier([reports[i] for i in selected], t2, batch_size, max_workers,
-                          inputs=t2_inputs)
+    if t2_report_ids is None:
+        selected = [i for i, res in enumerate(t1_results) if res.is_positive]
+    else:
+        selected = [i for i, r in enumerate(reports) if r.report_id in t2_report_ids]
+    t1_keys = [_assembly_key(m) for m in t1.members]
+    t2_inputs = [[t1_inputs[t1_keys.index(k)][i] for i in selected] if k in t1_keys else None
+                 for k in map(_assembly_key, t2.members)]
+    t2_results, _ = run_tier([reports[i] for i in selected], t2, batch_size, max_workers,
+                             inputs=t2_inputs)
     t2_by_index = dict(zip(selected, t2_results))
 
     outcomes: list[TriageOutcome] = []
@@ -285,23 +258,128 @@ def dumps_outcome(outcome: TriageOutcome) -> str:
     return json.dumps(outcome_to_dict(outcome), ensure_ascii=False, separators=(",", ":"))
 
 
-def read_outcomes(path) -> list[dict]:
-    """Parse an outcomes JSONL file into validated dicts for evaluation."""
-    out: list[dict] = []
+# per tier, label value -> whether it is the tier's positive label
+_POSITIVE = {task: {label.value: label is task.positive for label in task.label_type}
+             for task in Tier}
+
+
+def _check_block(block, task: Tier) -> None:
+    """Reject a tier block that is malformed or whose combined label is not
+    the OR of its members' labels, which FN(combined) = FN(A) ∩ FN(B) needs."""
+    members = block.get("members") if isinstance(block, dict) else None
+    if not isinstance(members, list):
+        raise ValidationError(f"{task.value} is not a tier block with a members list")
+    if len(members) != 2 or not isinstance(members[0], dict) or not isinstance(members[1], dict):
+        raise ValidationError(f"{task.value} block needs exactly two member objects")
+    a, b = members
+    if (not isinstance(a.get("backend_id"), str) or not isinstance(b.get("backend_id"), str)
+            or a["backend_id"] == b["backend_id"]):
+        raise ValidationError(f"{task.value} members need distinct string backend_ids")
+    positive = _POSITIVE[task]
+    try:
+        a_pos, b_pos, combined_pos = (positive[a.get("label")], positive[b.get("label")],
+                                      positive[block.get("combined")])
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise ValidationError(
+            f"{task.value} block has a label that is not one of: {', '.join(positive)}"
+        ) from None
+    if combined_pos != (a_pos or b_pos):
+        raise ValidationError(f"{task.value} combined label is not the OR of its members' labels")
+
+
+def _check_outcome(line: str, seen: dict[str, dict]) -> dict:
+    """The outcome one file line holds, validated; `seen` holds the earlier lines'."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError("not a JSON object")
+    for key in ("report_id", "final", "t1"):
+        if key not in obj:
+            raise ValidationError(f"missing field {key!r}")
+    if not isinstance(obj["report_id"], str):
+        raise ValidationError("report_id is not a string")
+    if obj["report_id"] in seen:
+        raise ValidationError(f"outcomes file repeats report_id {obj['report_id']!r}")
+    _check_block(obj["t1"], Tier.T1)
+    if obj.get("t2") is not None:
+        _check_block(obj["t2"], Tier.T2)
+    return obj
+
+
+def read_outcomes(path) -> dict[str, dict]:
+    """Load an outcomes JSONL file keyed by report_id, validating every line.
+
+    A line is an object with a string report_id no earlier line has, a final
+    field, a t1 tier block and a t2 that is absent, null or a tier block. A
+    tier block holds exactly two members with distinct string backend_ids and
+    labels of its tier, and a combined label that is the OR of theirs.
+    """
+    out: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{path}: line {lineno}: not a JSON object")
-            for key in ("report_id", "final", "t1"):
-                if key not in obj:
-                    raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
-            if not isinstance(obj["report_id"], str):
-                raise ValidationError(f"{path}: line {lineno}: report_id is not a string")
-            out.append(obj)
+                obj = _check_outcome(line, out)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+            out[obj["report_id"]] = obj
     return out
+
+
+def _listed(ids: list[str]) -> str:
+    return f"{', '.join(ids[:20])}{' ...' if len(ids) > 20 else ''}"
+
+
+def evaluate_outcomes(outcomes: dict[str, dict], gold: Corpus, tier: Tier, gating: str
+                      ) -> tuple[list[tuple[str, metrics.EvalReport]], int]:
+    """Score each member and the ensemble against the gold records labeled for tier.
+
+    Returns the named reports (member A and member B in file order, then
+    "combined") and the number of gold records evaluated. For t2, gating
+    "gold" needs a t2 result for every labeled record; "predicted" evaluates
+    the labeled records that have one.
+    """
+    labeled = [r for r in gold if r.label_for(tier) is not None]
+    if not labeled:
+        raise ValidationError(f"gold corpus has no {tier.value} labels")
+    missing = [r.report_id for r in labeled if r.report_id not in outcomes]
+    if missing:
+        raise ValidationError(
+            f"unjoinable report_ids (gold records without outcomes): {_listed(missing)}")
+
+    key = tier.value
+    if tier is Tier.T2:
+        lacking = [r.report_id for r in labeled if outcomes[r.report_id].get(key) is None]
+        if gating == "gold" and lacking:
+            raise ValidationError(
+                f"unjoinable report_ids (gold t2 records without t2 results, "
+                f"was triage run with --t2-scope gold?): {_listed(lacking)}"
+            )
+        labeled = [r for r in labeled if outcomes[r.report_id].get(key) is not None]
+        if not labeled:
+            raise ValidationError("no evaluable records remain under predicted gating")
+
+    golds = [r.label_for(tier) for r in labeled]
+    labels = {label.value: label for label in tier.label_type}
+    # per model name, in first-seen order: member A, member B, then the ensemble
+    preds: dict[str, list] = {}
+    for r in labeled:
+        block = outcomes[r.report_id][key]
+        rows = {m["backend_id"]: m["label"] for m in block["members"]}
+        rows["combined"] = block["combined"]
+        if len(rows) != 3:
+            raise ValidationError(f"outcome {r.report_id!r}: a member's backend_id is 'combined'")
+        for name, value in rows.items():
+            if name not in preds:
+                preds[name] = []
+            preds[name].append(labels[value])
+    for name, model_preds in preds.items():
+        if len(model_preds) != len(golds):
+            raise ValidationError(
+                f"outcomes file is inconsistent: model {name!r} appears in "
+                f"{len(model_preds)} of {len(golds)} evaluated records"
+            )
+    return [(name, metrics.eval_report(p, golds, tier)) for name, p in preds.items()], len(labeled)

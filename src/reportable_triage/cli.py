@@ -252,79 +252,19 @@ def cmd_triage(args) -> int:
     return EXIT_OK
 
 
-def _member_rows(outcome_tier: dict, where: str) -> dict[str, str]:
-    """backend_id -> predicted label value for one report's tier result."""
-    rows = {}
-    for member in outcome_tier["members"]:
-        rows[member["backend_id"]] = member["label"]
-    rows["combined"] = outcome_tier["combined"]
-    if len(rows) != 3:
-        raise ValidationError(f"{where}: expected two distinct member backend_ids")
-    return rows
-
-
 def cmd_evaluate(args) -> int:
     tier = Tier(args.tier)
     outcomes = cascade.read_outcomes(_require_file(Path(args.outcomes), "outcomes file"))
     gold = load_corpus(_require_file(Path(args.gold), "gold corpus"), strict=args.strict)
-    by_id: dict[str, dict] = {}
-    for o in outcomes:
-        if o["report_id"] in by_id:
-            raise ValidationError(f"outcomes file repeats report_id {o['report_id']!r}")
-        by_id[o["report_id"]] = o
+    named_reports, n_gold = cascade.evaluate_outcomes(outcomes, gold, tier, args.gating)
+    excluded = sum(r.label_for(tier) is not None for r in gold) - n_gold
+    if excluded:
+        logger.info("predicted gating: excluding %d gold-annotated reports "
+                    "without t2 results", excluded)
 
-    labeled = [r for r in gold if r.label_for(tier) is not None]
-    if not labeled:
-        raise ValidationError(f"gold corpus has no {tier.value} labels")
-
-    missing = [r.report_id for r in labeled if r.report_id not in by_id]
-    if missing:
-        raise ValidationError(
-            f"unjoinable report_ids (gold records without outcomes): "
-            f"{', '.join(missing[:20])}{' ...' if len(missing) > 20 else ''}"
-        )
-
-    key = tier.value
-    if tier is Tier.T2:
-        lacking = [r.report_id for r in labeled if by_id[r.report_id].get(key) is None]
-        if args.gating == "gold" and lacking:
-            raise ValidationError(
-                f"unjoinable report_ids (gold t2 records without t2 results, "
-                f"was triage run with --t2-scope gold?): "
-                f"{', '.join(lacking[:20])}{' ...' if len(lacking) > 20 else ''}"
-            )
-        if lacking:
-            logger.info("predicted gating: excluding %d gold-annotated reports "
-                        "without t2 results", len(lacking))
-            labeled = [r for r in labeled if r.report_id not in set(lacking)]
-        if not labeled:
-            raise ValidationError("no evaluable records remain under predicted gating")
-
-    golds = [r.label_for(tier) for r in labeled]
-    model_preds: dict[str, list] = {}
-    order: list[str] = []
-    for r in labeled:
-        rows = _member_rows(by_id[r.report_id][key], f"outcome {r.report_id!r}")
-        for model_name, label_value in rows.items():
-            if model_name not in model_preds:
-                model_preds[model_name] = []
-                order.append(model_name)
-            model_preds[model_name].append(tier.parse_label(label_value))
-    for name, preds in model_preds.items():
-        if len(preds) != len(golds):
-            raise ValidationError(
-                f"outcomes file is inconsistent: model {name!r} appears in "
-                f"{len(preds)} of {len(golds)} evaluated records"
-            )
-    # stable row order: member A, member B (file order), then the ensemble
-    order = [m for m in order if m != "combined"] + ["combined"]
-
-    named_reports = [
-        (name, metrics.eval_report(model_preds[name], golds, tier)) for name in order
-    ]
     table = metrics.render_eval_table(named_reports, tier)
     doc = metrics.dumps_eval(named_reports, tier,
-                             extra={"gating": args.gating, "n_gold": len(labeled)})
+                             extra={"gating": args.gating, "n_gold": n_gold})
 
     if args.out:
         out_dir = Path(args.out)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import CorpusFormatError, ValidationError
 from .util import atomic_write_bytes, ratio_round_half_up
@@ -441,8 +441,3 @@ def synth_corpus(spec: SynthSpec, seed: int) -> Corpus:
     }
     return Corpus(records=records, provenance=provenance)
 
-
-def subset(corpus: Corpus, records: Iterable[LabeledReport], note: str) -> Corpus:
-    """A new corpus over `records` with provenance chained from `corpus`."""
-    return Corpus(records=list(records),
-                  provenance={**corpus.provenance, "derived": note})

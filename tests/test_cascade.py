@@ -72,6 +72,16 @@ class KeywordBackend:
                 for inp in inputs]
 
 
+class RecordingBackend(KeywordBackend):
+    def __init__(self, backend_id, keyword):
+        super().__init__(backend_id, keyword)
+        self.texts = []
+
+    def score_batch(self, inputs):
+        self.texts.extend(inp.text for inp in inputs)
+        return super().score_batch(inputs)
+
+
 class FailingBackend:
     backend_id = "broken"
 
@@ -121,7 +131,8 @@ def test_tier_config_needs_two_distinct_variants():
 # --- run_tier ------------------------------------------------------------------
 
 def test_run_tier_empty():
-    assert run_tier([], keyword_tier(Tier.T1)) == []
+    results, inputs = run_tier([], keyword_tier(Tier.T1))
+    assert results == [] and inputs == ([], [])
 
 
 def test_run_tier_signal_only_in_synoptic_fires_member_a():
@@ -131,7 +142,7 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     # budget so only its priority section is visible to it
     config = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
                      KeywordBackend("kw-b", "carcinoma"), token_budget=2)
-    [result] = run_tier([report], config)
+    [result], _ = run_tier([report], config)
     by_id = {d.backend_id: d for d in result.member_decisions}
     assert by_id["kw-a"].is_positive
     assert not by_id["kw-b"].is_positive
@@ -140,7 +151,7 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
 
 def test_run_tier_identical_decisions_combined_equal():
     raw = "SYNOPTIC REPORT:\nbenign\nDIAGNOSIS:\nbenign\n"
-    [result] = run_tier([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
+    [result], _ = run_tier([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
     assert not result.is_positive
     assert result.combined_label is T1Label.NON_CANCER
 
@@ -152,7 +163,7 @@ def test_run_tier_order_preserving_and_batched():
                         f"DIAGNOSIS:\n{'carcinoma' if i % 3 == 0 else 'benign'}\n")
         for i in range(10)
     ]
-    results = run_tier(reports, keyword_tier(Tier.T1), batch_size=3)
+    results, _ = run_tier(reports, keyword_tier(Tier.T1), batch_size=3)
     for i, res in enumerate(results):
         assert res.is_positive == (i % 3 == 0)
 
@@ -164,9 +175,21 @@ def test_run_tier_worker_count_does_not_change_results():
                         f"DIAGNOSIS:\nnote\n")
         for i in range(20)
     ]
-    serial = run_tier(reports, keyword_tier(Tier.T1), batch_size=4, max_workers=1)
-    threaded = run_tier(reports, keyword_tier(Tier.T1), batch_size=4, max_workers=4)
+    serial, _ = run_tier(reports, keyword_tier(Tier.T1), batch_size=4, max_workers=1)
+    threaded, _ = run_tier(reports, keyword_tier(Tier.T1), batch_size=4, max_workers=4)
     assert [r.combined_label for r in serial] == [r.combined_label for r in threaded]
+
+
+def test_run_tier_returns_the_input_each_member_scored():
+    reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma {i}\n"
+                                        f"DIAGNOSIS:\nnote {i}\n") for i in range(5)]
+    given = [assemble_input(r, B, 3) for r in reports]
+    a, b = RecordingBackend("rec-a", "x"), RecordingBackend("rec-b", "x")
+    config = tier_of(Tier.T1, a, b, token_budget=256)
+    _, (inputs_a, inputs_b) = run_tier(reports, config, batch_size=2, inputs=[None, given])
+    assert inputs_a == [assemble_input(r, A, 256) for r in reports]
+    assert inputs_b == given
+    assert a.texts == [i.text for i in inputs_a] and b.texts == [i.text for i in given]
 
 
 def test_run_tier_backend_failure_names_report_range():
@@ -238,16 +261,6 @@ def test_triage_explicit_t2_scope():
     assert outcomes[0].final is FinalLabel.NON_CANCER  # final keeps production semantics
     with pytest.raises(ValidationError):
         check_gating_soundness(outcomes)
-
-
-class RecordingBackend(KeywordBackend):
-    def __init__(self, backend_id, keyword):
-        super().__init__(backend_id, keyword)
-        self.texts = []
-
-    def score_batch(self, inputs):
-        self.texts.extend(inp.text for inp in inputs)
-        return super().score_batch(inputs)
 
 
 @pytest.mark.parametrize("t2_scope", ["predicted", "gold"])
@@ -337,12 +350,12 @@ def test_outcome_round_trip(tmp_path):
     path = tmp_path / "outcomes.jsonl"
     path.write_text("".join(dumps_outcome(o) + "\n" for o in outcomes), encoding="utf-8")
     loaded = read_outcomes(path)
-    assert [o["report_id"] for o in loaded] == ["pos", "neg"]
-    assert loaded[0]["final"] == "cancer_reportable"
-    assert loaded[0]["t1"]["combined_by"] == "or"
-    assert len(loaded[0]["t1"]["members"]) == 2
-    assert loaded[1]["t2"] is None
-    member = loaded[0]["t1"]["members"][0]
+    assert list(loaded) == ["pos", "neg"]
+    assert loaded["pos"]["final"] == "cancer_reportable"
+    assert loaded["pos"]["t1"]["combined_by"] == "or"
+    assert len(loaded["pos"]["t1"]["members"]) == 2
+    assert loaded["neg"]["t2"] is None
+    member = loaded["pos"]["t1"]["members"][0]
     assert set(member) == {"backend_id", "label", "probability", "threshold"}
 
 

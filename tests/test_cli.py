@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from reportable_triage.backend.baseline import (
     TrainHyper,
@@ -413,10 +414,11 @@ def test_evaluate_repeated_report_id_exits_1(tmp_path, capsys):
 
 
 def evaluate_one_outcome_line(tmp_path, line):
+    """Evaluate the engineered fixture with its second line (E1's) replaced by `line`."""
     gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
                                         miss_a=set(), miss_b=set())
     lines = outcomes.read_text().splitlines()
-    outcomes.write_text("\n".join(lines[:1] + [line] + lines[1:]) + "\n", encoding="utf-8")
+    outcomes.write_text("\n".join(lines[:1] + [line] + lines[2:]) + "\n", encoding="utf-8")
     return main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
                  "--tier", "t1", "--out", str(tmp_path)])
 
@@ -432,6 +434,86 @@ def test_evaluate_report_id_not_a_string_exits_1(tmp_path, capsys):
     assert evaluate_one_outcome_line(tmp_path, line) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 2: report_id is not a string" in err
+
+
+MEMBER_B = {"backend_id": "model-b", "label": "cancer"}
+MALFORMED_BLOCKS = {
+    "t1 not a block": 5,
+    "block without members": {"combined": "cancer"},
+    "member without backend_id": {"combined": "cancer",
+                                  "members": [{"label": "cancer"}, MEMBER_B]},
+    "backend_id not a string": {"combined": "cancer",
+                                "members": [{"backend_id": ["b"], "label": "cancer"},
+                                            MEMBER_B]},
+}
+
+
+def malformed_line(block):
+    return json.dumps({"report_id": "E1", "final": "non_cancer", "t1": block})
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_evaluate_malformed_tier_block_exits_1(tmp_path, capsys, case):
+    assert evaluate_one_outcome_line(tmp_path, malformed_line(MALFORMED_BLOCKS[case])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2: t1" in err
+
+
+def test_evaluate_combined_not_the_or_of_members_exits_1(tmp_path, capsys):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
+                                        miss_a={0}, miss_b=set())
+    lines = outcomes.read_text().splitlines()
+    flipped = json.loads(lines[0])
+    # member A misses E0 and member B catches it: the ensemble must say cancer
+    flipped["t1"]["combined"] = "non_cancer"
+    outcomes.write_text("\n".join([json.dumps(flipped)] + lines[1:]) + "\n",
+                        encoding="utf-8")
+    assert main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1: t1 combined label is not the OR" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def tier_blocks(labels):
+    labels = st.sampled_from(labels) | JSON_VALUES
+    member = st.fixed_dictionaries({}, optional={
+        "backend_id": st.sampled_from(["model-a", "model-b", "combined"]) | JSON_VALUES,
+        "label": labels})
+    return st.fixed_dictionaries({}, optional={
+        "combined": labels,
+        "members": st.lists(member, max_size=3) | JSON_VALUES}) | JSON_VALUES
+
+
+OUTCOME_LINES = st.fixed_dictionaries({}, optional={
+    "report_id": st.sampled_from(["E1", "X"]) | JSON_VALUES,
+    "final": JSON_VALUES,
+    "t1": tier_blocks(["cancer", "non_cancer"]),
+    "t2": tier_blocks(["reportable", "non_reportable"]),
+}).map(json.dumps) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@given(line=OUTCOME_LINES)
+@example(line=synthetic_outcome_line("E1", True, False))
+@example(line=malformed_line(MALFORMED_BLOCKS["t1 not a block"]))
+@example(line=malformed_line(MALFORMED_BLOCKS["block without members"]))
+@example(line=malformed_line(MALFORMED_BLOCKS["member without backend_id"]))
+@example(line=malformed_line(MALFORMED_BLOCKS["backend_id not a string"]))
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evaluate_any_outcome_line_exits_0_or_1_with_an_error_line(tmp_path, capsys, line):
+    code = evaluate_one_outcome_line(tmp_path, line)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:")
 
 
 def test_training_and_triage_read_the_same_member_settings(tmp_path):
