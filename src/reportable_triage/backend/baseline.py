@@ -8,11 +8,15 @@ seeded shuffle each epoch, so equal data + hyperparameters + seed reproduce
 the weight vector bit-for-bit.
 
 Each scoring or training call hashes its batch once into CSR arrays
-(`FeatureRows`). A row's logit is the bias plus a left-to-right sum of
-weight * count over the row, in the order hashing first saw each index, so
-it is the same float as a sum over the row's dict. Sums stay sequential
-(`np.cumsum(...)[-1]`): `np.sum`, `np.add.reduceat` and `np.dot` add in
-other orders and would move the last bits.
+(`FeatureRows`). Within that call each distinct token is encoded and hashed
+once: CRC-32 continues across concatenation, crc32(x + y) == crc32(y,
+crc32(x)), so a bigram's hash is its right token's bytes run through the
+CRC state its left token leaves. A row's logit is the bias plus a
+left-to-right sum of weight * count over the row, in the order hashing
+first saw each index, so it is the same float as a sum over the row's dict.
+Sums stay sequential, one vectorized step per column position across the
+batch: `np.sum`, `np.add.reduceat` and `np.dot` add in other orders and
+would move the last bits.
 
 Model files are little-endian binary: a fixed header (magic, format version,
 feature_dim, seed, epochs, learning_rate, l2, bias, final_loss) followed by
@@ -24,7 +28,9 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,17 +49,34 @@ _HEADER = struct.Struct("<4sIQqIddddd")  # magic, ver, dim, seed, epochs, lr, l2
 _MAX_LOGIT = 35.0
 
 
-def hash_token_features(tokens: Sequence[str], feature_dim: int) -> dict[int, float]:
-    """Hashed unigram+bigram counts; stable across runs and platforms."""
-    mask = feature_dim - 1
-    feats: dict[int, float] = {}
-    for tok in tokens:
-        idx = zlib.crc32(b"u\x00" + tok.encode("utf-8")) & mask
-        feats[idx] = feats.get(idx, 0.0) + 1.0
-    for a, b in zip(tokens, tokens[1:]):
-        idx = zlib.crc32(b"b\x00" + a.encode("utf-8") + b"\x1f" + b.encode("utf-8")) & mask
-        feats[idx] = feats.get(idx, 0.0) + 1.0
-    return feats
+_UNIGRAM_STATE = zlib.crc32(b"u\x00")
+_BIGRAM_STATE = zlib.crc32(b"b\x00")
+
+# token -> (UTF-8 bytes, unigram CRC, CRC state after b"b\x00" + token + b"\x1f")
+TokenCodes = dict[str, tuple[bytes, int, int]]
+
+
+def hash_token_features(tokens: Sequence[str], feature_dim: int,
+                        codes: TokenCodes | None = None) -> Counter[int]:
+    """Hashed unigram+bigram counts; stable across runs and platforms.
+
+    Unigram t hashes as crc32(b"u\\x00" + t), bigram (a, b) as
+    crc32(b"b\\x00" + a + b"\\x1f" + b). Indices appear in the order hashing
+    first sees them: unigrams left to right, then bigrams. `codes` carries
+    the token codes from one text to the next within a batch; tokens it
+    lacks are added to it.
+    """
+    if codes is None:
+        codes = {}
+    for tok in set(tokens).difference(codes):
+        raw = tok.encode("utf-8")
+        codes[tok] = (raw, zlib.crc32(raw, _UNIGRAM_STATE),
+                      zlib.crc32(b"\x1f", zlib.crc32(raw, _BIGRAM_STATE)))
+    if not tokens:
+        return Counter()
+    raw, unigrams, states = zip(*map(codes.__getitem__, tokens))
+    bigrams = map(zlib.crc32, raw[1:], states)
+    return Counter(map((feature_dim - 1).__and__, chain(unigrams, bigrams)))
 
 
 @dataclass(frozen=True)
@@ -67,21 +90,26 @@ class FeatureRows:
     values: np.ndarray
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[int, float]]) -> "FeatureRows":
+    def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> "FeatureRows":
+        """Pack integer-count rows, one at a time, into CSR arrays."""
         # typed buffers, not lists of Python ints: a batch of long reports
         # holds a million entries
-        indptr, indices, values = array("q", [0]), array("q"), array("d")
+        indptr, indices, counts = array("q", [0]), array("q"), array("q")
         for row in rows:
             indices.extend(row.keys())
-            values.extend(row.values())
+            counts.extend(row.values())
             indptr.append(len(indices))
         return cls(np.frombuffer(indptr, dtype=np.int64),
                    np.frombuffer(indices, dtype=np.int64),
-                   np.frombuffer(values, dtype=np.float64))
+                   np.frombuffer(counts, dtype=np.int64).astype(np.float64))
 
     @classmethod
     def hash_texts(cls, texts: Iterable[str], feature_dim: int) -> "FeatureRows":
-        return cls.from_rows(hash_token_features(t.split(), feature_dim) for t in texts)
+        # one memo per batch: it dies with the call, so it is never shared
+        # between threads and never outgrows the batch's vocabulary
+        codes: TokenCodes = {}
+        return cls.from_rows(hash_token_features(t.split(), feature_dim, codes)
+                             for t in texts)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -92,9 +120,27 @@ class FeatureRows:
         return [(self.indices[a:b], self.values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def logits(self, weights: np.ndarray, bias: float) -> list[float]:
+        """bias + each row's weight * count products summed left to right.
+
+        Rows are visited widest first, so the rows that have a j-th product
+        are a prefix of that order, and column j is added to all of them in
+        one step: each row's sum is still ((p0 + p1) + p2) + ...
+        """
         products = weights[self.indices] * self.values
-        bounds = self.indptr.tolist()
-        return [bias + _sequential_sum(products[a:b]) for a, b in zip(bounds, bounds[1:])]
+        lengths = np.diff(self.indptr)
+        order = np.argsort(-lengths, kind="stable")
+        starts = self.indptr[:-1][order]
+        # active[j]: how many rows have more than j products
+        active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)),
+                                 side="left").tolist()
+        sums = np.zeros(len(lengths))
+        if active:
+            sums[:active[0]] = products[starts[:active[0]]]
+        for j, k in enumerate(active[1:], start=1):
+            sums[:k] += products[starts[:k] + j]
+        unsorted = np.empty_like(sums)
+        unsorted[order] = sums
+        return (bias + unsorted).tolist()
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -152,14 +198,14 @@ class BaselineModel:
         )
 
 
-def _as_rows(features: FeatureRows | Sequence[Mapping[int, float]]) -> FeatureRows:
+def _as_rows(features: FeatureRows | Sequence[Mapping[int, int]]) -> FeatureRows:
     return features if isinstance(features, FeatureRows) else FeatureRows.from_rows(features)
 
 
 def regularized_loss(
     weights: np.ndarray,
     bias: float,
-    features: FeatureRows | Sequence[Mapping[int, float]],
+    features: FeatureRows | Sequence[Mapping[int, int]],
     labels: Sequence[int],
     l2: float,
 ) -> float:
@@ -180,7 +226,7 @@ def regularized_loss(
 def regularized_gradient(
     weights: np.ndarray,
     bias: float,
-    features: FeatureRows | Sequence[Mapping[int, float]],
+    features: FeatureRows | Sequence[Mapping[int, int]],
     labels: Sequence[int],
     l2: float,
 ) -> tuple[np.ndarray, float]:

@@ -38,6 +38,7 @@ from .config import MemberConfig, check_members
 from .corpus import Corpus, PathologyReport, T1Label, T2Label, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
+from .util import lone_surrogate, open_json_lines, parse_json_line
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -289,10 +290,7 @@ def _check_block(block, task: Tier) -> None:
 
 def _check_outcome(line: str, seen: dict[str, dict]) -> dict:
     """The outcome one file line holds, validated; `seen` holds the earlier lines'."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc.msg}") from None
+    obj = parse_json_line(line)
     if not isinstance(obj, dict):
         raise ValidationError("not a JSON object")
     for key in ("report_id", "final", "t1"):
@@ -305,19 +303,29 @@ def _check_outcome(line: str, seen: dict[str, dict]) -> dict:
     _check_block(obj["t1"], Tier.T1)
     if obj.get("t2") is not None:
         _check_block(obj["t2"], Tier.T2)
+    # parse_json_line rejected bytes that are not UTF-8, so only a \ud800-style
+    # escape can leave a lone surrogate, which the evaluation files could not
+    # hold; a one-character search is the cheapest test for an escape
+    if "\\" in line:
+        ids = [obj["report_id"]] + [m["backend_id"] for key in ("t1", "t2")
+                                    if obj.get(key) is not None for m in obj[key]["members"]]
+        if any(lone_surrogate(i) >= 0 for i in ids):
+            raise ValidationError(
+                "a report_id or backend_id holds a lone surrogate (not encodable as UTF-8)")
     return obj
 
 
 def read_outcomes(path) -> dict[str, dict]:
     """Load an outcomes JSONL file keyed by report_id, validating every line.
 
-    A line is an object with a string report_id no earlier line has, a final
-    field, a t1 tier block and a t2 that is absent, null or a tier block. A
-    tier block holds exactly two members with distinct string backend_ids and
-    labels of its tier, and a combined label that is the OR of theirs.
+    A line is UTF-8 JSON: an object with a string report_id no earlier line
+    has, a final field, a t1 tier block and a t2 that is absent, null or a
+    tier block. A tier block holds exactly two members with distinct string
+    backend_ids and labels of its tier, and a combined label that is the OR
+    of theirs. Neither kind of id may hold a lone surrogate.
     """
     out: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_json_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CorpusFormatError, ValidationError
-from .util import atomic_write_bytes, ratio_round_half_up
+from .util import (atomic_write_bytes, lone_surrogate, open_json_lines, parse_json_line,
+                   ratio_round_half_up)
 
 logger = logging.getLogger(__name__)
 
@@ -200,7 +201,20 @@ def _require(obj: dict, key: str, typ: type, where: str):
         raise CorpusFormatError(
             f"{where}: field {key!r}: expected {typ.__name__}, got {type(value).__name__}"
         )
+    if typ is str and not value.isascii():
+        _check_encodable(value, key, where)
     return value
+
+
+def _check_encodable(text: str, key: str, where: str) -> None:
+    """Reject a lone surrogate (a \\ud800-style JSON escape): the record could
+    be neither hashed nor written back as UTF-8. Callers skip ASCII text,
+    which holds none, so a record of ASCII text pays no call."""
+    at = lone_surrogate(text)
+    if at >= 0:
+        raise CorpusFormatError(
+            f"{where}: field {key!r}: lone surrogate U+{ord(text[at]):04X} "
+            "(not encodable as UTF-8)")
 
 
 def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") -> LabeledReport:
@@ -216,8 +230,11 @@ def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") 
     year = _require(obj, "diagnosis_year", int, where)
     raw_text = _require(obj, "raw_text", str, where)
     source_site = obj.get("source_site")
-    if source_site is not None and not isinstance(source_site, str):
-        raise CorpusFormatError(f"{where}: field 'source_site': expected string")
+    if source_site is not None:
+        if not isinstance(source_site, str):
+            raise CorpusFormatError(f"{where}: field 'source_site': expected string")
+        if not source_site.isascii():
+            _check_encodable(source_site, "source_site", where)
 
     sections: list[Section] = []
     raw_sections = obj.get("sections")
@@ -238,6 +255,8 @@ def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") 
             header = s.get("header", "")
             if not isinstance(header, str):
                 raise CorpusFormatError(f"{sub}: field 'header': expected string")
+            if not header.isascii():
+                _check_encodable(header, "header", sub)
             try:
                 sections.append(Section(name=name, text=text, header=header))
             except ValidationError as exc:
@@ -272,21 +291,22 @@ def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") 
 def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
     """Load a JSON Lines corpus file, preserving line order.
 
-    Raises CorpusFormatError naming the offending line and field; a duplicate
-    report_id names both line numbers.
+    Raises CorpusFormatError naming the offending line and field, for a line
+    that is not UTF-8 or not JSON or a record that does not validate; a
+    duplicate report_id names both line numbers.
     """
     path = Path(path)
     records: list[LabeledReport] = []
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_json_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path.name}: line {lineno}"
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc.msg}") from None
+                obj = parse_json_line(line)
+            except ValidationError as exc:
+                raise CorpusFormatError(f"{where}: {exc}") from None
             rec = record_from_dict(obj, strict=strict, where=where)
             if rec.report_id in seen:
                 raise CorpusFormatError(

@@ -1,7 +1,9 @@
-"""Small shared helpers: exact ratio arithmetic, punctuation and atomic file writes."""
+"""Small shared helpers: exact ratio arithmetic, punctuation, JSON Lines reading and
+atomic file writes."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -10,6 +12,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import IO
+
+from .errors import ValidationError
 
 
 def ratio_floor(ratio: float, n: int) -> int:
@@ -37,6 +42,44 @@ def round_half_up(value: float, ndigits: int = 2) -> float:
 def is_punct(ch: str) -> bool:
     """Whether ch is Unicode punctuation (any general category P*)."""
     return unicodedata.category(ch).startswith("P")
+
+
+def open_json_lines(path: str | os.PathLike) -> IO[str]:
+    """Open a UTF-8 JSON Lines file for reading.
+
+    A byte that is not UTF-8 decodes to a lone surrogate instead of failing
+    the read somewhere in its buffer, so parse_json_line can name its line.
+    """
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def lone_surrogate(text: str) -> int:
+    """Index of the first lone surrogate in text, which UTF-8 cannot encode, or -1.
+
+    An ASCII string, the common case, is answered without a scan.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return exc.start
+    return -1
+
+
+def parse_json_line(line: str) -> object:
+    """The value a line of open_json_lines holds; ValidationError says why there is none."""
+    at = lone_surrogate(line)
+    if at >= 0:
+        raise ValidationError(
+            f"not UTF-8: byte 0x{ord(line[at]) - 0xDC00:02x} at character {at + 1}")
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc.msg}") from None
+    except ValueError:  # int() refuses a literal past Python's digit limit
+        raise ValidationError("invalid JSON: integer literal too long") from None
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:

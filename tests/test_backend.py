@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reportable_triage.backend.base import ClassifierScore, decide
 from reportable_triage.backend.baseline import (
     BaselineBackend,
     BaselineModel,
+    FeatureRows,
     TrainHyper,
     hash_token_features,
     load_baseline,
@@ -111,6 +112,65 @@ def test_hashing_deterministic_across_calls():
     a = hash_token_features("one two three two".split(), 1 << 18)
     b = hash_token_features("one two three two".split(), 1 << 18)
     assert a == b
+
+
+TOKEN_LISTS = st.lists(
+    st.sampled_from(["a", "b", "carcinoma", "é", "\U0001f600"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    max_size=40)
+
+
+@given(tokens=TOKEN_LISTS, feature_dim=st.sampled_from([2, 16, 1 << 10, 1 << 18]))
+@example(tokens=[], feature_dim=16)
+@example(tokens=["carcinoma"], feature_dim=1 << 18)
+@example(tokens=["a", "a", "b", "a", "a"], feature_dim=2)
+@example(tokens=["", "x", ""], feature_dim=1 << 10)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_hashing_equals_reference_item_by_item_in_order(tokens, feature_dim):
+    expected = list(reference_hash(tokens, feature_dim).items())
+    assert list(hash_token_features(tokens, feature_dim).items()) == expected
+    # token codes carried over from other texts change nothing
+    codes = {}
+    hash_token_features(["a", "b"] + tokens[::-1], feature_dim, codes)
+    assert list(hash_token_features(tokens, feature_dim, codes).items()) == expected
+
+
+def row_items(rows, r):
+    a, b = rows.indptr[r], rows.indptr[r + 1]
+    return list(zip(rows.indices[a:b].tolist(), rows.values[a:b].tolist()))
+
+
+def test_text_hashes_the_same_alone_in_a_batch_and_after_another_batch():
+    dim = 1 << 10
+    text = "invasive carcinoma margin invasive carcinoma node"
+    alone = FeatureRows.hash_texts([text], dim)
+    FeatureRows.hash_texts(["benign tissue margin", "carcinoma node grade"], dim)
+    FeatureRows.hash_texts([text, "carcinoma node"], 16)
+    after = FeatureRows.hash_texts([text], dim)
+    batch = FeatureRows.hash_texts(["carcinoma grade", "", text, "node node"], dim)
+    expected = list(reference_hash(text.split(), dim).items())
+    assert row_items(alone, 0) == row_items(after, 0) == row_items(batch, 2) == expected
+    assert row_items(batch, 1) == []
+    assert row_items(batch, 3) == list(reference_hash(["node", "node"], dim).items())
+
+
+def test_logits_equal_a_sequential_sum_per_row():
+    rng = np.random.default_rng(5)
+    dim = 1 << 18
+    # rows of 0 to over 1,000 features, in mixed order; weights of mixed
+    # magnitudes, so that any other order of addition moves the last bits
+    widths = [0, 1, 700, 0, 2, 1300, 37, 1, 0, 513]
+    texts = [" ".join(f"w{rng.integers(10**9)}" for _ in range((n + 1) // 2)) for n in widths]
+    rows = FeatureRows.hash_texts(texts, dim)
+    lengths = np.diff(rows.indptr).tolist()
+    assert lengths[0] == 0 and max(lengths) > 1000 and min(x for x in lengths if x) == 1
+    weights = rng.normal(size=dim) * 10.0 ** rng.integers(-8, 8, size=dim)
+    bias = -0.37
+    products = weights[rows.indices] * rows.values
+    expected = [bias + (np.cumsum(products[a:b])[-1] if b > a else 0.0)
+                for a, b in zip(rows.indptr[:-1], rows.indptr[1:])]
+    assert rows.logits(weights, bias) == expected
+    assert FeatureRows.hash_texts([], dim).logits(weights, bias) == []
 
 
 # --- training ----------------------------------------------------------------

@@ -516,6 +516,120 @@ def test_evaluate_any_outcome_line_exits_0_or_1_with_an_error_line(tmp_path, cap
         assert err.startswith("error:")
 
 
+# --- lines the corpus and outcomes loaders cannot read ------------------------
+
+FUZZ_RECORD = {"report_id": "F1", "diagnosis_year": 2023,
+               "raw_text": "invasive carcinoma", "t1_label": "cancer"}
+UNREADABLE_LINES = {
+    "5,000-digit integer": (b"1" * 5000, "integer literal too long"),
+    "100,000 [": (b"[" * 100_000, "nested too deeply"),
+    "leading 0xff byte": (b"\xff" + json.dumps(FUZZ_RECORD).encode(), "not UTF-8: byte 0xff"),
+}
+# json.dumps escapes the lone surrogate as \ud800
+SURROGATE_LINE = json.dumps({**FUZZ_RECORD, "raw_text": "carcinoma \ud800"}).encode()
+
+
+def replace_line_2(path, line):
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"\n".join(lines[:1] + [line] + lines[2:]) + b"\n")
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_LINES))
+def test_triage_unreadable_corpus_line_exits_1_naming_it(pipeline, tmp_path, capsys, case):
+    _, config, corpus = pipeline
+    line, reason = UNREADABLE_LINES[case]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(Corpus(corpus.records[:3]), path)
+    replace_line_2(path, line)
+    assert main(["--config", str(config), "triage", "--corpus", str(path),
+                 "--out", str(tmp_path / "outcomes.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corpus.jsonl: line 2: ") and reason in err
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_LINES))
+def test_evaluate_unreadable_outcome_line_exits_1_naming_it(tmp_path, capsys, case):
+    line, reason = UNREADABLE_LINES[case]
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
+                                        miss_a=set(), miss_b=set())
+    replace_line_2(outcomes, line)
+    assert main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2: " in err and reason in err
+
+
+def test_lone_surrogate_in_corpus_exits_1_naming_line_and_field(pipeline, tmp_path, capsys):
+    _, config, corpus = pipeline
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(Corpus(corpus.records[:3]), path)
+    replace_line_2(path, SURROGATE_LINE)
+    build_config = write_config(tmp_path, corpus=str(path), name="build.json")
+    for argv in (["--config", str(config), "triage", "--corpus", str(path),
+                  "--out", str(tmp_path / "outcomes.jsonl")],
+                 ["--config", str(build_config), "build-dataset", "--tier", "t1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus.jsonl: line 2: field 'raw_text': lone surrogate")
+
+
+@pytest.mark.parametrize("field, value", [("model-a", "model-\\ud800"),
+                                          ('"E1"', '"\\uDC00E1"')])
+def test_lone_surrogate_in_outcomes_exits_1(tmp_path, capsys, field, value):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
+                                        miss_a=set(), miss_b=set())
+    line = synthetic_outcome_line("E1", True, True).replace(field, value)
+    replace_line_2(outcomes, line.encode())
+    assert main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 2: a report_id or backend_id holds a lone surrogate" in err
+
+
+def corpus_text():
+    return (st.text(max_size=12) | st.sampled_from(["carcinoma \ud800", "\udc80", "é"])
+            | JSON_VALUES)
+
+
+CORPUS_LINES = st.fixed_dictionaries({
+    "report_id": st.sampled_from(["F1", ""]) | JSON_VALUES,
+    "diagnosis_year": st.integers(1900, 2100) | JSON_VALUES,
+    "raw_text": corpus_text(),
+}, optional={
+    "source_site": corpus_text(),
+    "sections": st.lists(st.fixed_dictionaries({}, optional={
+        "name": st.sampled_from(["diagnosis", "Bad Name"]) | corpus_text(),
+        "text": corpus_text(), "header": corpus_text()}), max_size=2) | JSON_VALUES,
+    "t1_label": st.sampled_from(["cancer", "non_cancer"]) | JSON_VALUES,
+    "t2_label": st.sampled_from(["reportable", "non_reportable"]) | JSON_VALUES,
+    "extra": JSON_VALUES,
+}).map(lambda record: json.dumps(record).encode()) | st.binary(max_size=12)
+
+
+@given(line=CORPUS_LINES)
+@example(line=json.dumps(FUZZ_RECORD).encode())
+@example(line=UNREADABLE_LINES["5,000-digit integer"][0])
+@example(line=UNREADABLE_LINES["100,000 ["][0])
+@example(line=UNREADABLE_LINES["leading 0xff byte"][0])
+@example(line=SURROGATE_LINE)
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_corpus_line_exits_0_1_or_2_with_an_error_line(pipeline, tmp_path, capsys, line):
+    _, config, _ = pipeline
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(line + b"\n")
+    build_config = write_config(tmp_path, corpus=str(path), name="build.json")
+    for argv in (["--config", str(config), "triage", "--corpus", str(path),
+                  "--out", str(tmp_path / "outcomes.jsonl")],
+                 ["--config", str(build_config), "build-dataset", "--tier", "t1"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert any(row.startswith("error:") for row in err.splitlines())
+
+
 def test_training_and_triage_read_the_same_member_settings(tmp_path):
     corpus = synth_corpus(SynthSpec(n_reports=200, vocabulary_signal_strength=0.5), seed=3)
     write_corpus(corpus, tmp_path / "corpus.jsonl")
