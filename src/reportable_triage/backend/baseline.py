@@ -42,6 +42,7 @@ from ..util import atomic_write_bytes
 from .base import ClassifierScore
 
 DEFAULT_FEATURE_DIM = 1 << 18
+MAX_FEATURE_DIM = 1 << 24  # 128 MiB of float64 weights
 
 _MAGIC = b"RTBL"
 _FORMAT_VERSION = 1
@@ -153,9 +154,14 @@ def _sigmoid(z: float) -> float:
 
 
 def check_feature_dim(feature_dim: int) -> None:
-    """The hash mask is feature_dim - 1, so the dimension must be a power of two."""
-    if feature_dim < 2 or feature_dim & (feature_dim - 1):
-        raise ValidationError(f"feature_dim must be a power of two >= 2, got {feature_dim}")
+    """The hash mask is feature_dim - 1, so the dimension must be a power of two.
+
+    At most MAX_FEATURE_DIM, so that a dimension read from a config or a model
+    file cannot ask for more weights than a machine holds.
+    """
+    if not 2 <= feature_dim <= MAX_FEATURE_DIM or feature_dim & (feature_dim - 1):
+        raise ValidationError(
+            f"feature_dim must be a power of two in [2, {MAX_FEATURE_DIM}], got {feature_dim}")
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,10 @@ from ..errors import (
     RemoteStatusError,
     ScoreRangeError,
     TransportError,
+    ValidationError,
 )
 from ..preprocess import NormalizedInput
+from ..util import parse_json
 from .base import ClassifierScore
 
 logger = logging.getLogger(__name__)
@@ -50,9 +52,9 @@ def encode_request(task: Tier, texts: Sequence[str]) -> bytes:
 
 def _parse_scores(body: bytes, expected: int, url: str) -> list[ClassifierScore]:
     try:
-        obj = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        raise RemoteProtocolError(f"{url}: malformed response body") from None
+        obj = parse_json(body.decode("utf-8", errors="surrogateescape"))
+    except ValidationError as exc:
+        raise RemoteProtocolError(f"{url}: malformed response body: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("scores"), list):
         raise RemoteProtocolError(f"{url}: response missing 'scores' array")
     scores = obj["scores"]

@@ -26,8 +26,6 @@ Member failure fails the whole batch: silently degrading to a single-model
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -38,7 +36,7 @@ from .config import MemberConfig, check_members
 from .corpus import Corpus, PathologyReport, T1Label, T2Label, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
-from .util import lone_surrogate, open_json_lines, parse_json_line
+from .util import lone_surrogate, open_json, parse_json
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -130,7 +128,6 @@ def run_tier(
     reports: Sequence[PathologyReport],
     config: TierConfig,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    max_workers: int = 1,
     *,
     inputs: Sequence[Optional[Sequence[NormalizedInput]]] = (),
 ) -> tuple[list[EnsembleResult], tuple[Sequence[NormalizedInput], ...]]:
@@ -138,31 +135,28 @@ def run_tier(
 
     Returns the ensemble result per report and, per member, the input it
     scored for each report. inputs[m], where given and not None, holds member
-    m's input for each report, so that member assembles nothing. Batches run
-    member by member; with max_workers > 1 every batch of every member is
-    submitted to a thread pool before any result is read, and results are
-    read back in submission order, so the output never depends on scheduling.
+    m's input for each report, so that member assembles nothing. The first
+    member scores all its batches, in report order, before the second member
+    scores any; the benchmark's remote check matches the service's requests to
+    members by this order.
     """
-    starts = range(0, len(reports), batch_size)
-
-    def job(key: tuple[int, int]):
-        mi, start = key
+    member_inputs: list[list[NormalizedInput]] = []
+    decisions: list[list[Decision]] = []
+    for mi, (member, backend) in enumerate(zip(config.members, config.backends)):
         given = inputs[mi] if mi < len(inputs) else None
-        return _score_batch(config.members[mi], config.backends[mi], config.task,
-                            reports[start:start + batch_size],
-                            None if given is None else given[start:start + batch_size])
-
-    members = range(len(config.members))
-    keys = [(mi, start) for mi in members for start in starts]
-    with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
-        scored = list((map if pool is None else pool.map)(job, keys))
-    per_member = [scored[mi * len(starts):(mi + 1) * len(starts)] for mi in members]
-    member_inputs = tuple([x for batch_inputs, _ in batches for x in batch_inputs]
-                          for batches in per_member)
-    decisions = [[d for _, ds in batches for d in ds] for batches in per_member]
+        scored: list[NormalizedInput] = []
+        member_decisions: list[Decision] = []
+        for start in range(0, len(reports), batch_size):
+            batch_inputs, batch_decisions = _score_batch(
+                member, backend, config.task, reports[start:start + batch_size],
+                None if given is None else given[start:start + batch_size])
+            scored.extend(batch_inputs)
+            member_decisions.extend(batch_decisions)
+        member_inputs.append(scored)
+        decisions.append(member_decisions)
     results = [EnsembleResult(member_decisions=pair, combined_label=or_combine(pair))
                for pair in zip(*decisions)]
-    return results, member_inputs
+    return results, tuple(member_inputs)
 
 
 def triage(
@@ -171,7 +165,6 @@ def triage(
     t2: TierConfig,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    max_workers: int = 1,
     t2_report_ids: Optional[set[str]] = None,
 ) -> list[TriageOutcome]:
     """Run the cascade over reports, preserving input order.
@@ -188,7 +181,7 @@ def triage(
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ConfigurationError("triage needs a t1 config and a t2 config, in that order")
-    t1_results, t1_inputs = run_tier(reports, t1, batch_size, max_workers)
+    t1_results, t1_inputs = run_tier(reports, t1, batch_size)
 
     if t2_report_ids is None:
         selected = [i for i, res in enumerate(t1_results) if res.is_positive]
@@ -197,8 +190,7 @@ def triage(
     t1_keys = [_assembly_key(m) for m in t1.members]
     t2_inputs = [[t1_inputs[t1_keys.index(k)][i] for i in selected] if k in t1_keys else None
                  for k in map(_assembly_key, t2.members)]
-    t2_results, _ = run_tier([reports[i] for i in selected], t2, batch_size, max_workers,
-                             inputs=t2_inputs)
+    t2_results, _ = run_tier([reports[i] for i in selected], t2, batch_size, inputs=t2_inputs)
     t2_by_index = dict(zip(selected, t2_results))
 
     outcomes: list[TriageOutcome] = []
@@ -290,7 +282,7 @@ def _check_block(block, task: Tier) -> None:
 
 def _check_outcome(line: str, seen: dict[str, dict]) -> dict:
     """The outcome one file line holds, validated; `seen` holds the earlier lines'."""
-    obj = parse_json_line(line)
+    obj = parse_json(line)
     if not isinstance(obj, dict):
         raise ValidationError("not a JSON object")
     for key in ("report_id", "final", "t1"):
@@ -303,7 +295,7 @@ def _check_outcome(line: str, seen: dict[str, dict]) -> dict:
     _check_block(obj["t1"], Tier.T1)
     if obj.get("t2") is not None:
         _check_block(obj["t2"], Tier.T2)
-    # parse_json_line rejected bytes that are not UTF-8, so only a \ud800-style
+    # parse_json rejected bytes that are not UTF-8, so only a \ud800-style
     # escape can leave a lone surrogate, which the evaluation files could not
     # hold; a one-character search is the cheapest test for an escape
     if "\\" in line:
@@ -325,7 +317,7 @@ def read_outcomes(path) -> dict[str, dict]:
     of theirs. Neither kind of id may hold a lone surrogate.
     """
     out: dict[str, dict] = {}
-    with open_json_lines(path) as fh:
+    with open_json(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -131,7 +131,7 @@ def _sectioned(corpus: Corpus, cfg: RunConfig) -> Corpus:
     table = cfg.synonym_table()
     records = [replace(rec, report=ensure_sections(rec.report, table))
                for rec in corpus.records]
-    return Corpus(records=records, provenance=corpus.provenance)
+    return Corpus(records=records)
 
 
 # --- commands ----------------------------------------------------------------
@@ -172,8 +172,8 @@ def cmd_build_dataset(args) -> int:
     atomic_write_text(dataset_dir / "manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"{tier.value}: train={len(built.train)} test={len(built.test)} "
-          f"(before undersample: {built.train_counts_before.counts}; "
-          f"after: {built.train_counts.counts})")
+          f"(before undersample: {built.train_counts_before}; "
+          f"after: {built.train_counts})")
     print(f"wrote {train_path}, {test_path}, {dataset_dir / 'manifest.json'}")
     return EXIT_OK
 
@@ -237,8 +237,7 @@ def cmd_triage(args) -> int:
             )
 
     reports = [r.report for r in corpus]
-    outcomes = cascade.triage(reports, t1, t2, max_workers=cfg.workers,
-                              t2_report_ids=t2_ids)
+    outcomes = cascade.triage(reports, t1, t2, t2_report_ids=t2_ids)
     if args.t2_scope == "predicted":
         cascade.check_gating_soundness(outcomes)
 

@@ -9,7 +9,6 @@ Example:
     {
       "out_dir": "run",
       "corpus": "corpus.jsonl",
-      "workers": 1,
       "tiers": {
         "t1": {
           "split": {"train_fraction": 0.8, "seed": 11, "stratified": true},
@@ -40,6 +39,7 @@ wall-clock defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,10 +48,11 @@ from typing import Optional, Sequence
 from .backend.baseline import TrainHyper
 from .backend.remote import DEFAULT_MAX_RETRIES, DEFAULT_TIMEOUT
 from .corpus import Tier, is_normalized_section_name
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .preprocess import DEFAULT_FALLBACK_SECTIONS, DEFAULT_TOKEN_BUDGET, PipelineVariant
 from .sampler import SplitSpec, UndersamplePolicy, default_policy
 from .sectioner import SectionSynonymTable, default_synonym_table, load_synonym_table
+from .util import lone_surrogate, open_json, parse_json
 
 ENV_ENDPOINT = {Tier.T1: "TRIAGE_REMOTE_ENDPOINT_T1", Tier.T2: "TRIAGE_REMOTE_ENDPOINT_T2"}
 
@@ -92,10 +93,8 @@ class RemoteSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    base_dir: Path
     out_dir: Path
     corpus_path: Optional[Path]
-    workers: int
     tiers: dict[Tier, TierSettings]
     remote: RemoteSettings
     section_synonyms_path: Optional[Path] = None
@@ -130,10 +129,12 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
 def _get(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
     """obj[key] as kind, or default when the key is absent.
 
-    A missing required key, a value of the wrong type or a number beyond float
-    range raises ConfigurationError naming the key path. Integers are accepted
-    as numbers; booleans are not integers. null is accepted only where the
-    default is None.
+    A missing required key, a value of the wrong type, a number that is not
+    finite (NaN, an infinity, or an integer beyond float range) or a string
+    holding a lone surrogate (a \\ud800-style escape, which no path or output
+    file can encode) raises ConfigurationError naming the key path. Integers
+    are accepted as numbers; booleans are not integers. null is accepted only
+    where the default is None.
     """
     value = obj.get(key, default)
     if value is _REQUIRED:
@@ -145,12 +146,26 @@ def _get(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
         raise ConfigurationError(
             f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}"
         )
+    if kind is str and lone_surrogate(value) >= 0:
+        raise ConfigurationError(f"{where}: {key!r} holds a lone surrogate")
     if kind is not float:
         return value
     try:
-        return float(value)
-    except OverflowError:
-        raise ConfigurationError(f"{where}: {key!r} is out of range") from None
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{where}: {key!r} must be a finite number")
+    return number
+
+
+def _present(obj: dict, where: str, **kinds: type) -> dict:
+    """Each key of kinds that obj holds, read as its kind by _get.
+
+    Passed as keyword arguments to a dataclass, this leaves every absent key
+    to the default the dataclass declares.
+    """
+    return {key: _get(obj, key, kind, where) for key, kind in kinds.items() if key in obj}
 
 
 def check_members(members: Sequence[MemberConfig], where: str) -> None:
@@ -169,35 +184,31 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
     kind = _get(obj, "kind", str, where)
     if kind not in ("native_baseline", "remote"):
         raise ConfigurationError(f"{where}: unknown backend kind {kind!r}")
-    threshold = _get(obj, "threshold", float, where, 0.5)
-    if not 0.0 < threshold < 1.0:
-        raise ConfigurationError(f"{where}: threshold must be in (0, 1)")
-    token_budget = _get(obj, "token_budget", int, where, DEFAULT_TOKEN_BUDGET)
-    if token_budget <= 0:
-        raise ConfigurationError(f"{where}: token_budget must be positive")
     fallback = _get(obj, "fallback_sections", list, where, list(DEFAULT_FALLBACK_SECTIONS))
     if not all(isinstance(s, str) and is_normalized_section_name(s) for s in fallback):
         raise ConfigurationError(
             f"{where}: fallback_sections must be a list of normalized section names"
         )
-    return MemberConfig(
+    member = MemberConfig(
         backend_id=_get(obj, "backend_id", str, where),
         kind=kind,
         variant=PipelineVariant.parse(_get(obj, "variant", str, where)),
-        threshold=threshold,
-        token_budget=token_budget,
         fallback_sections=tuple(fallback),
         model_path=_get(obj, "model_path", str, where, None),
+        **_present(obj, where, threshold=float, token_budget=int),
     )
+    if not 0.0 < member.threshold < 1.0:
+        raise ConfigurationError(f"{where}: threshold must be in (0, 1)")
+    if member.token_budget <= 0:
+        raise ConfigurationError(f"{where}: token_budget must be positive")
+    return member
 
 
 def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
+    split_where = f"{where}.split"
     split_obj = _get(obj, "split", dict, where)
-    split = SplitSpec(
-        seed=_get(split_obj, "seed", int, f"{where}.split"),
-        train_fraction=_get(split_obj, "train_fraction", float, f"{where}.split", 0.8),
-        stratified=_get(split_obj, "stratified", bool, f"{where}.split", True),
-    )
+    split = SplitSpec(seed=_get(split_obj, "seed", int, split_where),
+                      **_present(split_obj, split_where, train_fraction=float, stratified=bool))
 
     under_where = f"{where}.undersample"
     under_obj = _get(obj, "undersample", dict, where)
@@ -216,14 +227,11 @@ def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
 
     train_where = f"{where}.train"
     train_obj = _get(obj, "train", dict, where)
-    hyper = TrainHyper(
-        epochs=_get(train_obj, "epochs", int, train_where, 5),
-        learning_rate=_get(train_obj, "learning_rate", float, train_where, 0.2),
-        feature_dim=_get(train_obj, "feature_dim", int, train_where,
-                         TrainHyper().feature_dim),
-        l2=_get(train_obj, "l2", float, train_where, 1e-6),
-    )
+    hyper = TrainHyper(**_present(train_obj, train_where, epochs=int, learning_rate=float,
+                                  feature_dim=int, l2=float))
     train_seed = _get(train_obj, "seed", int, train_where)
+    if not 0 <= train_seed < 1 << 63:  # the model file stores it as a signed 64-bit integer
+        raise ConfigurationError(f"{train_where}: seed must be in [0, 2^63)")
 
     members = tuple(
         _parse_member(m, f"{where}.members[{i}]")
@@ -237,11 +245,14 @@ def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        with open_json(path) as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc.msg}") from None
+    try:
+        obj = parse_json(text)
+    except ValidationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
 
@@ -256,10 +267,6 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     out_dir = resolve(_get(obj, "out_dir", str, where))
     corpus_path = resolve(_get(obj, "corpus", str, where, None))
-
-    workers = _get(obj, "workers", int, where, 1)
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
 
     tiers_obj = _get(obj, "tiers", dict, where)
     tiers: dict[Tier, TierSettings] = {}
@@ -280,7 +287,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         endpoints=dict(endpoints),
     )
 
-    return RunConfig(base_dir=base_dir, out_dir=out_dir, corpus_path=corpus_path,
-                     workers=workers, tiers=tiers, remote=remote,
+    return RunConfig(out_dir=out_dir, corpus_path=corpus_path, tiers=tiers, remote=remote,
                      section_synonyms_path=resolve(
                          _get(obj, "section_synonyms", str, where, None)))

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CorpusFormatError, ValidationError
-from .util import (atomic_write_bytes, lone_surrogate, open_json_lines, parse_json_line,
+from .util import (atomic_write_bytes, lone_surrogate, open_json, parse_json,
                    ratio_round_half_up)
 
 logger = logging.getLogger(__name__)
@@ -143,6 +143,7 @@ class LabeledReport:
 @dataclass
 class Corpus:
     records: list[LabeledReport]
+    # free-form notes a caller may attach; nothing in this package reads them
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -298,13 +299,13 @@ def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
     path = Path(path)
     records: list[LabeledReport] = []
     seen: dict[str, int] = {}
-    with open_json_lines(path) as fh:
+    with open_json(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path.name}: line {lineno}"
             try:
-                obj = parse_json_line(line)
+                obj = parse_json(line)
             except ValidationError as exc:
                 raise CorpusFormatError(f"{where}: {exc}") from None
             rec = record_from_dict(obj, strict=strict, where=where)
@@ -315,7 +316,7 @@ def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
                 )
             seen[rec.report_id] = lineno
             records.append(rec)
-    return Corpus(records=records, provenance={"source": str(path)})
+    return Corpus(records=records)
 
 
 def dumps_record(rec: LabeledReport) -> str:
@@ -450,14 +451,5 @@ def synth_corpus(spec: SynthSpec, seed: int) -> Corpus:
             sections=tuple(parse_sections(raw, table)),
         )
         records.append(LabeledReport(report=report, t1_label=t1, t2_label=t2))
-
-    provenance = {
-        "generator": "synth",
-        "seed": seed,
-        "n_reports": n,
-        "cancer_fraction": spec.cancer_fraction,
-        "reportable_fraction_within_cancer": spec.reportable_fraction_within_cancer,
-        "vocabulary_signal_strength": spec.vocabulary_signal_strength,
-    }
-    return Corpus(records=records, provenance=provenance)
+    return Corpus(records=records)
 

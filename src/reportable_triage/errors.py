@@ -21,6 +21,10 @@ class ConfigurationError(ValidationError):
     """Inconsistent tier/backend/run configuration."""
 
 
+class BaselineFormatError(ValidationError):
+    """A persisted baseline model file is unreadable or version-mismatched."""
+
+
 class TransportError(TriageError):
     """Remote backend unreachable or timed out (retryable)."""
 
@@ -35,10 +39,6 @@ class RemoteProtocolError(TriageError):
 
 class ScoreRangeError(TriageError):
     """A classifier score fell outside [0, 1] or was NaN."""
-
-
-class BaselineFormatError(TriageError):
-    """A persisted baseline model file is unreadable or version-mismatched."""
 
 
 class TierExecutionError(TriageError):

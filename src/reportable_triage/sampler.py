@@ -62,19 +62,6 @@ def default_policy(task: Tier, seed: int) -> UndersamplePolicy:
                              sampled_class=T2Label.REPORTABLE, ratio=1.2, seed=seed)
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    task: Tier
-    counts: dict[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def n(self, label: T1Label | T2Label) -> int:
-        return self.counts[label.value]
-
-
 def _require_label(record: LabeledReport, task: Tier) -> T1Label | T2Label:
     label = record.label_for(task)
     if label is None:
@@ -84,18 +71,17 @@ def _require_label(record: LabeledReport, task: Tier) -> T1Label | T2Label:
     return label
 
 
-def class_counts(corpus: Corpus, task: Tier) -> ClassCounts:
+def class_counts(corpus: Corpus, task: Tier) -> dict[str, int]:
+    """Records per label value of task, every label listed, in label order."""
     counts = {member.value: 0 for member in task.label_type}
     for record in corpus:
         counts[_require_label(record, task).value] += 1
-    return ClassCounts(task=task, counts=counts)
+    return counts
 
 
 def with_label(corpus: Corpus, task: Tier) -> Corpus:
     """The subset of records carrying the task's gold label (order preserved)."""
-    records = [r for r in corpus if r.label_for(task) is not None]
-    return Corpus(records=records,
-                  provenance={**corpus.provenance, "filtered": f"{task.value}-labeled"})
+    return Corpus(records=[r for r in corpus if r.label_for(task) is not None])
 
 
 def split(corpus: Corpus, spec: SplitSpec, task: Tier) -> tuple[Corpus, Corpus]:
@@ -119,13 +105,7 @@ def split(corpus: Corpus, spec: SplitSpec, task: Tier) -> tuple[Corpus, Corpus]:
 
     train = [r for i, r in enumerate(corpus.records) if i in train_indices]
     test = [r for i, r in enumerate(corpus.records) if i not in train_indices]
-    base = corpus.provenance
-    meta = {"task": task.value, "train_fraction": spec.train_fraction,
-            "seed": spec.seed, "stratified": spec.stratified}
-    return (
-        Corpus(records=train, provenance={**base, "split": {**meta, "part": "train"}}),
-        Corpus(records=test, provenance={**base, "split": {**meta, "part": "test"}}),
-    )
+    return Corpus(records=train), Corpus(records=test)
 
 
 def undersample(train: Corpus, policy: UndersamplePolicy) -> Corpus:
@@ -147,11 +127,7 @@ def undersample(train: Corpus, policy: UndersamplePolicy) -> Corpus:
     rng = random.Random(policy.seed)
     chosen = set(rng.sample(sampled_idx, target))
     keep = set(kept_idx) | chosen
-    records = [r for i, r in enumerate(train.records) if i in keep]
-    meta = {"task": policy.task.value, "kept_class": policy.kept_class.value,
-            "sampled_class": policy.sampled_class.value, "ratio": policy.ratio,
-            "seed": policy.seed}
-    return Corpus(records=records, provenance={**train.provenance, "undersample": meta})
+    return Corpus(records=[r for i, r in enumerate(train.records) if i in keep])
 
 
 def undersample_target(policy: UndersamplePolicy, n_kept: int, n_sampled: int) -> int:
@@ -168,10 +144,10 @@ class BuiltDataset:
     policy: UndersamplePolicy
     train: Corpus
     test: Corpus
-    input_counts: ClassCounts
-    train_counts_before: ClassCounts
-    train_counts: ClassCounts
-    test_counts: ClassCounts
+    input_counts: dict[str, int]
+    train_counts_before: dict[str, int]
+    train_counts: dict[str, int]
+    test_counts: dict[str, int]
 
     def manifest(self, train_path: str, test_path: str) -> dict:
         return {
@@ -188,10 +164,10 @@ class BuiltDataset:
                 "seed": self.policy.seed,
             },
             "counts": {
-                "input": self.input_counts.counts,
-                "train_before_undersample": self.train_counts_before.counts,
-                "train": self.train_counts.counts,
-                "test": self.test_counts.counts,
+                "input": self.input_counts,
+                "train_before_undersample": self.train_counts_before,
+                "train": self.train_counts,
+                "test": self.test_counts,
             },
             "outputs": {"train": train_path, "test": test_path},
         }

@@ -90,9 +90,6 @@ class SectionSynonymTable:
     def lookup(self, raw_header: str) -> Optional[str]:
         return self._map.get(normalize_header_key(raw_header))
 
-    def entries(self) -> dict[str, str]:
-        return dict(self._map)
-
 
 _DEFAULT_ENTRIES = {
     "diagnosis": "diagnosis",
@@ -173,14 +170,6 @@ def parse_sections(
 def reassemble(sections: Iterable[Section]) -> str:
     """Inverse of parse_sections: header lines and bodies, in order."""
     return "".join(s.header + s.text for s in sections)
-
-
-def get_section(report: PathologyReport, name: str) -> Optional[Section]:
-    """First section with the given normalized name, in document order."""
-    for section in report.sections:
-        if section.name == name:
-            return section
-    return None
 
 
 def ensure_sections(

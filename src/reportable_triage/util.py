@@ -1,4 +1,4 @@
-"""Small shared helpers: exact ratio arithmetic, punctuation, JSON Lines reading and
+"""Small shared helpers: exact ratio arithmetic, punctuation, JSON reading and
 atomic file writes."""
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ def is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def open_json_lines(path: str | os.PathLike) -> IO[str]:
-    """Open a UTF-8 JSON Lines file for reading.
+def open_json(path: str | os.PathLike) -> IO[str]:
+    """Open a UTF-8 JSON or JSON Lines file for reading.
 
     A byte that is not UTF-8 decodes to a lone surrogate instead of failing
-    the read somewhere in its buffer, so parse_json_line can name its line.
+    the read somewhere in its buffer, so parse_json can say where it is.
     """
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
@@ -66,14 +66,19 @@ def lone_surrogate(text: str) -> int:
     return -1
 
 
-def parse_json_line(line: str) -> object:
-    """The value a line of open_json_lines holds; ValidationError says why there is none."""
-    at = lone_surrogate(line)
+def parse_json(text: str) -> object:
+    """The value text holds; ValidationError says why there is none.
+
+    text is read through open_json, or decoded from UTF-8 with
+    errors="surrogateescape", so a lone surrogate stands for a byte that is
+    not UTF-8.
+    """
+    at = lone_surrogate(text)
     if at >= 0:
         raise ValidationError(
-            f"not UTF-8: byte 0x{ord(line[at]) - 0xDC00:02x} at character {at + 1}")
+            f"not UTF-8: byte 0x{ord(text[at]) - 0xDC00:02x} at character {at + 1}")
     try:
-        return json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc.msg}") from None
     except ValueError:  # int() refuses a literal past Python's digit limit

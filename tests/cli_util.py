@@ -6,9 +6,9 @@ import json
 from pathlib import Path
 
 
-def write_config(base: Path, *, corpus="corpus.jsonl", epochs=4, feature_dim=1 << 16,
-                 remote_kind=False, remote=None, workers=1,
-                 token_budget=256, name="config.json") -> Path:
+def config_doc(*, corpus="corpus.jsonl", epochs=4, feature_dim=1 << 16, remote_kind=False,
+               remote=None, token_budget=256) -> dict:
+    """A complete run config document; relative paths resolve against its file."""
     kind = "remote" if remote_kind else "native_baseline"
 
     def tier(t):
@@ -32,13 +32,16 @@ def write_config(base: Path, *, corpus="corpus.jsonl", epochs=4, feature_dim=1 <
             "members": members,
         }
 
-    config = {
+    return {
         "out_dir": "out",
         "corpus": corpus,
-        "workers": workers,
         "tiers": {"t1": tier("t1"), "t2": tier("t2")},
         "remote": remote or {"timeout": 5.0, "max_retries": 1, "endpoints": {}},
     }
+
+
+def write_config(base: Path, *, name="config.json", **settings) -> Path:
+    """Write config_doc(**settings) to base/name."""
     path = base / name
-    path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    path.write_text(json.dumps(config_doc(**settings), indent=2), encoding="utf-8")
     return path

@@ -168,16 +168,21 @@ def test_run_tier_order_preserving_and_batched():
         assert res.is_positive == (i % 3 == 0)
 
 
-def test_run_tier_worker_count_does_not_change_results():
-    reports = [
-        report_from_raw(f"R{i}",
-                        f"SYNOPTIC REPORT:\n{'carcinoma' if i % 2 else 'benign'}\n"
-                        f"DIAGNOSIS:\nnote\n")
-        for i in range(20)
-    ]
-    serial, _ = run_tier(reports, keyword_tier(Tier.T1), batch_size=4, max_workers=1)
-    threaded, _ = run_tier(reports, keyword_tier(Tier.T1), batch_size=4, max_workers=4)
-    assert [r.combined_label for r in serial] == [r.combined_label for r in threaded]
+def test_run_tier_member_a_scores_every_batch_in_order_before_member_b():
+    calls = []
+
+    class LoggingBackend(KeywordBackend):
+        def score_batch(self, inputs):
+            calls.append((self.backend_id, [inp.text for inp in inputs]))
+            return super().score_batch(inputs)
+
+    reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\nsyn {i}\n"
+                                        f"DIAGNOSIS:\ndx {i}\n") for i in range(7)]
+    config = tier_of(Tier.T1, LoggingBackend("rec-a", "x"), LoggingBackend("rec-b", "x"))
+    run_tier(reports, config, batch_size=3)
+    texts = {v: [assemble_input(r, v).text for r in reports] for v in (A, B)}
+    assert calls == [("rec-a", texts[A][s:s + 3]) for s in (0, 3, 6)] + \
+        [("rec-b", texts[B][s:s + 3]) for s in (0, 3, 6)]
 
 
 def test_run_tier_returns_the_input_each_member_scored():

@@ -1,4 +1,8 @@
+import copy
 import json
+import math
+import shutil
+import struct
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -23,7 +27,7 @@ from reportable_triage.corpus import (
 )
 from reportable_triage.preprocess import PipelineVariant, assemble_input
 
-from cli_util import write_config
+from cli_util import config_doc, write_config
 from mock_server import MockClassifyServer
 
 
@@ -138,7 +142,12 @@ def test_build_dataset_missing_corpus_exits_1(tmp_path, capsys):
     (("tiers", "t1", "train", "epochs"), None),
     (("tiers", "t1", "split"), 5),
     (("tiers", "t1", "train", "learning_rate"), 10 ** 400),
-], ids=["threshold-string", "remote-list", "epochs-null", "split-number", "huge-number"])
+    (("tiers", "t1", "undersample", "ratio"), math.nan),
+    (("tiers", "t1", "undersample", "ratio"), 1e400),
+    (("tiers", "t1", "train", "l2"), math.nan),
+    (("tiers", "t1", "train", "learning_rate"), 1e400),
+], ids=["threshold-string", "remote-list", "epochs-null", "split-number", "huge-number",
+        "ratio-nan", "ratio-1e400", "l2-nan", "learning-rate-1e400"])
 def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
     config = write_config(tmp_path)
     doc = json.loads(config.read_text())
@@ -151,6 +160,25 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and repr(key_path[-1]) in err
+    assert "Traceback" not in err
+
+
+CONFIG_FILE_DAMAGE = {
+    "leading 0xff byte": (lambda text: b"\xff" + text, "not UTF-8: byte 0xff"),
+    "5,000-digit integer": (lambda text: text.replace(b'"epochs": 4', b'"epochs": ' + b"1" * 5000),
+                            "integer literal too long"),
+    "100,000 [": (lambda text: b"[" * 100_000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_FILE_DAMAGE))
+def test_unreadable_config_file_exits_1_naming_it(tmp_path, capsys, case):
+    damage, reason = CONFIG_FILE_DAMAGE[case]
+    config = write_config(tmp_path)
+    config.write_bytes(damage(config.read_bytes()))
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and reason in err
     assert "Traceback" not in err
 
 
@@ -630,6 +658,96 @@ def test_any_corpus_line_exits_0_1_or_2_with_an_error_line(pipeline, tmp_path, c
             assert any(row.startswith("error:") for row in err.splitlines())
 
 
+# --- one edited value of a config ----------------------------------------------
+
+def fuzz_config():
+    """A small valid config that spells out every optional key of a tier, so
+    that each of them can be edited."""
+    doc = config_doc(epochs=2, feature_dim=1 << 10)
+    for tier, (kept, sampled, ratio) in {"t1": ("cancer", "non_cancer", 0.8),
+                                         "t2": ("non_reportable", "reportable", 1.2)}.items():
+        doc["tiers"][tier]["undersample"].update(kept_class=kept, sampled_class=sampled,
+                                                 ratio=ratio)
+        for member in doc["tiers"][tier]["members"]:
+            member["fallback_sections"] = ["diagnosis", "specimen"]
+    return doc
+
+
+FUZZ_CONFIG = fuzz_config()
+FUZZ_CORPUS = synth_corpus(SynthSpec(n_reports=60, vocabulary_signal_strength=1.0), seed=5)
+
+
+def key_paths(node, path=()):
+    """The path, as a tuple of keys and list indexes, of every value under node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+CONFIG_PATHS = list(key_paths(FUZZ_CONFIG))
+LEAF_PATHS = [p for p in CONFIG_PATHS if not isinstance(value_at(FUZZ_CONFIG, p), (dict, list))]
+# Integers stay small because a config may ask for any amount of work (epochs),
+# and text holds no "/" or ".", so that no generated path leads out of tmp_path.
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats()
+    | st.text(st.characters(blacklist_characters="/\\."), max_size=4)
+    | st.sampled_from(["\ud800", "a\udc80"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6).map(json.dumps)
+# (path, JSON text of the new value), or (path, None) to drop the key
+CONFIG_EDITS = (st.tuples(st.sampled_from(LEAF_PATHS), CONFIG_VALUES)
+                | st.tuples(st.sampled_from(CONFIG_PATHS), st.none()))
+PLACEHOLDER = "\x00placeholder\x00"
+
+
+def edited_config(path, value_text):
+    """FUZZ_CONFIG as JSON text, with the value at path replaced by value_text
+    or, when value_text is None, dropped."""
+    doc = copy.deepcopy(FUZZ_CONFIG)
+    parent = value_at(doc, path[:-1])
+    if value_text is None:
+        del parent[path[-1]]
+        return json.dumps(doc)
+    parent[path[-1]] = PLACEHOLDER
+    return json.dumps(doc).replace(json.dumps(PLACEHOLDER), value_text)
+
+
+@given(edit=CONFIG_EDITS)
+@example(edit=(("tiers", "t1", "undersample", "ratio"), "NaN"))
+@example(edit=(("tiers", "t1", "undersample", "ratio"), "1e400"))
+@example(edit=(("tiers", "t1", "train", "l2"), "NaN"))
+@example(edit=(("tiers", "t1", "train", "learning_rate"), "1e400"))
+@example(edit=(("tiers", "t1", "train", "epochs"), "1" * 5000))
+@example(edit=(("tiers", "t1", "train", "epochs"), "[" * 100_000))
+@example(edit=(("out_dir",), json.dumps("\ud800")))
+@example(edit=(("tiers", "t1", "train", "seed"), "-1"))
+@example(edit=(("tiers", "t1", "train", "feature_dim"), str(1 << 40)))
+@example(edit=(("tiers", "t1", "split", "seed"), None))
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_config_edit_exits_0_1_or_2_with_an_error_line(tmp_path, capsys, edit):
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)
+    write_corpus(FUZZ_CORPUS, tmp_path / "corpus.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(edited_config(*edit), encoding="utf-8")
+    for argv in (["build-dataset", "--tier", "t1"],
+                 ["train-baseline", "--tier", "t1", "--variant", "a"]):
+        code = main(["--config", str(config), *argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert any(row.startswith("error:") for row in err.splitlines())
+
+
 def test_training_and_triage_read_the_same_member_settings(tmp_path):
     corpus = synth_corpus(SynthSpec(n_reports=200, vocabulary_signal_strength=0.5), seed=3)
     write_corpus(corpus, tmp_path / "corpus.jsonl")
@@ -662,19 +780,45 @@ def test_training_and_triage_read_the_same_member_settings(tmp_path):
 
 
 def test_triage_worker_count_does_not_change_output(pipeline, tmp_path):
+    """Triage runs on one thread; a config that still sets workers, to any
+    value, loads and triages byte-identically."""
     base, config, _ = pipeline
     test_path = base / "out/t1/test.jsonl"
-    single = tmp_path / "o1.jsonl"
+    plain = tmp_path / "outcomes.jsonl"
     assert main(["--config", str(config), "triage", "--corpus", str(test_path),
-                 "--out", str(single)]) == 0
-    config_obj = json.loads((base / "config.json").read_text())
-    config_obj["workers"] = 4
-    threaded_cfg = tmp_path / "config.json"
-    threaded_cfg.write_text(json.dumps(config_obj), encoding="utf-8")
-    threaded = tmp_path / "o4.jsonl"
-    assert main(["--config", str(threaded_cfg), "--out-dir", str(base / "out"),
-                 "triage", "--corpus", str(test_path), "--out", str(threaded)]) == 0
-    assert single.read_bytes() == threaded.read_bytes()
+                 "--out", str(plain)]) == 0
+    for workers in (4, 0):
+        config_obj = json.loads((base / "config.json").read_text())
+        config_obj["workers"] = workers
+        workers_cfg = tmp_path / "config.json"
+        workers_cfg.write_text(json.dumps(config_obj), encoding="utf-8")
+        out = tmp_path / f"outcomes-{workers}.jsonl"
+        assert main(["--config", str(workers_cfg), "--out-dir", str(base / "out"),
+                     "triage", "--corpus", str(test_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+
+MODEL_DAMAGE = {
+    "truncated": (lambda raw: raw[:-8], "expected"),
+    "wrong magic": (lambda raw: b"XXXX" + raw[4:], "not a baseline model file"),
+    "non-finite weights": (lambda raw: raw[:-8] + struct.pack("<d", math.nan),
+                           "non-finite weights"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_DAMAGE))
+def test_triage_corrupt_model_file_exits_1_naming_it(pipeline, tmp_path, capsys, case):
+    base, config, _ = pipeline
+    damage, reason = MODEL_DAMAGE[case]
+    out_dir = tmp_path / "out"
+    shutil.copytree(base / "out/models", out_dir / "models")
+    model = out_dir / "models/t1_a.bin"
+    model.write_bytes(damage(model.read_bytes()))
+    assert main(["--config", str(config), "--out-dir", str(out_dir), "triage",
+                 "--corpus", str(base / "out/t1/test.jsonl"),
+                 "--out", str(tmp_path / "outcomes.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "models/t1_a.bin: " in err and reason in err
 
 
 def test_triage_sections_raw_only_corpus_with_custom_synonyms(pipeline, tmp_path):

@@ -67,9 +67,11 @@ def test_non_numeric_score_is_protocol_error():
 
 
 def test_malformed_body_is_protocol_error():
-    with MockClassifyServer(lambda c: (200, b"<html>oops</html>")) as server:
-        with pytest.raises(RemoteProtocolError, match="malformed"):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+    for body in (b"<html>oops</html>", b'{"scores": [' + b"1" * 5000 + b"]}",
+                 b"[" * 100_000):
+        with MockClassifyServer(lambda c, body=body: (200, body)) as server:
+            with pytest.raises(RemoteProtocolError, match="malformed"):
+                remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
 
 
 def test_missing_scores_key_is_protocol_error():

@@ -46,20 +46,20 @@ def labeled_corpus(n_pos, n_neg, tier=Tier.T1):
 
 def test_class_counts_empty():
     counts = class_counts(Corpus(records=[]), Tier.T1)
-    assert counts.counts == {"cancer": 0, "non_cancer": 0}
-    assert counts.total == 0
+    assert counts == {"cancer": 0, "non_cancer": 0}
+    assert sum(counts.values()) == 0
 
 
 def test_class_counts_synth_contract():
     corpus = synth_corpus(SynthSpec(n_reports=10400, cancer_fraction=0.21), seed=1)
     counts = class_counts(corpus, Tier.T1)
-    assert counts.counts == {"cancer": 2184, "non_cancer": 8216}
+    assert counts == {"cancer": 2184, "non_cancer": 8216}
 
 
 def test_class_counts_all_positive_t2():
     corpus = labeled_corpus(7, 0, Tier.T2)
     counts = class_counts(corpus, Tier.T2)
-    assert counts.counts == {"reportable": 7, "non_reportable": 0}
+    assert counts == {"reportable": 7, "non_reportable": 0}
 
 
 def test_class_counts_requires_labels():
@@ -93,7 +93,7 @@ def test_split_stratified_counts():
     corpus = labeled_corpus(2184, 8216)
     train, test = split(corpus, SplitSpec(seed=5), Tier.T1)
     tc = class_counts(train, Tier.T1)
-    assert tc.counts == {"cancer": 1747, "non_cancer": 6573}
+    assert tc == {"cancer": 1747, "non_cancer": 6573}
     assert len(test) == 10400 - 8320
 
 
@@ -101,8 +101,8 @@ def test_split_stratified_within_one_record():
     corpus = labeled_corpus(11, 13)
     train, _ = split(corpus, SplitSpec(seed=5, train_fraction=0.8), Tier.T1)
     counts = class_counts(train, Tier.T1)
-    assert abs(counts.counts["cancer"] - 0.8 * 11) <= 0.5
-    assert abs(counts.counts["non_cancer"] - 0.8 * 13) <= 0.5
+    assert abs(counts["cancer"] - 0.8 * 11) <= 0.5
+    assert abs(counts["non_cancer"] - 0.8 * 13) <= 0.5
 
 
 def test_split_unstratified():
@@ -144,9 +144,9 @@ def test_undersample_t1_anchor_counts():
     policy = default_policy(Tier.T1, seed=4)
     out = undersample(corpus, policy)
     counts = class_counts(out, Tier.T1)
-    assert counts.counts["cancer"] == 17472
-    assert counts.counts["non_cancer"] == 13977
-    assert counts.total == 31449
+    assert counts["cancer"] == 17472
+    assert counts["non_cancer"] == 13977
+    assert sum(counts.values()) == 31449
 
 
 def test_undersample_t2_anchor_counts():
@@ -155,9 +155,9 @@ def test_undersample_t2_anchor_counts():
     policy = default_policy(Tier.T2, seed=4)
     out = undersample(corpus, policy)
     counts = class_counts(out, Tier.T2)
-    assert counts.counts["non_reportable"] == 3520
-    assert counts.counts["reportable"] == 4224
-    assert counts.total == 7744
+    assert counts["non_reportable"] == 3520
+    assert counts["reportable"] == 4224
+    assert sum(counts.values()) == 7744
 
 
 def test_undersample_caps_at_available():
@@ -166,7 +166,7 @@ def test_undersample_caps_at_available():
                                sampled_class=T1Label.NON_CANCER, ratio=0.8, seed=1)
     out = undersample(corpus, policy)
     counts = class_counts(out, Tier.T1)
-    assert counts.counts["non_cancer"] == 5  # cannot sample beyond the population
+    assert counts["non_cancer"] == 5  # cannot sample beyond the population
 
 
 def test_undersample_empty_kept_class():
@@ -222,9 +222,9 @@ def test_undersample_count_exactness_property(n_kept, n_sampled, ratio, seed):
     out = undersample(corpus, policy)
     counts = class_counts(out, Tier.T1)
     expected = min(math.floor(ratio * n_kept + 1e-9), n_sampled)
-    assert counts.counts["non_cancer"] == expected
-    assert counts.counts["non_cancer"] == undersample_target(policy, n_kept, n_sampled)
-    assert counts.counts["cancer"] == n_kept
+    assert counts["non_cancer"] == expected
+    assert counts["non_cancer"] == undersample_target(policy, n_kept, n_sampled)
+    assert counts["cancer"] == n_kept
     ids = [r.report_id for r in out]
     assert len(ids) == len(set(ids))
 
@@ -244,10 +244,9 @@ def test_build_dataset_t1_manifest_arithmetic():
     corpus = synth_corpus(SynthSpec(n_reports=10400, cancer_fraction=0.21), seed=13)
     built = build_dataset(corpus, Tier.T1, SplitSpec(seed=21),
                           default_policy(Tier.T1, seed=22))
-    assert built.train_counts_before.counts == {"cancer": 1747, "non_cancer": 6573}
-    assert built.train_counts.counts == {"cancer": 1747,
-                                         "non_cancer": math.floor(0.8 * 1747)}
-    assert built.test_counts.counts == {"cancer": 2184 - 1747, "non_cancer": 8216 - 6573}
+    assert built.train_counts_before == {"cancer": 1747, "non_cancer": 6573}
+    assert built.train_counts == {"cancer": 1747, "non_cancer": math.floor(0.8 * 1747)}
+    assert built.test_counts == {"cancer": 2184 - 1747, "non_cancer": 8216 - 6573}
 
 
 def test_build_dataset_t2_filters_to_labeled_subset():
@@ -256,10 +255,10 @@ def test_build_dataset_t2_filters_to_labeled_subset():
     built = build_dataset(corpus, Tier.T2, SplitSpec(seed=41),
                           default_policy(Tier.T2, seed=42))
     n_t2 = sum(1 for r in corpus if r.t2_label is not None)
-    assert built.input_counts.total == n_t2 == 1000
+    assert sum(built.input_counts.values()) == n_t2 == 1000
     before = built.train_counts_before
-    assert built.train_counts.counts["reportable"] == min(
-        math.floor(1.2 * before.counts["non_reportable"]), before.counts["reportable"])
+    assert built.train_counts["reportable"] == min(
+        math.floor(1.2 * before["non_reportable"]), before["reportable"])
 
 
 def test_with_label_subset():

@@ -10,7 +10,6 @@ from reportable_triage.sectioner import (
     SectionSynonymTable,
     default_synonym_table,
     ensure_sections,
-    get_section,
     load_synonym_table,
     normalize_header_key,
     parse_sections,
@@ -109,15 +108,6 @@ def test_duplicate_known_headers_kept_separate():
     assert names(sections) == ["diagnosis", "diagnosis"]
     assert sections[0].text == "first\n"
     assert sections[1].text == "second\n"
-
-
-def test_get_section_first_match_and_absent():
-    raw = "AAA:\none\nBBB:\ntwo\nDIAGNOSIS:\nd\n"
-    report = PathologyReport(report_id="R", diagnosis_year=2023, raw_text=raw,
-                             sections=tuple(parse_sections(raw, TABLE)))
-    assert get_section(report, "other").text == "one\n"
-    assert get_section(report, "diagnosis") is not None
-    assert get_section(report, "synoptic") is None
 
 
 def test_leading_whitespace_header():
