@@ -17,7 +17,8 @@ tier-1 member that assembles inputs the same way, so no report is assembled
 twice for the same settings.
 
 read_outcomes validates an outcomes file completely as it loads it, the OR
-rule included; evaluate_outcomes joins it to gold labels without I/O.
+rule and the final-label rule included; evaluate_outcomes joins it to gold
+labels without I/O.
 
 Member failure fails the whole batch: silently degrading to a single-model
 "ensemble" would misstate the sensitivity guarantee.
@@ -36,7 +37,7 @@ from .config import MemberConfig, check_members
 from .corpus import Corpus, PathologyReport, T1Label, T2Label, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
-from .util import lone_surrogate, open_json, parse_json
+from .util import read_field, read_json_lines
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -77,6 +78,13 @@ class TriageOutcome:
     t1: EnsembleResult
     t2: Optional[EnsembleResult]
     final: FinalLabel
+
+
+def final_label(t1_positive: bool, t2_positive: Optional[bool]) -> FinalLabel:
+    """A report's final label; a t1-negative one is non_cancer whatever t2 said."""
+    if not t1_positive:
+        return FinalLabel.NON_CANCER
+    return FinalLabel.CANCER_REPORTABLE if t2_positive else FinalLabel.CANCER_NON_REPORTABLE
 
 
 def or_combine(decisions: Sequence[Decision]) -> T1Label | T2Label:
@@ -196,12 +204,7 @@ def triage(
     outcomes: list[TriageOutcome] = []
     for i, (report, t1_res) in enumerate(zip(reports, t1_results)):
         t2_res = t2_by_index.get(i)
-        if not t1_res.is_positive:
-            final = FinalLabel.NON_CANCER
-        elif t2_res is not None and t2_res.is_positive:
-            final = FinalLabel.CANCER_REPORTABLE
-        else:
-            final = FinalLabel.CANCER_NON_REPORTABLE
+        final = final_label(t1_res.is_positive, t2_res is not None and t2_res.is_positive)
         outcomes.append(
             TriageOutcome(report_id=report.report_id, t1=t1_res, t2=t2_res, final=final)
         )
@@ -256,77 +259,91 @@ _POSITIVE = {task: {label.value: label is task.positive for label in task.label_
              for task in Tier}
 
 
-def _check_block(block, task: Tier) -> None:
-    """Reject a tier block that is malformed or whose combined label is not
-    the OR of its members' labels, which FN(combined) = FN(A) ∩ FN(B) needs."""
-    members = block.get("members") if isinstance(block, dict) else None
-    if not isinstance(members, list):
-        raise ValidationError(f"{task.value} is not a tier block with a members list")
-    if len(members) != 2 or not isinstance(members[0], dict) or not isinstance(members[1], dict):
-        raise ValidationError(f"{task.value} block needs exactly two member objects")
-    a, b = members
-    if (not isinstance(a.get("backend_id"), str) or not isinstance(b.get("backend_id"), str)
-            or a["backend_id"] == b["backend_id"]):
-        raise ValidationError(f"{task.value} members need distinct string backend_ids")
+def _read_member(member: dict, task: Tier, where: str) -> bool:
+    """Whether a member's label is positive. ValidationError, naming the field,
+    unless backend_id is a string and label a label of task that agrees with
+    probability >= threshold, probability in [0, 1] and threshold in (0, 1)."""
+    read_field(member, "backend_id", str, where, ValidationError)
+    label = read_field(member, "label", str, where, ValidationError)
+    is_positive = task.parse_label(label, where, "label") is task.positive
+    probability = read_field(member, "probability", float, where, ValidationError)
+    if not 0.0 <= probability <= 1.0:
+        raise ValidationError(f"{where}: field 'probability': not in [0, 1]")
+    threshold = read_field(member, "threshold", float, where, ValidationError)
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError(f"{where}: field 'threshold': not in (0, 1)")
+    if is_positive is not (probability >= threshold):
+        raise ValidationError(f"{where}: field 'label': disagrees with probability >= threshold")
+    return is_positive
+
+
+def _read_block(block: dict, task: Tier, where: str) -> bool:
+    """Whether a tier block is positive. ValidationError unless it holds exactly
+    two members with distinct backend_ids, each valid for _read_member, and a
+    combined label that is the OR of theirs, which FN(combined) = FN(A) ∩ FN(B)
+    needs."""
     positive = _POSITIVE[task]
-    try:
-        a_pos, b_pos, combined_pos = (positive[a.get("label")], positive[b.get("label")],
-                                      positive[block.get("combined")])
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        raise ValidationError(
-            f"{task.value} block has a label that is not one of: {', '.join(positive)}"
-        ) from None
-    if combined_pos != (a_pos or b_pos):
-        raise ValidationError(f"{task.value} combined label is not the OR of its members' labels")
+    members = block.get("members")
+    if (type(members) is not list or len(members) != 2
+            or type(members[0]) is not dict or type(members[1]) is not dict):
+        read_field(block, "members", list, where, ValidationError)
+        raise ValidationError(f"{where}: field 'members': needs exactly two member objects")
+    any_positive = False
+    for i, member in enumerate(members):
+        # _read_member's checks, made inline for the common case; it names what fails
+        backend_id = member.get("backend_id")
+        label = member.get("label")
+        probability = member.get("probability")
+        threshold = member.get("threshold")
+        is_positive = positive.get(label) if type(label) is str else None
+        if (is_positive is None or type(backend_id) is not str or not backend_id.isascii()
+                or type(probability) is not float or not 0.0 <= probability <= 1.0
+                or type(threshold) is not float or not 0.0 < threshold < 1.0
+                or is_positive is not (probability >= threshold)):
+            is_positive = _read_member(member, task, f"{where}: members[{i}]")
+        any_positive = any_positive or is_positive
+    if members[0]["backend_id"] == members[1]["backend_id"]:
+        raise ValidationError(f"{where}: field 'members': backend_ids are not distinct")
+    combined = block.get("combined")
+    is_positive = positive.get(combined) if type(combined) is str else None
+    if is_positive is None:
+        combined = read_field(block, "combined", str, where, ValidationError)
+        is_positive = task.parse_label(combined, where, "combined") is task.positive
+    if is_positive is not any_positive:
+        raise ValidationError(f"{where}: field 'combined': not the OR of its members' labels")
+    return is_positive
 
 
-def _check_outcome(line: str, seen: dict[str, dict]) -> dict:
-    """The outcome one file line holds, validated; `seen` holds the earlier lines'."""
-    obj = parse_json(line)
+def _read_outcome(obj, where: str) -> tuple[str, dict]:
+    """The report_id and outcome of one file line, validated."""
     if not isinstance(obj, dict):
-        raise ValidationError("not a JSON object")
-    for key in ("report_id", "final", "t1"):
-        if key not in obj:
-            raise ValidationError(f"missing field {key!r}")
-    if not isinstance(obj["report_id"], str):
-        raise ValidationError("report_id is not a string")
-    if obj["report_id"] in seen:
-        raise ValidationError(f"outcomes file repeats report_id {obj['report_id']!r}")
-    _check_block(obj["t1"], Tier.T1)
-    if obj.get("t2") is not None:
-        _check_block(obj["t2"], Tier.T2)
-    # parse_json rejected bytes that are not UTF-8, so only a \ud800-style
-    # escape can leave a lone surrogate, which the evaluation files could not
-    # hold; a one-character search is the cheapest test for an escape
-    if "\\" in line:
-        ids = [obj["report_id"]] + [m["backend_id"] for key in ("t1", "t2")
-                                    if obj.get(key) is not None for m in obj[key]["members"]]
-        if any(lone_surrogate(i) >= 0 for i in ids):
-            raise ValidationError(
-                "a report_id or backend_id holds a lone surrogate (not encodable as UTF-8)")
-    return obj
+        raise ValidationError(f"{where}: not a JSON object")
+    report_id, final, t1, t2 = obj.get("report_id"), obj.get("final"), obj.get("t1"), obj.get("t2")
+    # read_field's checks, made inline for the common case; it names what fails
+    if not (type(report_id) is str and report_id.isascii() and type(final) is str
+            and final.isascii() and type(t1) is dict and (t2 is None or type(t2) is dict)):
+        report_id = read_field(obj, "report_id", str, where, ValidationError)
+        final = read_field(obj, "final", str, where, ValidationError)
+        t1 = read_field(obj, "t1", dict, where, ValidationError)
+        t2 = read_field(obj, "t2", dict, where, ValidationError, None)
+    t1_positive = _read_block(t1, Tier.T1, f"{where}: t1")
+    t2_positive = None if t2 is None else _read_block(t2, Tier.T2, f"{where}: t2")
+    expected = final_label(t1_positive, t2_positive)
+    if final != expected:
+        raise ValidationError(
+            f"{where}: field 'final': expected {expected.value}, as its tier blocks give")
+    return report_id, obj
 
 
 def read_outcomes(path) -> dict[str, dict]:
     """Load an outcomes JSONL file keyed by report_id, validating every line.
 
     A line is UTF-8 JSON: an object with a string report_id no earlier line
-    has, a final field, a t1 tier block and a t2 that is absent, null or a
-    tier block. A tier block holds exactly two members with distinct string
-    backend_ids and labels of its tier, and a combined label that is the OR
-    of theirs. Neither kind of id may hold a lone surrogate.
+    has, a t1 tier block, a t2 that is absent, null or a tier block (see
+    _read_block), and the final label final_label gives for them. Gating is
+    not checked: --t2-scope gold writes t2 blocks for t1-negative reports.
     """
-    out: dict[str, dict] = {}
-    with open_json(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = _check_outcome(line, out)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            out[obj["report_id"]] = obj
-    return out
+    return read_json_lines(path, _read_outcome, ValidationError)
 
 
 def _listed(ids: list[str]) -> str:

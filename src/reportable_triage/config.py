@@ -38,8 +38,6 @@ wall-clock defaults.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +50,7 @@ from .errors import ConfigurationError, ValidationError
 from .preprocess import DEFAULT_FALLBACK_SECTIONS, DEFAULT_TOKEN_BUDGET, PipelineVariant
 from .sampler import SplitSpec, UndersamplePolicy, default_policy
 from .sectioner import SectionSynonymTable, default_synonym_table, load_synonym_table
-from .util import lone_surrogate, open_json, parse_json
+from .util import REQUIRED, open_json, parse_json, read_field
 
 ENV_ENDPOINT = {Tier.T1: "TRIAGE_REMOTE_ENDPOINT_T1", Tier.T2: "TRIAGE_REMOTE_ENDPOINT_T2"}
 
@@ -121,42 +119,9 @@ class RunConfig:
         return self.out_dir / task.value
 
 
-_REQUIRED = object()
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               bool: "true or false", dict: "an object", list: "a list"}
-
-
-def _get(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """obj[key] as kind, or default when the key is absent.
-
-    A missing required key, a value of the wrong type, a number that is not
-    finite (NaN, an infinity, or an integer beyond float range) or a string
-    holding a lone surrogate (a \\ud800-style escape, which no path or output
-    file can encode) raises ConfigurationError naming the key path. Integers
-    are accepted as numbers; booleans are not integers. null is accepted only
-    where the default is None.
-    """
-    value = obj.get(key, default)
-    if value is _REQUIRED:
-        raise ConfigurationError(f"{where}: missing required key {key!r}")
-    if value is None and default is None:
-        return None
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigurationError(
-            f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}"
-        )
-    if kind is str and lone_surrogate(value) >= 0:
-        raise ConfigurationError(f"{where}: {key!r} holds a lone surrogate")
-    if kind is not float:
-        return value
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{where}: {key!r} must be a finite number")
-    return number
+def _get(obj: dict, key: str, kind: type, where: str, default=REQUIRED):
+    """obj[key] as kind, or default when absent; see util.read_field."""
+    return read_field(obj, key, kind, where, ConfigurationError, default)
 
 
 def _present(obj: dict, where: str, **kinds: type) -> dict:
@@ -184,18 +149,20 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
     kind = _get(obj, "kind", str, where)
     if kind not in ("native_baseline", "remote"):
         raise ConfigurationError(f"{where}: unknown backend kind {kind!r}")
-    fallback = _get(obj, "fallback_sections", list, where, list(DEFAULT_FALLBACK_SECTIONS))
-    if not all(isinstance(s, str) and is_normalized_section_name(s) for s in fallback):
-        raise ConfigurationError(
-            f"{where}: fallback_sections must be a list of normalized section names"
-        )
+    settings = _present(obj, where, threshold=float, token_budget=int, fallback_sections=list)
+    if "fallback_sections" in settings:
+        fallback = settings["fallback_sections"]
+        if not all(isinstance(s, str) and is_normalized_section_name(s) for s in fallback):
+            raise ConfigurationError(
+                f"{where}: fallback_sections must be a list of normalized section names"
+            )
+        settings["fallback_sections"] = tuple(fallback)
     member = MemberConfig(
         backend_id=_get(obj, "backend_id", str, where),
         kind=kind,
         variant=PipelineVariant.parse(_get(obj, "variant", str, where)),
-        fallback_sections=tuple(fallback),
         model_path=_get(obj, "model_path", str, where, None),
-        **_present(obj, where, threshold=float, token_budget=int),
+        **settings,
     )
     if not 0.0 < member.threshold < 1.0:
         raise ConfigurationError(f"{where}: threshold must be in (0, 1)")
@@ -214,13 +181,13 @@ def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
     under_obj = _get(obj, "undersample", dict, where)
     under_seed = _get(under_obj, "seed", int, under_where)
     base_policy = default_policy(task, under_seed)
-    kept = _get(under_obj, "kept_class", str, under_where, base_policy.kept_class.value)
-    sampled = _get(under_obj, "sampled_class", str, under_where,
-                   base_policy.sampled_class.value)
+    classes = {key: task.parse_label(_get(under_obj, key, str, under_where,
+                                          getattr(base_policy, key).value),
+                                     under_where, key, ConfigurationError)
+               for key in ("kept_class", "sampled_class")}
     policy = UndersamplePolicy(
         task=task,
-        kept_class=task.parse_label(kept),
-        sampled_class=task.parse_label(sampled),
+        **classes,
         ratio=_get(under_obj, "ratio", float, under_where, base_policy.ratio),
         seed=under_seed,
     )
@@ -281,11 +248,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     endpoints = _get(remote_obj, "endpoints", dict, "remote", {})
     for name in endpoints:
         _get(endpoints, name, str, "remote.endpoints", None)
-    remote = RemoteSettings(
-        timeout=_get(remote_obj, "timeout", float, "remote", DEFAULT_TIMEOUT),
-        max_retries=_get(remote_obj, "max_retries", int, "remote", DEFAULT_MAX_RETRIES),
-        endpoints=dict(endpoints),
-    )
+    remote = RemoteSettings(endpoints=dict(endpoints),
+                            **_present(remote_obj, "remote", timeout=float, max_retries=int))
 
     return RunConfig(out_dir=out_dir, corpus_path=corpus_path, tiers=tiers, remote=remote,
                      section_synonyms_path=resolve(

@@ -29,8 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CorpusFormatError, ValidationError
-from .util import (atomic_write_bytes, lone_surrogate, open_json, parse_json,
-                   ratio_round_half_up)
+from .util import atomic_write_bytes, ratio_round_half_up, read_field, read_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -66,18 +65,20 @@ class Tier(str, Enum):
     def negative(self) -> "T1Label | T2Label":
         return T1Label.NON_CANCER if self is Tier.T1 else T2Label.NON_REPORTABLE
 
-    def parse_label(self, raw: str) -> "T1Label | T2Label":
+    def parse_label(self, raw: str, where: str, key: str,
+                    error: type[ValidationError] = ValidationError) -> "T1Label | T2Label":
+        """The label raw names, or error("<where>: field '<key>': expected one
+        of: ...") if it names none; like read_field, it does not echo raw."""
         try:
             return self.label_type(raw)
         except ValueError:
             allowed = ", ".join(m.value for m in self.label_type)
-            raise ValidationError(
-                f"invalid {self.value} label {raw!r} (expected one of: {allowed})"
-            ) from None
+            raise error(f"{where}: field {key!r}: expected one of: {allowed}") from None
 
 
 def is_normalized_section_name(name: str) -> bool:
-    return bool(name) and name == name.lower() and not any(c.isspace() for c in name)
+    """Non-empty, lowercase and free of whitespace (as str.isspace defines it)."""
+    return name.split() == [name] and name == name.lower()
 
 
 @dataclass(frozen=True)
@@ -194,99 +195,54 @@ def record_to_dict(rec: LabeledReport) -> dict:
     return out
 
 
-def _require(obj: dict, key: str, typ: type, where: str):
-    if key not in obj:
-        raise CorpusFormatError(f"{where}: field {key!r}: missing required field")
-    value = obj[key]
-    if not isinstance(value, typ) or isinstance(value, bool):
-        raise CorpusFormatError(
-            f"{where}: field {key!r}: expected {typ.__name__}, got {type(value).__name__}"
-        )
-    if typ is str and not value.isascii():
-        _check_encodable(value, key, where)
-    return value
-
-
-def _check_encodable(text: str, key: str, where: str) -> None:
-    """Reject a lone surrogate (a \\ud800-style JSON escape): the record could
-    be neither hashed nor written back as UTF-8. Callers skip ASCII text,
-    which holds none, so a record of ASCII text pays no call."""
-    at = lone_surrogate(text)
-    if at >= 0:
-        raise CorpusFormatError(
-            f"{where}: field {key!r}: lone surrogate U+{ord(text[at]):04X} "
-            "(not encodable as UTF-8)")
-
-
-def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") -> LabeledReport:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = [k for k in obj if k not in _RECORD_FIELDS]
+def _unknown_fields(obj: dict, known: tuple[str, ...], strict: bool, where: str) -> None:
+    """Reject (strict) or log the keys of obj that are not known fields."""
+    unknown = [k for k in obj if k not in known]
     if unknown:
         if strict:
             raise CorpusFormatError(f"{where}: field {unknown[0]!r}: unknown field")
         logger.warning("%s: ignoring unknown fields %s", where, unknown)
 
-    report_id = _require(obj, "report_id", str, where)
-    year = _require(obj, "diagnosis_year", int, where)
-    raw_text = _require(obj, "raw_text", str, where)
-    source_site = obj.get("source_site")
-    if source_site is not None:
-        if not isinstance(source_site, str):
-            raise CorpusFormatError(f"{where}: field 'source_site': expected string")
-        if not source_site.isascii():
-            _check_encodable(source_site, "source_site", where)
+
+def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") -> LabeledReport:
+    """The record obj holds; CorpusFormatError names where and the field."""
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{where}: not a JSON object")
+    _unknown_fields(obj, _RECORD_FIELDS, strict, where)
+    report_id = read_field(obj, "report_id", str, where, CorpusFormatError)
+    year = read_field(obj, "diagnosis_year", int, where, CorpusFormatError)
+    raw_text = read_field(obj, "raw_text", str, where, CorpusFormatError)
+    source_site = read_field(obj, "source_site", str, where, CorpusFormatError, None)
 
     sections: list[Section] = []
-    raw_sections = obj.get("sections")
-    if raw_sections is not None:
-        if not isinstance(raw_sections, list):
-            raise CorpusFormatError(f"{where}: field 'sections': expected array")
-        for j, s in enumerate(raw_sections):
-            sub = f"{where}: sections[{j}]"
-            if not isinstance(s, dict):
-                raise CorpusFormatError(f"{sub}: expected object")
-            bad = [k for k in s if k not in _SECTION_FIELDS]
-            if bad:
-                if strict:
-                    raise CorpusFormatError(f"{sub}: field {bad[0]!r}: unknown field")
-                logger.warning("%s: ignoring unknown fields %s", sub, bad)
-            name = _require(s, "name", str, sub)
-            text = _require(s, "text", str, sub)
-            header = s.get("header", "")
-            if not isinstance(header, str):
-                raise CorpusFormatError(f"{sub}: field 'header': expected string")
-            if not header.isascii():
-                _check_encodable(header, "header", sub)
-            try:
-                sections.append(Section(name=name, text=text, header=header))
-            except ValidationError as exc:
-                raise CorpusFormatError(f"{sub}: {exc}") from None
-
-    def parse_optional_label(key: str, tier: Tier):
-        raw = obj.get(key)
-        if raw is None:
-            return None
-        if not isinstance(raw, str):
-            raise CorpusFormatError(f"{where}: field {key!r}: expected string")
+    for j, s in enumerate(read_field(obj, "sections", list, where, CorpusFormatError, None)
+                          or ()):
+        sub = f"{where}: sections[{j}]"
+        if not isinstance(s, dict):
+            raise CorpusFormatError(f"{sub}: not a JSON object")
+        _unknown_fields(s, _SECTION_FIELDS, strict, sub)
+        name = read_field(s, "name", str, sub, CorpusFormatError)
+        text = read_field(s, "text", str, sub, CorpusFormatError)
+        header = read_field(s, "header", str, sub, CorpusFormatError, "")
         try:
-            return tier.parse_label(raw)
-        except ValidationError as exc:
-            raise CorpusFormatError(f"{where}: field {key!r}: {exc}") from None
+            sections.append(Section(name=name, text=text, header=header))
+        except ValidationError:
+            raise CorpusFormatError(
+                f"{sub}: field 'name': not normalized (non-empty, lowercase, no whitespace)"
+            ) from None
 
-    t1 = parse_optional_label("t1_label", Tier.T1)
-    t2 = parse_optional_label("t2_label", Tier.T2)
+    labels = []
+    for key, tier in (("t1_label", Tier.T1), ("t2_label", Tier.T2)):
+        raw = read_field(obj, key, str, where, CorpusFormatError, None)
+        labels.append(None if raw is None else tier.parse_label(raw, where, key, CorpusFormatError))
     try:
-        report = PathologyReport(
-            report_id=report_id,
-            diagnosis_year=year,
-            raw_text=raw_text,
-            source_site=source_site,
-            sections=tuple(sections),
-        )
-        return LabeledReport(report=report, t1_label=t1, t2_label=t2)
-    except ValidationError as exc:
-        raise CorpusFormatError(f"{where}: field 't2_label': {exc}") from None
+        report = PathologyReport(report_id, year, raw_text, source_site, tuple(sections))
+    except ValidationError:  # the one rule PathologyReport checks
+        raise CorpusFormatError(f"{where}: field 'report_id': empty string") from None
+    try:
+        return LabeledReport(report, *labels)
+    except ValidationError:  # the one rule LabeledReport checks
+        raise CorpusFormatError(f"{where}: field 't2_label': requires t1_label cancer") from None
 
 
 def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
@@ -296,27 +252,11 @@ def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
     that is not UTF-8 or not JSON or a record that does not validate; a
     duplicate report_id names both line numbers.
     """
-    path = Path(path)
-    records: list[LabeledReport] = []
-    seen: dict[str, int] = {}
-    with open_json(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path.name}: line {lineno}"
-            try:
-                obj = parse_json(line)
-            except ValidationError as exc:
-                raise CorpusFormatError(f"{where}: {exc}") from None
-            rec = record_from_dict(obj, strict=strict, where=where)
-            if rec.report_id in seen:
-                raise CorpusFormatError(
-                    f"duplicate report_id {rec.report_id!r} on lines "
-                    f"{seen[rec.report_id]} and {lineno}"
-                )
-            seen[rec.report_id] = lineno
-            records.append(rec)
-    return Corpus(records=records)
+    def read_line(obj, where: str) -> tuple[str, LabeledReport]:
+        rec = record_from_dict(obj, strict=strict, where=where)
+        return rec.report_id, rec
+
+    return Corpus(records=list(read_json_lines(path, read_line, CorpusFormatError).values()))
 
 
 def dumps_record(rec: LabeledReport) -> str:

@@ -1,5 +1,5 @@
-"""Small shared helpers: exact ratio arithmetic, punctuation, JSON reading and
-atomic file writes."""
+"""Small shared helpers: exact ratio arithmetic, punctuation, reading outside
+JSON and atomic file writes."""
 
 from __future__ import annotations
 
@@ -11,10 +11,13 @@ import unicodedata
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, TypeVar
 
 from .errors import ValidationError
+
+T = TypeVar("T")
 
 
 def ratio_floor(ratio: float, n: int) -> int:
@@ -85,6 +88,79 @@ def parse_json(text: str) -> object:
         raise ValidationError("invalid JSON: integer literal too long") from None
     except RecursionError:
         raise ValidationError("invalid JSON: nested too deeply") from None
+
+
+REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "true or false", type(None): "null"}
+
+
+def read_field(obj: dict, key: str, kind: type, where: str,
+               error: type[ValidationError], default=REQUIRED):
+    """obj[key], a parsed JSON value, as kind; default when the key is absent.
+
+    error("<where>: field '<key>': <reason>") is raised for a missing required
+    key, a value of another JSON type (named, but never echoed: it can be
+    megabytes), a number that is not finite (NaN, an infinity, or an integer
+    beyond float range) or a string holding a lone surrogate (a \\ud800-style
+    escape, which no output file can encode). Integers are accepted as
+    numbers; booleans are not integers. null is accepted only where the
+    default is None.
+    """
+    value = obj.get(key, default)
+    if type(value) is kind and (value.isascii() if kind is str
+                                else kind is not float or isfinite(value)):
+        return value  # the common case, decided without formatting a message
+    if value is None and default is None:
+        return None
+    if value is REQUIRED:
+        reason = "missing required field"
+    elif not (type(value) is kind or kind is float and type(value) is int):
+        reason = f"expected {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}"
+    elif kind is str:
+        at = lone_surrogate(value)
+        if at < 0:
+            return value
+        reason = f"lone surrogate U+{ord(value[at]):04X} (not encodable as UTF-8)"
+    else:  # a float that is not finite, or an integer in place of one
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf
+        if isfinite(value):
+            return value
+        reason = "not a finite number"
+    raise error(f"{where}: field {key!r}: {reason}")
+
+
+def read_json_lines(path: str | os.PathLike, read_line: Callable[[object, str], tuple[str, T]],
+                    error: type[ValidationError]) -> dict[str, T]:
+    """The items of a JSON Lines file keyed by report_id, in line order.
+
+    Each line that is not blank is parsed and handed, with where =
+    "<file name>: line N", to read_line, which returns its report_id and item
+    or raises an error that starts with where. A line that is not UTF-8 or not
+    JSON, or a report_id an earlier line had, raises error with that prefix.
+    """
+    name = Path(path).name
+    items: dict[str, T] = {}
+    first_lines: dict[str, int] = {}
+    with open_json(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            where = f"{name}: line {lineno}"
+            try:
+                obj = parse_json(line)
+            except ValidationError as exc:
+                raise error(f"{where}: {exc}") from None
+            report_id, item = read_line(obj, where)
+            first = first_lines.setdefault(report_id, lineno)
+            if first != lineno:
+                raise error(f"{where}: field 'report_id': duplicate {report_id!r} "
+                            f"(first on line {first})")
+            items[report_id] = item
+    return items
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import subprocess
+
+import pytest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,5 +48,24 @@ def test_record_folds_pairs(tmp_path):
     assert triage["parent"]["values"] == [100.0, 110.0, 90.0]
     assert triage["change"]["median"] == 140.0
     assert triage["change_better_pairs"] == 2
+    assert triage["bound"] == 0.25 and triage["verdict"] == "within_bound"
     rss = w["metrics"]["peak_rss_mb"]
     assert rss["better"] == "lower" and rss["change_better_pairs"] == 1
+    assert rss["bound"] == 0.1 and rss["verdict"] == "within_bound"
+
+
+@pytest.mark.parametrize("parent, change, better, bound, expected", [
+    # median 65 against 100: 35% worse, past a 25% bound
+    ([100.0, 110.0, 90.0], [60.0, 70.0, 65.0], "higher", 0.25, "worse"),
+    # lower is better: median 90 against 80 is 12.5% worse, past a 10% bound
+    ([80.0, 80.0, 81.0], [90.0, 89.0, 91.0], "lower", 0.1, "worse"),
+    # not worse, but the parent's quartiles (50, 150) spread 100% of its median
+    ([50.0, 100.0, 150.0], [95.0, 100.0, 105.0], "higher", 0.25, "unresolved"),
+    # as wide a parent, but every change run beats every parent run
+    ([50.0, 100.0, 150.0], [160.0, 170.0, 180.0], "higher", 0.25, "within_bound"),
+    # median 82 against 80 is 2.5% worse, and the parent spreads 1.25%
+    ([80.0, 80.0, 81.0], [82.0, 79.0, 82.0], "lower", 0.1, "within_bound"),
+], ids=["worse", "worse when lower is better", "unresolved", "every run beats a wide parent",
+        "within_bound"])
+def test_verdict(parent, change, better, bound, expected):
+    assert bench_record.verdict(parent, change, better, bound) == expected

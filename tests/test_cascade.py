@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -372,6 +373,18 @@ def test_read_outcomes_validates(tmp_path):
     path.write_text("nope\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 1"):
         read_outcomes(path)
+
+
+def test_read_outcomes_accepts_non_ascii_ids(tmp_path):
+    members = [{"backend_id": "modèle-a", "label": "non_cancer", "probability": 0.1,
+                "threshold": 0.5},
+               {"backend_id": "modèle-b", "label": "non_cancer", "probability": 0,
+                "threshold": 0.5}]
+    line = {"report_id": "rapport-é1", "final": "non_cancer",
+            "t1": {"combined": "non_cancer", "members": members}}
+    path = tmp_path / "o.jsonl"
+    path.write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert read_outcomes(path) == {"rapport-é1": line}
 
 
 def test_end_to_end_with_trained_baselines_on_synth():

@@ -163,6 +163,19 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["kept_class", "sampled_class"])
+def test_config_undersample_class_not_a_label_names_the_field(tmp_path, capsys, key):
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["tiers"]["t1"]["undersample"][key] = "cancr"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: tiers.t1.undersample: field '{key}': expected one of: cancer, non_cancer"
+            in err)
+    assert "cancr" not in err
+
+
 CONFIG_FILE_DAMAGE = {
     "leading 0xff byte": (lambda text: b"\xff" + text, "not UTF-8: byte 0xff"),
     "5,000-digit integer": (lambda text: text.replace(b'"epochs": 4', b'"epochs": ' + b"1" * 5000),
@@ -333,7 +346,12 @@ def synthetic_outcome_line(rid, member_a, member_b, tier="t1"):
         ("reportable" if combined else "non_reportable")
     block = {"combined": label, "combined_by": "or",
              "members": [member("model-a", member_a), member("model-b", member_b)]}
-    outcome = {"report_id": rid, "final": "non_cancer", "t1": block}
+    # final as triage derives it: t1 negative -> non_cancer; a positive t2 -> reportable
+    if tier == "t1":
+        final = "cancer_non_reportable" if combined else "non_cancer"
+    else:
+        final = "cancer_reportable" if combined else "cancer_non_reportable"
+    outcome = {"report_id": rid, "final": final, "t1": block}
     if tier == "t2":
         outcome["t1"] = {"combined": "cancer", "combined_by": "or",
                          "members": [member("model-a", True), member("model-b", True)]}
@@ -461,7 +479,8 @@ def test_evaluate_report_id_not_a_string_exits_1(tmp_path, capsys):
     line = '{"report_id":[1],"final":"non_cancer","t1":{}}'
     assert evaluate_one_outcome_line(tmp_path, line) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 2: report_id is not a string" in err
+    assert err.startswith("error:")
+    assert "line 2: field 'report_id': expected a string, got an array" in err
 
 
 MEMBER_B = {"backend_id": "model-b", "label": "cancer"}
@@ -473,6 +492,9 @@ MALFORMED_BLOCKS = {
     "backend_id not a string": {"combined": "cancer",
                                 "members": [{"backend_id": ["b"], "label": "cancer"},
                                             MEMBER_B]},
+    "label of the other tier": {"combined": "cancer",
+                                "members": [{"backend_id": "model-a", "label": "reportable"},
+                                            MEMBER_B]},
 }
 
 
@@ -480,11 +502,24 @@ def malformed_line(block):
     return json.dumps({"report_id": "E1", "final": "non_cancer", "t1": block})
 
 
+# the line, the field and the reason each case's error names
+MALFORMED_REASONS = {
+    "t1 not a block": "line 2: field 't1': expected an object, got an integer",
+    "block without members": "line 2: t1: field 'members': missing required field",
+    "member without backend_id":
+        "line 2: t1: members[0]: field 'backend_id': missing required field",
+    "backend_id not a string":
+        "line 2: t1: members[0]: field 'backend_id': expected a string, got an array",
+    "label of the other tier":
+        "line 2: t1: members[0]: field 'label': expected one of: cancer, non_cancer",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
 def test_evaluate_malformed_tier_block_exits_1(tmp_path, capsys, case):
     assert evaluate_one_outcome_line(tmp_path, malformed_line(MALFORMED_BLOCKS[case])) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 2: t1" in err
+    assert err.startswith("error:") and MALFORMED_REASONS[case] in err
 
 
 def test_evaluate_combined_not_the_or_of_members_exits_1(tmp_path, capsys):
@@ -499,7 +534,67 @@ def test_evaluate_combined_not_the_or_of_members_exits_1(tmp_path, capsys):
     assert main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
                  "--tier", "t1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 1: t1 combined label is not the OR" in err
+    assert err.startswith("error:")
+    assert "line 1: t1: field 'combined': not the OR of its members' labels" in err
+
+
+def edited_outcome(rid, member_a, member_b, edit, tier="t1"):
+    """synthetic_outcome_line's outcome after edit(outcome), as a line."""
+    outcome = json.loads(synthetic_outcome_line(rid, member_a, member_b, tier))
+    edit(outcome)
+    return json.dumps(outcome)
+
+
+def first_t1_member(outcome):
+    return outcome["t1"]["members"][0]
+
+
+# a final other than the one triage derives from the tier blocks
+WRONG_FINALS = {
+    "t1 negative, not non_cancer": (
+        edited_outcome("E1", False, False, lambda o: o.update(final="cancer_non_reportable")),
+        "expected non_cancer"),
+    "t2 positive, not reportable": (
+        edited_outcome("E1", True, False, lambda o: o.update(final="cancer_non_reportable"),
+                       tier="t2"),
+        "expected cancer_reportable"),
+    "t2 absent, not non_reportable": (
+        edited_outcome("E1", True, False, lambda o: o.update(final="cancer_reportable")),
+        "expected cancer_non_reportable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_FINALS))
+def test_evaluate_final_other_than_the_derived_one_exits_1(tmp_path, capsys, case):
+    line, reason = WRONG_FINALS[case]
+    assert evaluate_one_outcome_line(tmp_path, line) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line 2: field 'final': {reason}" in err
+
+
+@pytest.mark.parametrize("edits, reason", [
+    ({"probability": 0.4}, "field 'label': disagrees with probability >= threshold"),
+    ({"threshold": 0.95}, "field 'label': disagrees with probability >= threshold"),
+    ({"probability": 1.5}, "field 'probability': not in [0, 1]"),
+    ({"probability": "0.9"}, "field 'probability': expected a number, got a string"),
+    ({"threshold": 1.0}, "field 'threshold': not in (0, 1)"),
+], ids=["probability below", "threshold above", "probability over 1", "probability a string",
+        "threshold 1"])
+def test_evaluate_member_label_against_its_probability_exits_1(tmp_path, capsys, edits,
+                                                                reason):
+    # member A says cancer with probability 0.9 at threshold 0.5
+    line = edited_outcome("E1", True, False, lambda o: first_t1_member(o).update(edits))
+    assert evaluate_one_outcome_line(tmp_path, line) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line 2: t1: members[0]: {reason}" in err
+
+
+@pytest.mark.parametrize("edits", [{"probability": 1}, {"probability": 0.5}],
+                         ids=["integer probability", "probability at threshold"])
+def test_evaluate_member_outside_the_common_case_is_accepted(tmp_path, capsys, edits):
+    # member A says cancer at threshold 0.5; each edit keeps the line valid
+    line = edited_outcome("E1", True, False, lambda o: first_t1_member(o).update(edits))
+    assert evaluate_one_outcome_line(tmp_path, line) == 0
 
 
 JSON_VALUES = st.recursive(
@@ -612,7 +707,63 @@ def test_lone_surrogate_in_outcomes_exits_1(tmp_path, capsys, field, value):
                  "--tier", "t1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "line 2: a report_id or backend_id holds a lone surrogate" in err
+    where = {"model-a": "t1: members[0]: field 'backend_id'",
+             '"E1"': "field 'report_id'"}[field]
+    assert f"line 2: {where}: lone surrogate U+" in err
+
+
+# per string field of an outcome line: the line with that field holding a
+# lone surrogate, and where the error must name it
+OUTCOME_SURROGATES = {
+    "final": (edited_outcome("E1", True, True,
+                             lambda o: o.update(final="cancer_non_reportable\ud800")),
+              "field 'final'"),
+    "member label": (edited_outcome("E1", True, True,
+                                    lambda o: first_t1_member(o).update(label="cancer\udc80")),
+                     "t1: members[0]: field 'label'"),
+    "combined": (edited_outcome("E1", True, True, lambda o: o["t1"].update(combined="\ud800")),
+                 "t1: field 'combined'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTCOME_SURROGATES))
+def test_lone_surrogate_in_any_outcome_string_exits_1(tmp_path, capsys, case):
+    line, where = OUTCOME_SURROGATES[case]
+    assert evaluate_one_outcome_line(tmp_path, line) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line 2: {where}: lone surrogate U+" in err
+
+
+# per string field of a corpus record other than raw_text: the record with
+# that field holding a lone surrogate, and where the error must name it
+CORPUS_SURROGATES = {
+    "report_id": ({**FUZZ_RECORD, "report_id": "F\ud800"}, "field 'report_id'"),
+    "source_site": ({**FUZZ_RECORD, "source_site": "site_\udc80"}, "field 'source_site'"),
+    "section name": ({**FUZZ_RECORD, "sections": [{"name": "diag\ud800", "text": "x"}]},
+                     "sections[0]: field 'name'"),
+    "section text": ({**FUZZ_RECORD, "sections": [{"name": "diagnosis", "text": "\udfff"}]},
+                     "sections[0]: field 'text'"),
+    "section header": ({**FUZZ_RECORD, "sections": [
+        {"name": "diagnosis", "text": "x", "header": "DIAGNOSIS\ud800:\n"}]},
+        "sections[0]: field 'header'"),
+    "t1_label": ({**FUZZ_RECORD, "t1_label": "cancer\ud800"}, "field 't1_label'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_SURROGATES))
+def test_lone_surrogate_in_any_corpus_string_exits_1(pipeline, tmp_path, capsys, case):
+    _, config, corpus = pipeline
+    record, where = CORPUS_SURROGATES[case]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(Corpus(corpus.records[:3]), path)
+    replace_line_2(path, json.dumps(record).encode())
+    build_config = write_config(tmp_path, corpus=str(path), name="build.json")
+    for argv in (["--config", str(config), "triage", "--corpus", str(path),
+                  "--out", str(tmp_path / "outcomes.jsonl")],
+                 ["--config", str(build_config), "build-dataset", "--tier", "t1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corpus.jsonl: line 2: {where}: lone surrogate U+")
 
 
 def corpus_text():

@@ -1,6 +1,8 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reportable_triage.corpus import (
     Corpus,
@@ -11,6 +13,7 @@ from reportable_triage.corpus import (
     T1Label,
     T2Label,
     dumps_record,
+    is_normalized_section_name,
     load_corpus,
     synth_corpus,
     write_corpus,
@@ -156,8 +159,10 @@ def test_invalid_label_value(tmp_path):
            "t1_label": "maybe"}
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="t1_label"):
+    with pytest.raises(CorpusFormatError, match="t1_label") as info:
         load_corpus(path)
+    assert str(info.value) == ("c.jsonl: line 1: field 't1_label': "
+                               "expected one of: cancer, non_cancer")
 
 
 def test_section_name_must_be_normalized():
@@ -165,3 +170,21 @@ def test_section_name_must_be_normalized():
         Section(name="Has Space", text="x")
     with pytest.raises(ValidationError):
         Section(name="", text="x")
+
+
+def normalized_by_scan(name):
+    """The section-name rule spelled with one isspace test per character."""
+    return bool(name) and name == name.lower() and not any(c.isspace() for c in name)
+
+
+def test_split_and_isspace_agree_on_every_code_point():
+    chars = [chr(i) for i in range(sys.maxunicode + 1)]
+    assert [c for c in chars if c.split() != [c]] == [c for c in chars if c.isspace()]
+
+
+@given(name=st.text(st.characters(), max_size=12)
+       | st.text(st.sampled_from("aZ_9\t\n\x1c\x85\xa0\u2028\u3000\u200b\ufeff"), max_size=6))
+@settings(max_examples=2000, derandomize=True, deadline=None)
+def test_is_normalized_section_name_equals_a_per_character_scan(name):
+    assert is_normalized_section_name(name) == normalized_by_scan(name)
+

@@ -16,11 +16,20 @@ Each run leaves `.triagebench/result-<workload>-seed<seed>-trace0.json` in
 its checkout. A pair is one workload and seed with a result on both sides.
 For each workload and end-to-end metric the file holds, per side, the median
 and quartiles (`statistics.quantiles(n=4)`) and the per-pair values in seed
-order, plus the number of pairs in which the change is better. It also holds
-the seeds, the run seconds, the commit of each checkout, the git tree id of
-its `src/` and whether its tracked files had uncommitted changes,
-`os.cpu_count()`, and the Python and numpy versions of the interpreter that
-runs this script, which should be the one that ran the benchmark.
+order, plus the number of pairs in which the change is better, the metric's
+`bound` from `BENCHMARK.json` and a `verdict`:
+
+- `worse`: the change's median is worse than the parent's by more than the
+  bound, taken relative to the parent's median;
+- `unresolved`: otherwise, when the parent's quartile spread exceeds the bound
+  relative to its median, unless every change run beats every parent run;
+- `within_bound`: in every other case.
+
+It also holds the seeds, the run seconds, the commit of each checkout, the
+git tree id of its `src/` and whether its tracked files had uncommitted
+changes, `os.cpu_count()`, and the Python and numpy versions of the
+interpreter that runs this script, which should be the one that ran the
+benchmark.
 """
 
 from __future__ import annotations
@@ -65,7 +74,20 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
-def fold(parent: dict, change: dict, better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """worse, unresolved or within_bound; see the module docstring."""
+    p, c = summary(parent), summary(change)
+    sign = 1 if better == "higher" else -1
+    scale = bound * abs(p["median"])
+    if sign * (p["median"] - c["median"]) > scale:
+        return "worse"
+    all_beat = (min(change) > max(parent)) if sign > 0 else (max(change) < min(parent))
+    if p["q3"] - p["q1"] > scale and not all_beat:
+        return "unresolved"
+    return "within_bound"
+
+
+def fold(parent: dict, change: dict, specs: dict[str, dict]) -> dict:
     workloads = {}
     for workload in sorted({w for w, _ in parent.keys() & change.keys()}):
         seeds = sorted(s for w, s in parent.keys() & change.keys() if w == workload)
@@ -74,11 +96,13 @@ def fold(parent: dict, change: dict, better: dict[str, str]) -> dict:
         for name, spec in pairs[0][0]["metrics"].items():
             p = [a["metrics"][name]["value"] for a, _ in pairs]
             c = [b["metrics"][name]["value"] for _, b in pairs]
-            sign = 1 if better[name] == "higher" else -1
+            better, bound = specs[name]["better"], specs[name]["bound"]
+            sign = 1 if better == "higher" else -1
             metrics[name] = {
-                "unit": spec["unit"], "better": better[name],
+                "unit": spec["unit"], "better": better, "bound": bound,
                 "parent": summary(p), "change": summary(c),
                 "change_better_pairs": sum(sign * (y - x) > 0 for x, y in zip(p, c)),
+                "verdict": verdict(p, c, better, bound),
             }
         workloads[workload] = {
             "seeds": seeds,
@@ -101,8 +125,8 @@ def main(argv=None) -> int:
     import numpy
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = fold(results(args.parent), results(args.change), better)
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = fold(results(args.parent), results(args.change), specs)
     if not workloads:
         print("error: no workload and seed has a result in both checkouts", file=sys.stderr)
         return 1
