@@ -39,7 +39,6 @@ import numpy as np
 from ..errors import BaselineFormatError, ValidationError
 from ..preprocess import NormalizedInput
 from ..util import atomic_write_bytes
-from .base import ClassifierScore
 
 DEFAULT_FEATURE_DIM = 1 << 18
 MAX_FEATURE_DIM = 1 << 24  # 128 MiB of float64 weights
@@ -294,11 +293,11 @@ def train_baseline(
     )
 
 
-def score_batch(model: BaselineModel, inputs: Sequence[NormalizedInput]) -> list[ClassifierScore]:
+def score_batch(model: BaselineModel, inputs: Sequence[NormalizedInput]) -> list[float]:
     if not inputs:
         raise ValidationError("score_batch requires a non-empty input batch")
     rows = FeatureRows.hash_texts((inp.text for inp in inputs), model.feature_dim)
-    return [ClassifierScore(float(_sigmoid(z))) for z in rows.logits(model.weights, model.bias)]
+    return [float(_sigmoid(z)) for z in rows.logits(model.weights, model.bias)]
 
 
 def save_baseline(model: BaselineModel, path: str | Path) -> None:
@@ -358,5 +357,5 @@ class BaselineBackend:
     model: BaselineModel
     backend_id: str
 
-    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[ClassifierScore]:
+    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
         return score_batch(self.model, inputs)

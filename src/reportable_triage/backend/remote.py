@@ -31,7 +31,6 @@ from ..errors import (
 )
 from ..preprocess import NormalizedInput
 from ..util import parse_json
-from .base import ClassifierScore
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +49,7 @@ def encode_request(task: Tier, texts: Sequence[str]) -> bytes:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
-def _parse_scores(body: bytes, expected: int, url: str) -> list[ClassifierScore]:
+def _parse_scores(body: bytes, expected: int, url: str) -> list[float]:
     try:
         obj = parse_json(body.decode("utf-8", errors="surrogateescape"))
     except ValidationError as exc:
@@ -62,13 +61,13 @@ def _parse_scores(body: bytes, expected: int, url: str) -> list[ClassifierScore]
         raise RemoteProtocolError(
             f"{url}: score count mismatch: sent {expected} texts, got {len(scores)} scores"
         )
-    out: list[ClassifierScore] = []
+    out: list[float] = []
     for i, value in enumerate(scores):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RemoteProtocolError(f"{url}: scores[{i}] is not a number: {value!r}")
         if math.isnan(value) or not 0.0 <= value <= 1.0:
             raise ScoreRangeError(f"{url}: scores[{i}] out of range [0, 1]: {value!r}")
-        out.append(ClassifierScore(float(value)))
+        out.append(float(value))
     return out
 
 
@@ -80,7 +79,7 @@ def remote_score(
     timeout: float = DEFAULT_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
     session: Optional[requests.Session] = None,
-) -> list[ClassifierScore]:
+) -> list[float]:
     """Score one batch of texts, retrying transport failures up to max_retries."""
     url = classify_url(endpoint)
     body = encode_request(task, texts)
@@ -116,7 +115,7 @@ class RemoteBackend:
     timeout: float = DEFAULT_TIMEOUT
     max_retries: int = DEFAULT_MAX_RETRIES
 
-    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[ClassifierScore]:
+    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
         try:
             return remote_score(
                 self.endpoint,

@@ -20,8 +20,9 @@ read_outcomes validates an outcomes file completely as it loads it, the OR
 rule and the final-label rule included; evaluate_outcomes joins it to gold
 labels without I/O.
 
-Member failure fails the whole batch: silently degrading to a single-model
-"ensemble" would misstate the sensitivity guarantee.
+Member failure, a score that is not a number in [0, 1] included, fails the
+whole batch: silently degrading to a single-model "ensemble" would misstate
+the sensitivity guarantee.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from . import metrics
-from .backend.base import ClassifierBackend, Decision, decide
+from .backend.base import ClassifierBackend, decide
 from .config import MemberConfig, check_members
-from .corpus import Corpus, PathologyReport, T1Label, T2Label, Tier
+from .corpus import Corpus, PathologyReport, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
 from .util import read_field, read_json_lines
@@ -64,12 +65,12 @@ class TierConfig:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    member_decisions: tuple[Decision, ...]
-    combined_label: T1Label | T2Label
+    """Per member, in the tier's member order, its probability and whether it
+    called the report positive; is_positive is their OR."""
 
-    @property
-    def is_positive(self) -> bool:
-        return self.combined_label is self.member_decisions[0].task.positive
+    probabilities: tuple[float, float]
+    member_positive: tuple[bool, bool]
+    is_positive: bool
 
 
 @dataclass(frozen=True)
@@ -87,18 +88,9 @@ def final_label(t1_positive: bool, t2_positive: Optional[bool]) -> FinalLabel:
     return FinalLabel.CANCER_REPORTABLE if t2_positive else FinalLabel.CANCER_NON_REPORTABLE
 
 
-def or_combine(decisions: Sequence[Decision]) -> T1Label | T2Label:
-    """Positive iff at least one member decision is positive."""
-    if not decisions:
-        raise ConfigurationError("or_combine requires at least one decision")
-    task = decisions[0].task
-    combined = task.negative
-    for d in decisions:
-        if d.task is not task:
-            raise ConfigurationError("or_combine received decisions from mixed tasks")
-        if d.is_positive:
-            combined = task.positive
-    return combined
+def or_combine(member_positive: Sequence[bool]) -> bool:
+    """Positive iff at least one member is positive."""
+    return any(member_positive)
 
 
 def _assembly_key(member: MemberConfig) -> tuple:
@@ -109,27 +101,30 @@ def _assembly_key(member: MemberConfig) -> tuple:
 def _score_batch(
     member: MemberConfig,
     backend: ClassifierBackend,
-    task: Tier,
     batch: Sequence[PathologyReport],
     inputs: Optional[Sequence[NormalizedInput]],
-) -> tuple[Sequence[NormalizedInput], list[Decision]]:
-    """The batch's inputs (assembled here unless given) and the member's decisions."""
+) -> tuple[Sequence[NormalizedInput], list[float]]:
+    """The batch's inputs (assembled here unless given) and the member's
+    probabilities, each checked to be a number in [0, 1]."""
     if inputs is None:
         inputs = [assemble_input(r, member.variant, member.token_budget,
                                  member.fallback_sections) for r in batch]
+    failed = (f"backend {member.backend_id!r} failed on reports "
+              f"{batch[0].report_id!r}..{batch[-1].report_id!r}")
     try:
         scores = backend.score_batch(inputs)
     except TriageError as exc:
-        raise TierExecutionError(
-            f"backend {member.backend_id!r} failed on reports "
-            f"{batch[0].report_id!r}..{batch[-1].report_id!r}: {exc}"
-        ) from exc
+        raise TierExecutionError(f"{failed}: {exc}") from exc
     if len(scores) != len(batch):
         raise TierExecutionError(
             f"backend {member.backend_id!r} returned {len(scores)} scores "
             f"for {len(batch)} reports"
         )
-    return inputs, [decide(s, member.threshold, task, member.backend_id) for s in scores]
+    for i, p in enumerate(scores):
+        # NaN fails the range test
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+            raise TierExecutionError(f"{failed}: score {i} is not a number in [0, 1]: {p!r}")
+    return inputs, scores
 
 
 def run_tier(
@@ -149,21 +144,24 @@ def run_tier(
     members by this order.
     """
     member_inputs: list[list[NormalizedInput]] = []
-    decisions: list[list[Decision]] = []
+    probabilities: list[list[float]] = []
     for mi, (member, backend) in enumerate(zip(config.members, config.backends)):
         given = inputs[mi] if mi < len(inputs) else None
         scored: list[NormalizedInput] = []
-        member_decisions: list[Decision] = []
+        member_scores: list[float] = []
         for start in range(0, len(reports), batch_size):
-            batch_inputs, batch_decisions = _score_batch(
-                member, backend, config.task, reports[start:start + batch_size],
+            batch_inputs, batch_scores = _score_batch(
+                member, backend, reports[start:start + batch_size],
                 None if given is None else given[start:start + batch_size])
             scored.extend(batch_inputs)
-            member_decisions.extend(batch_decisions)
+            member_scores.extend(batch_scores)
         member_inputs.append(scored)
-        decisions.append(member_decisions)
-    results = [EnsembleResult(member_decisions=pair, combined_label=or_combine(pair))
-               for pair in zip(*decisions)]
+        probabilities.append(member_scores)
+    a, b = config.members
+    results = []
+    for pair in zip(*probabilities):
+        positive = (decide(pair[0], a.threshold), decide(pair[1], b.threshold))
+        results.append(EnsembleResult(pair, positive, or_combine(positive)))
     return results, tuple(member_inputs)
 
 
@@ -225,33 +223,34 @@ def check_gating_soundness(outcomes: Iterable[TriageOutcome]) -> None:
 
 # --- outcome file serialization ---------------------------------------------
 
-def _ensemble_to_dict(res: EnsembleResult) -> dict:
+# per tier, its label values indexed by whether a label is positive
+_LABELS = {task: (task.negative.value, task.positive.value) for task in Tier}
+
+
+def _block_to_dict(res: EnsembleResult, config: TierConfig) -> dict:
+    labels = _LABELS[config.task]
     return {
-        "combined": res.combined_label.value,
+        "combined": labels[res.is_positive],
         "combined_by": "or",
         "members": [
-            {
-                "backend_id": d.backend_id,
-                "label": d.label.value,
-                "probability": d.score.probability,
-                "threshold": d.threshold,
-            }
-            for d in res.member_decisions
+            {"backend_id": member.backend_id, "label": labels[positive],
+             "probability": probability, "threshold": member.threshold}
+            for member, probability, positive
+            in zip(config.members, res.probabilities, res.member_positive)
         ],
     }
 
 
-def outcome_to_dict(outcome: TriageOutcome) -> dict:
-    return {
+def dumps_outcome(outcome: TriageOutcome, t1: TierConfig, t2: TierConfig) -> str:
+    """One outcomes file line, without its newline, for an outcome triage
+    produced with these tier configs."""
+    doc = {
         "report_id": outcome.report_id,
         "final": outcome.final.value,
-        "t1": _ensemble_to_dict(outcome.t1),
-        "t2": _ensemble_to_dict(outcome.t2) if outcome.t2 is not None else None,
+        "t1": _block_to_dict(outcome.t1, t1),
+        "t2": _block_to_dict(outcome.t2, t2) if outcome.t2 is not None else None,
     }
-
-
-def dumps_outcome(outcome: TriageOutcome) -> str:
-    return json.dumps(outcome_to_dict(outcome), ensure_ascii=False, separators=(",", ":"))
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
 
 
 # per tier, label value -> whether it is the tier's positive label
@@ -272,7 +271,7 @@ def _read_member(member: dict, task: Tier, where: str) -> bool:
     threshold = read_field(member, "threshold", float, where, ValidationError)
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"{where}: field 'threshold': not in (0, 1)")
-    if is_positive is not (probability >= threshold):
+    if is_positive is not decide(probability, threshold):
         raise ValidationError(f"{where}: field 'label': disagrees with probability >= threshold")
     return is_positive
 

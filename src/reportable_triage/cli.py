@@ -242,7 +242,7 @@ def cmd_triage(args) -> int:
         cascade.check_gating_soundness(outcomes)
 
     out_path = Path(args.out) if args.out else cfg.out_dir / "outcomes.jsonl"
-    body = "".join(cascade.dumps_outcome(o) + "\n" for o in outcomes)
+    body = "".join(cascade.dumps_outcome(o, t1, t2) + "\n" for o in outcomes)
     atomic_write_text(out_path, body)
     summary = Counter(o.final.value for o in outcomes)
     print(f"triaged {len(outcomes)} reports -> {out_path}")

@@ -134,7 +134,11 @@ def _present(obj: dict, where: str, **kinds: type) -> dict:
 
 
 def check_members(members: Sequence[MemberConfig], where: str) -> None:
-    """A tier has exactly two members, variants A and B, with distinct backend_ids."""
+    """A tier has exactly two members, variants A and B, with distinct
+    backend_ids, and each member's threshold is in (0, 1)."""
+    for i, member in enumerate(members):
+        if not 0.0 < member.threshold < 1.0:
+            raise ConfigurationError(f"{where}.members[{i}]: threshold must be in (0, 1)")
     if len(members) != 2:
         raise ConfigurationError(f"{where}: exactly two members are required per tier")
     if {m.variant for m in members} != set(PipelineVariant):
@@ -164,8 +168,6 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
         model_path=_get(obj, "model_path", str, where, None),
         **settings,
     )
-    if not 0.0 < member.threshold < 1.0:
-        raise ConfigurationError(f"{where}: threshold must be in (0, 1)")
     if member.token_budget <= 0:
         raise ConfigurationError(f"{where}: token_budget must be positive")
     return member
@@ -250,6 +252,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         _get(endpoints, name, str, "remote.endpoints", None)
     remote = RemoteSettings(endpoints=dict(endpoints),
                             **_present(remote_obj, "remote", timeout=float, max_retries=int))
+    if remote.timeout <= 0:
+        raise ConfigurationError("remote: field 'timeout': must be positive")
+    if remote.max_retries < 0:
+        raise ConfigurationError("remote: field 'max_retries': must not be negative")
 
     return RunConfig(out_dir=out_dir, corpus_path=corpus_path, tiers=tiers, remote=remote,
                      section_synonyms_path=resolve(

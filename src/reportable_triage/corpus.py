@@ -147,15 +147,6 @@ class Corpus:
     # free-form notes a caller may attach; nothing in this package reads them
     provenance: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self) -> None:
-        seen: dict[str, int] = {}
-        for i, rec in enumerate(self.records):
-            first = seen.setdefault(rec.report_id, i)
-            if first != i:
-                raise ValidationError(
-                    f"duplicate report_id {rec.report_id!r} at records {first} and {i}"
-                )
-
     def __len__(self) -> int:
         return len(self.records)
 

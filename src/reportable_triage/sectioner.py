@@ -1,7 +1,7 @@
 """Split raw report text into named sections.
 
 Reports vary in structure across hospitals and years, so parsing is a
-heuristic with two tuning points:
+heuristic in two parts:
 
 * the header rule: a line is a header when its content before the first
   colon, once trimmed, is 1..48 characters drawn from letters, digits,
@@ -19,13 +19,13 @@ section's header line and body, in order, reproduces the input exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .corpus import PathologyReport, Section, is_normalized_section_name
 from .errors import ValidationError
-from .util import is_punct
+from .util import is_punct, lone_surrogate
 
 PREAMBLE = "preamble"
 OTHER = "other"
@@ -34,33 +34,29 @@ _HEADER_PREFIX_RE = re.compile(r"[ \t]*([^:\n\r]*):")
 _ALLOWED_CONTENT_RE = re.compile(r"[A-Za-z0-9 &,/\-]+")
 
 
-@dataclass(frozen=True)
-class HeaderRule:
-    max_length: int = 48
-    min_upper_ratio: float = 0.8
-
-    def matches(self, line: str) -> Optional[int]:
-        """Return the offset just past the header colon, or None."""
-        if ":" not in line:  # the header pattern needs a colon; most lines have none
-            return None
-        m = _HEADER_PREFIX_RE.match(line)
-        if m is None:
-            return None
-        content = m.group(1).strip()
-        if not 1 <= len(content) <= self.max_length:
-            return None
-        if _ALLOWED_CONTENT_RE.fullmatch(content) is None:
-            return None
-        letters = [c for c in content if c.isalpha()]
-        if not letters:
-            return None
-        upper = sum(1 for c in letters if c.isupper())
-        if upper / len(letters) < self.min_upper_ratio:
-            return None
-        return m.end()
+HEADER_MAX_LENGTH = 48
+HEADER_MIN_UPPER_RATIO = 0.8
 
 
-DEFAULT_HEADER_RULE = HeaderRule()
+def header_end(line: str) -> Optional[int]:
+    """The offset just past line's header colon, or None if line is no header."""
+    if ":" not in line:  # the header pattern needs a colon; most lines have none
+        return None
+    m = _HEADER_PREFIX_RE.match(line)
+    if m is None:
+        return None
+    content = m.group(1).strip()
+    if not 1 <= len(content) <= HEADER_MAX_LENGTH:
+        return None
+    if _ALLOWED_CONTENT_RE.fullmatch(content) is None:
+        return None
+    letters = [c for c in content if c.isalpha()]
+    if not letters:
+        return None
+    upper = sum(1 for c in letters if c.isupper())
+    if upper / len(letters) < HEADER_MIN_UPPER_RATIO:
+        return None
+    return m.end()
 
 
 def normalize_header_key(raw: str) -> str:
@@ -112,7 +108,15 @@ def default_synonym_table() -> SectionSynonymTable:
 def load_synonym_table(path: str | Path) -> SectionSynonymTable:
     """Read 'raw header = normalized name' lines; '#' starts a comment."""
     entries = dict(_DEFAULT_ENTRIES)
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ValidationError(f"section synonyms file not found: {path}") from None
+    for lineno, line in enumerate(data.decode("utf-8", "surrogateescape").splitlines(), 1):
+        at = lone_surrogate(line)
+        if at >= 0:  # a byte that is not UTF-8
+            raise ValidationError(
+                f"{path}: line {lineno}: not UTF-8: byte 0x{ord(line[at]) - 0xDC00:02x}")
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -125,11 +129,7 @@ def load_synonym_table(path: str | Path) -> SectionSynonymTable:
     return SectionSynonymTable(entries)
 
 
-def parse_sections(
-    raw_text: str,
-    table: Optional[SectionSynonymTable] = None,
-    rule: HeaderRule = DEFAULT_HEADER_RULE,
-) -> list[Section]:
+def parse_sections(raw_text: str, table: Optional[SectionSynonymTable] = None) -> list[Section]:
     if table is None:
         table = default_synonym_table()
     if raw_text == "":
@@ -149,7 +149,7 @@ def parse_sections(
         )
 
     for line in raw_text.splitlines(keepends=True):
-        cut = rule.matches(line)
+        cut = header_end(line)
         if cut is None:
             body_parts.append(line)
             continue

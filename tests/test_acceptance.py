@@ -24,7 +24,7 @@ from cli_util import write_config
 from mock_server import MockClassifyServer
 from oracles import naive_counts, naive_eval
 
-from reportable_triage.backend.base import ClassifierScore, decide
+from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import (
     hash_token_features,
     regularized_gradient,
@@ -59,7 +59,6 @@ def report_line(number: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_fn_subset_property():
     rng = random.Random(1401)
     t0 = time.monotonic()
-    score_pos, score_neg = ClassifierScore(0.9), ClassifierScore(0.1)
     for _ in range(1000):
         n = 500
         golds = [rng.getrandbits(1) == 1 for _ in range(n)]
@@ -67,9 +66,8 @@ def test_criterion_1_fn_subset_property():
         preds_b = [rng.getrandbits(1) == 1 for _ in range(n)]
         miss_a, miss_b, miss_ens = set(), set(), set()
         for i in range(n):
-            da = decide(score_pos if preds_a[i] else score_neg, 0.5, Tier.T1, "a")
-            db = decide(score_pos if preds_b[i] else score_neg, 0.5, Tier.T1, "b")
-            combined_positive = or_combine([da, db]) is T1Label.CANCER
+            combined_positive = or_combine([decide(0.9 if preds_a[i] else 0.1, 0.5),
+                                            decide(0.9 if preds_b[i] else 0.1, 0.5)])
             if golds[i]:
                 if not preds_a[i]:
                     miss_a.add(i)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reportable_triage.backend.base import ClassifierScore, decide
+from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import (
     BaselineBackend,
     BaselineModel,
@@ -23,7 +23,6 @@ from reportable_triage.backend.baseline import (
     score_batch,
     train_baseline,
 )
-from reportable_triage.corpus import T1Label, Tier
 from reportable_triage.errors import BaselineFormatError, ValidationError
 from reportable_triage.preprocess import NormalizedInput
 
@@ -46,25 +45,10 @@ def separable_set(n_per_class=10):
 
 # --- scores and decisions ----------------------------------------------------
 
-def test_score_validation():
-    ClassifierScore(0.0)
-    ClassifierScore(1.0)
-    with pytest.raises(ValidationError):
-        ClassifierScore(1.5)
-    with pytest.raises(ValidationError):
-        ClassifierScore(-0.1)
-    with pytest.raises(ValidationError):
-        ClassifierScore(float("nan"))
-
-
 def test_decide_threshold_and_tie():
-    assert decide(ClassifierScore(0.7), 0.5, Tier.T1, "b").label is T1Label.CANCER
-    assert decide(ClassifierScore(0.5), 0.5, Tier.T1, "b").label is T1Label.CANCER
-    assert decide(ClassifierScore(0.49), 0.5, Tier.T1, "b").label is T1Label.NON_CANCER
-    with pytest.raises(ValidationError):
-        decide(ClassifierScore(0.5), 0.0, Tier.T1, "b")
-    with pytest.raises(ValidationError):
-        decide(ClassifierScore(0.5), 1.0, Tier.T1, "b")
+    assert decide(0.7, 0.5) is True
+    assert decide(0.5, 0.5) is True
+    assert decide(0.49, 0.5) is False
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
@@ -72,16 +56,14 @@ def test_decide_threshold_and_tie():
        st.floats(min_value=0.01, max_value=0.99))
 def test_threshold_monotonicity(p, t_low, t_high):
     lo, hi = sorted((t_low, t_high))
-    d_hi = decide(ClassifierScore(p), hi, Tier.T1, "b")
-    d_lo = decide(ClassifierScore(p), lo, Tier.T1, "b")
-    if d_hi.is_positive:
-        assert d_lo.is_positive
+    if decide(p, hi):
+        assert decide(p, lo)
     if 0 < p < 1:
         # the flip happens exactly at p == threshold: the tie goes positive
-        assert decide(ClassifierScore(p), p, Tier.T1, "b").is_positive
+        assert decide(p, p)
         nudged = min(p + 1e-9, 1.0 - 1e-12)
         if nudged > p:
-            assert not decide(ClassifierScore(p), nudged, Tier.T1, "b").is_positive
+            assert not decide(p, nudged)
 
 
 # --- feature hashing ---------------------------------------------------------
@@ -179,7 +161,7 @@ def test_train_separable_reaches_perfect_training_accuracy():
     data = separable_set(10)
     model = train_baseline(data, TrainHyper(epochs=5), seed=1)
     scores = score_batch(model, [inp for inp, _ in data])
-    preds = [1 if s.probability >= 0.5 else 0 for s in scores]
+    preds = [1 if s >= 0.5 else 0 for s in scores]
     assert preds == [y for _, y in data]
 
 
@@ -223,7 +205,7 @@ def test_all_zero_weights_scores_half():
     model = BaselineModel(feature_dim=16, weights=np.zeros(16), bias=0.0, seed=0,
                           epochs=0, learning_rate=0.1, l2=0.0, final_loss=0.0)
     scores = score_batch(model, [ni("anything at all")])
-    assert scores[0].probability == 0.5
+    assert scores[0] == 0.5
 
 
 def test_score_batch_requires_nonempty_and_preserves_order():
@@ -232,17 +214,17 @@ def test_score_batch_requires_nonempty_and_preserves_order():
         score_batch(model, [])
     inputs = [ni("carcinoma"), ni("benign"), ni("carcinoma")]
     scores = score_batch(model, inputs)
-    assert scores[0].probability == scores[2].probability
-    assert scores[0].probability > scores[1].probability
+    assert scores[0] == scores[2]
+    assert scores[0] > scores[1]
 
 
 def test_scoring_is_pure_and_thread_safe():
     model = train_baseline(separable_set(6), TrainHyper(epochs=2), seed=4)
     inputs = [ni(f"carcinoma doc{i}") for i in range(20)]
-    serial = [s.probability for s in score_batch(model, inputs)]
+    serial = score_batch(model, inputs)
     before = model.weights.copy()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: [s.probability for s in score_batch(model, inputs)],
+        results = list(pool.map(lambda _: score_batch(model, inputs),
                                 range(8)))
     assert all(r == serial for r in results)
     assert np.array_equal(model.weights, before)
@@ -273,10 +255,10 @@ def test_score_batch_equals_dict_sum_scorer():
                               final_loss=0.0)
         texts = exact_texts(13, 40) + [""]
         scores = score_batch(model, [ni(t) for t in texts])
-        assert [s.probability for s in scores] == [
+        assert scores == [
             reference_score(model.weights, model.bias, t) for t in texts]
         # an empty input has no features and scores sigmoid(bias)
-        assert scores[-1].probability == 1.0 / (1.0 + np.exp(0.37))
+        assert scores[-1] == 1.0 / (1.0 + np.exp(0.37))
 
 
 def test_train_equals_per_example_dict_sgd():

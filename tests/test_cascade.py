@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reportable_triage.backend.base import ClassifierScore, decide
+from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import TrainHyper, BaselineBackend, train_baseline
 from reportable_triage.cascade import (
     FinalLabel,
@@ -20,7 +20,6 @@ from reportable_triage.corpus import (
     PathologyReport,
     SynthSpec,
     T1Label,
-    T2Label,
     Tier,
     synth_corpus,
 )
@@ -28,33 +27,20 @@ from reportable_triage.errors import ConfigurationError, TierExecutionError, Val
 from reportable_triage.preprocess import PipelineVariant, assemble_input
 
 A, B = PipelineVariant.A_SYNOPTIC_FIRST, PipelineVariant.B_DIAGNOSIS_FIRST
-HIGH, LOW = ClassifierScore(0.9), ClassifierScore(0.1)
-
-
-def dec(tier, positive, backend_id="b"):
-    score = HIGH if positive else LOW
-    return decide(score, 0.5, tier, backend_id)
 
 
 # --- or_combine --------------------------------------------------------------
 
 def test_or_combine_one_positive():
-    assert or_combine([dec(Tier.T1, True), dec(Tier.T1, False)]) is T1Label.CANCER
+    assert or_combine([True, False]) is True
 
 
 def test_or_combine_none_positive():
-    assert or_combine([dec(Tier.T1, False), dec(Tier.T1, False)]) is T1Label.NON_CANCER
+    assert or_combine([False, False]) is False
 
 
 def test_or_combine_both_positive():
-    assert or_combine([dec(Tier.T2, True), dec(Tier.T2, True)]) is T2Label.REPORTABLE
-
-
-def test_or_combine_rejects_mixed_tasks():
-    with pytest.raises(ConfigurationError, match="mixed"):
-        or_combine([dec(Tier.T1, True), dec(Tier.T2, True)])
-    with pytest.raises(ConfigurationError):
-        or_combine([])
+    assert or_combine([True, True]) is True
 
 
 # --- fake backends for orchestration tests -----------------------------------
@@ -69,8 +55,7 @@ class KeywordBackend:
 
     def score_batch(self, inputs):
         self.calls += 1
-        return [ClassifierScore(0.9 if self.keyword in inp.text.split() else 0.1)
-                for inp in inputs]
+        return [0.9 if self.keyword in inp.text.split() else 0.1 for inp in inputs]
 
 
 class RecordingBackend(KeywordBackend):
@@ -123,6 +108,10 @@ def test_tier_config_needs_two_distinct_variants():
         ((member("x", A),), (x,), "exactly two members"),
         ((member("x", A), member("x", B)), (x, x), "backend_ids must be distinct"),
         ((member("x", A), member("y", B)), (x,), "one backend per member"),
+        ((member("x", A, threshold=0.0), member("y", B)), (x, y),
+         r"members\[0\]: threshold must be in \(0, 1\)"),
+        ((member("x", A), member("y", B, threshold=1.0)), (x, y),
+         r"members\[1\]: threshold must be in \(0, 1\)"),
     ]
     for members, backends, reason in rejected:
         with pytest.raises(ConfigurationError, match=reason):
@@ -144,17 +133,16 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     config = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
                      KeywordBackend("kw-b", "carcinoma"), token_budget=2)
     [result], _ = run_tier([report], config)
-    by_id = {d.backend_id: d for d in result.member_decisions}
-    assert by_id["kw-a"].is_positive
-    assert not by_id["kw-b"].is_positive
-    assert result.combined_label is T1Label.CANCER
+    assert result.probabilities == (0.9, 0.1)
+    assert result.member_positive == (True, False)
+    assert result.is_positive
 
 
 def test_run_tier_identical_decisions_combined_equal():
     raw = "SYNOPTIC REPORT:\nbenign\nDIAGNOSIS:\nbenign\n"
     [result], _ = run_tier([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
+    assert result.member_positive == (False, False)
     assert not result.is_positive
-    assert result.combined_label is T1Label.NON_CANCER
 
 
 def test_run_tier_order_preserving_and_batched():
@@ -205,6 +193,27 @@ def test_run_tier_backend_failure_names_report_range():
         run_tier(reports, config, batch_size=2)
     assert "broken" in str(exc.value)
     assert "R0" in str(exc.value) and "R1" in str(exc.value)
+
+
+def test_run_tier_rejects_scores_outside_0_1():
+    class FixedBackend:
+        def __init__(self, backend_id, score):
+            self.backend_id, self.score = backend_id, score
+
+        def score_batch(self, inputs):
+            return [0.5] * (len(inputs) - 1) + [self.score]
+
+    reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
+    for bad in (1.5, -0.1, float("nan"), True, "0.5"):
+        config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("bad", bad))
+        with pytest.raises(TierExecutionError) as exc:
+            run_tier(reports, config, batch_size=2)
+        assert str(exc.value) == (f"backend 'bad' failed on reports 'R0'..'R1': "
+                                  f"score 1 is not a number in [0, 1]: {bad!r}")
+    for edge in (0.0, 1.0, 0, 1):
+        config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("edge", edge))
+        results, _ = run_tier(reports, config, batch_size=2)
+        assert [r.probabilities[1] for r in results] == [0.5, edge, 0.5, edge]
 
 
 # --- triage --------------------------------------------------------------------
@@ -323,10 +332,8 @@ def test_fn_subset_property_randomized():
         golds = [rng.random() < 0.4 for _ in range(n)]
         a = [rng.random() < 0.7 for _ in range(n)]   # member A says positive
         b = [rng.random() < 0.7 for _ in range(n)]
-        combined = [
-            or_combine([dec(Tier.T1, pa, "a"), dec(Tier.T1, pb, "b")]) is T1Label.CANCER
-            for pa, pb in zip(a, b)
-        ]
+        combined = [or_combine([decide(0.9 if pa else 0.1, 0.5), decide(0.9 if pb else 0.1, 0.5)])
+                    for pa, pb in zip(a, b)]
         miss_a = {i for i in range(n) if golds[i] and not a[i]}
         miss_b = {i for i in range(n) if golds[i] and not b[i]}
         miss_c = {i for i in range(n) if golds[i] and not combined[i]}
@@ -354,7 +361,8 @@ def test_outcome_round_trip(tmp_path):
     t1, t2 = full_cascade()
     outcomes = triage(reports, t1, t2)
     path = tmp_path / "outcomes.jsonl"
-    path.write_text("".join(dumps_outcome(o) + "\n" for o in outcomes), encoding="utf-8")
+    path.write_text("".join(dumps_outcome(o, t1, t2) + "\n" for o in outcomes),
+                    encoding="utf-8")
     loaded = read_outcomes(path)
     assert list(loaded) == ["pos", "neg"]
     assert loaded["pos"]["final"] == "cancer_reportable"

@@ -176,6 +176,17 @@ def test_config_undersample_class_not_a_label_names_the_field(tmp_path, capsys, 
     assert "cancr" not in err
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_config_threshold_outside_0_1_exits_1(tmp_path, capsys, threshold):
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["tiers"]["t1"]["members"][1]["threshold"] = threshold
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: tiers.t1.members[1]: threshold must be in (0, 1)\n"
+
+
 CONFIG_FILE_DAMAGE = {
     "leading 0xff byte": (lambda text: b"\xff" + text, "not UTF-8: byte 0xff"),
     "5,000-digit integer": (lambda text: text.replace(b'"epochs": 4', b'"epochs": ' + b"1" * 5000),
@@ -231,7 +242,7 @@ def test_train_high_training_accuracy_on_separable_set(pipeline):
     inputs = [assemble_input(r.report, PipelineVariant.A_SYNOPTIC_FIRST, 256)
               for r in train]
     scores = score_batch(model, inputs)
-    preds = [s.probability >= 0.5 for s in scores]
+    preds = [s >= 0.5 for s in scores]
     golds = [r.t1_label is T1Label.CANCER for r in train]
     accuracy = sum(p == g for p, g in zip(preds, golds)) / len(golds)
     assert accuracy >= 0.99
@@ -290,6 +301,22 @@ def test_triage_unreachable_remote_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
     assert "unreachable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("timeout", -1, "must be positive"),
+    ("timeout", 0, "must be positive"),
+    ("max_retries", -1, "must not be negative"),
+], ids=["timeout -1", "timeout 0", "max_retries -1"])
+def test_triage_remote_setting_out_of_range_exits_1(tmp_path, capsys, key, value, reason):
+    with MockClassifyServer() as server:
+        dead = server.endpoint  # never contacted: the config is rejected on load
+    write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
+    remote = {"timeout": 0.3, "max_retries": 0, "endpoints": {"t1": dead, "t2": dead}}
+    config = write_config(tmp_path, remote_kind=True, remote={**remote, key: value})
+    code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: remote: field '{key}': {reason}\n"
 
 
 def test_triage_remote_backend_roundtrip(tmp_path):
@@ -927,7 +954,7 @@ def test_training_and_triage_read_the_same_member_settings(tmp_path):
     assert inputs != defaults  # the member's settings change what it reads
     outcomes = [json.loads(line) for line in out.read_text().splitlines()]
     assert [o["t1"]["members"][0]["probability"] for o in outcomes] == \
-        [s.probability for s in score_batch(model, inputs)]
+        score_batch(model, inputs)
 
 
 def test_triage_worker_count_does_not_change_output(pipeline, tmp_path):
@@ -993,6 +1020,35 @@ def test_triage_sections_raw_only_corpus_with_custom_synonyms(pipeline, tmp_path
                  "triage", "--corpus", str(corpus_path), "--out", str(out)]) == 0
     outcome = json.loads(out.read_text().splitlines()[0])
     assert outcome["t1"]["combined"] == "cancer"
+
+
+SYNONYMS_DAMAGE = {
+    "missing": (None, "error: section synonyms file not found: {path}"),
+    "non-UTF-8 byte": (b"# local\nMICROSCOPIC \xff EXAM = other\n",
+                       "error: {path}: line 2: not UTF-8: byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("command", ["train-baseline", "triage"])
+@pytest.mark.parametrize("case", sorted(SYNONYMS_DAMAGE))
+def test_unreadable_synonyms_file_exits_1_naming_it(pipeline, tmp_path, capsys, command,
+                                                    case):
+    base, _, _ = pipeline
+    args = {"train-baseline": ["--tier", "t1", "--variant", "a"],
+            "triage": ["--corpus", str(base / "corpus.jsonl"),
+                       "--out", str(tmp_path / "outcomes.jsonl")]}[command]
+    content, message = SYNONYMS_DAMAGE[case]
+    synonyms = tmp_path / "sections.cfg"
+    if content is not None:
+        synonyms.write_bytes(content)
+    config_obj = json.loads((base / "config.json").read_text())
+    config_obj["section_synonyms"] = str(synonyms)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_obj), encoding="utf-8")
+    # the failure comes before anything is written to the shared out_dir
+    assert main(["--config", str(config_path), "--out-dir", str(base / "out"), command,
+                 *args]) == 1
+    assert capsys.readouterr().err == message.format(path=synonyms) + "\n"
 
 
 def test_strict_mode_rejects_unknown_corpus_fields(tmp_path, capsys):

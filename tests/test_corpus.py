@@ -149,11 +149,6 @@ def test_synth_reports_contain_signal_sections():
         assert "synoptic" in names and "diagnosis" in names
 
 
-def test_corpus_rejects_duplicate_ids():
-    with pytest.raises(ValidationError, match="duplicate"):
-        Corpus(records=[make_record("R1"), make_record("R1")])
-
-
 def test_invalid_label_value(tmp_path):
     obj = {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x",
            "t1_label": "maybe"}

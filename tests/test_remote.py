@@ -23,7 +23,7 @@ from mock_server import MockClassifyServer
 def test_echo_contract_single_text():
     with MockClassifyServer(MockClassifyServer.echo_scores([0.9])) as server:
         scores = remote_score(server.endpoint, Tier.T1, ["a text"], timeout=5)
-    assert [s.probability for s in scores] == [0.9]
+    assert scores == [0.9]
 
 
 def test_request_body_is_golden_bytes_and_path_and_headers():
@@ -112,7 +112,7 @@ def test_remote_backend_scores_inputs_and_tags_transport_errors():
         backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T1,
                                 backend_id="remote-a", timeout=5)
         scores = backend.score_batch([ni("one"), ni("two")])
-        assert [s.probability for s in scores] == [0.8, 0.8]
+        assert scores == [0.8, 0.8]
         sent = json.loads(server.requests[0].body)
         assert sent == {"task": "t1", "texts": ["one", "two"]}
         endpoint = server.endpoint

@@ -6,7 +6,6 @@ import pytest
 from reportable_triage.corpus import PathologyReport
 from reportable_triage.errors import ValidationError
 from reportable_triage.sectioner import (
-    HeaderRule,
     SectionSynonymTable,
     default_synonym_table,
     ensure_sections,
@@ -129,12 +128,6 @@ def test_idempotent_reparse():
     first = parse_sections(raw, TABLE)
     again = parse_sections(reassemble(first), TABLE)
     assert first == again
-
-
-def test_custom_header_rule_thresholds():
-    lax = HeaderRule(max_length=10, min_upper_ratio=0.5)
-    assert lax.matches("AbCdE:") is not None
-    assert lax.matches("ABCDEFGHIJK:") is None  # 11 > max_length
 
 
 def test_synonym_table_from_file(tmp_path):
