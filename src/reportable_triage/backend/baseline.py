@@ -8,15 +8,32 @@ seeded shuffle each epoch, so equal data + hyperparameters + seed reproduce
 the weight vector bit-for-bit.
 
 Each scoring or training call hashes its batch once into CSR arrays
-(`FeatureRows`). Within that call each distinct token is encoded and hashed
-once: CRC-32 continues across concatenation, crc32(x + y) == crc32(y,
-crc32(x)), so a bigram's hash is its right token's bytes run through the
-CRC state its left token leaves. A row's logit is the bias plus a
-left-to-right sum of weight * count over the row, in the order hashing
-first saw each index, so it is the same float as a sum over the row's dict.
-Sums stay sequential, one vectorized step per column position across the
-batch: `np.sum`, `np.add.reduceat` and `np.dot` add in other orders and
-would move the last bits.
+(`FeatureRows`), with numpy array operations rather than per-feature Python:
+
+- Ids. The only per-text Python step splits the text and maps its tokens to
+  ids of a vocabulary that lives for one call. Each distinct token is
+  encoded and CRC'd once: its unigram CRC, the CRC state after
+  b"b\\x00" + token + b"\\x1f", and the CRC of its bytes alone.
+- Shift tables. CRC-32 is affine in its starting state: crc32(d, s) ==
+  crc32(d) ^ A^len(d)(s), where A is the linear map one zero byte applies
+  to the register (the identity behind zlib's crc32_combine). So a bigram
+  hashes as crc32(right) ^ A^len(right)(state of left), for all bigrams of
+  a batch at once. A^n is composed from 32 tables of A^(2^j), each a
+  (4, 256) uint32 table gathered one byte of the state at a time; each
+  table squares the one before.
+- First-seen dedupe. A row's elements are its unigrams left to right, then
+  its bigrams. One sort of (row, index, position) keys groups equal
+  (row, index) pairs, first occurrence first; that gives each pair's count,
+  and the first occurrences are kept in element order.
+- Blocks. A batch is hashed BLOCK_TOKENS tokens at a time (a longer text
+  is a block alone), so its transient arrays, and with them peak RSS, stay
+  bounded however large the batch.
+
+A row's logit is the bias plus a left-to-right sum of weight * count over
+the row, in the order hashing first saw each index, so it is the same float
+as a sum over the row's dict. Sums stay sequential, one vectorized step per
+column position across the batch: `np.sum`, `np.add.reduceat` and `np.dot`
+add in other orders and would move the last bits.
 
 Model files are little-endian binary: a fixed header (magic, format version,
 feature_dim, seed, epochs, learning_rate, l2, bias, final_loss) followed by
@@ -28,11 +45,9 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,31 +67,130 @@ _MAX_LOGIT = 35.0
 _UNIGRAM_STATE = zlib.crc32(b"u\x00")
 _BIGRAM_STATE = zlib.crc32(b"b\x00")
 
-# token -> (UTF-8 bytes, unigram CRC, CRC state after b"b\x00" + token + b"\x1f")
-TokenCodes = dict[str, tuple[bytes, int, int]]
+# Tokens per block of a batch hashed at once; a longer text is a block alone.
+# Bounds the transient arrays, and with them peak RSS, on large batches: a
+# 256-text long_raw batch holds 131,072 tokens.
+BLOCK_TOKENS = 1 << 14
+
+
+def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """A linear map of the CRC register, given as its (4, 256) table of byte
+    images, applied to each state."""
+    return (table[0, states & 0xFF] ^ table[1, (states >> 8) & 0xFF]
+            ^ table[2, (states >> 16) & 0xFF] ^ table[3, states >> 24])
+
+
+def _shift_tables() -> np.ndarray:
+    """Tables of A^(2^j), j = 0..31: A is the map one zero byte applies to the
+    CRC register, so crc32(d, s) == crc32(d) ^ A^len(d)(s) for any state s.
+
+    Each table squares the one before: no run of 2^j zero bytes is made.
+    """
+    zero = zlib.crc32(b"\0")
+    table = np.array([[zlib.crc32(b"\0", byte << 8 * k) ^ zero for byte in range(256)]
+                      for k in range(4)], dtype=np.uint32)
+    tables = [table]
+    for _ in range(31):
+        table = _apply(table, table)
+        tables.append(table)
+    return np.stack(tables)
+
+
+_SHIFT_TABLES = _shift_tables()
+
+
+def crc_shift(states: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+    """A^n(s) for each uint32 state s and byte count n, composed from the
+    power-of-two tables of n's set bits: crc32(d, s) == crc32(d) ^ crc_shift(s, len(d))."""
+    states = states.copy()
+    for j in range(int(nbytes.max(initial=0)).bit_length()):
+        sel = np.flatnonzero((nbytes >> j) & 1)
+        states[sel] = _apply(_SHIFT_TABLES[j], states[sel])
+    return states
 
 
 def hash_token_features(tokens: Sequence[str], feature_dim: int,
-                        codes: TokenCodes | None = None) -> Counter[int]:
-    """Hashed unigram+bigram counts; stable across runs and platforms.
+                        codes: dict[str, int]) -> list[int]:
+    """The vocabulary ids of a text's tokens, in order.
 
-    Unigram t hashes as crc32(b"u\\x00" + t), bigram (a, b) as
-    crc32(b"b\\x00" + a + b"\\x1f" + b). Indices appear in the order hashing
-    first sees them: unigrams left to right, then bigrams. `codes` carries
-    the token codes from one text to the next within a batch; tokens it
-    lacks are added to it.
+    Tokens new to `codes`, the batch's vocabulary, get the next ids.
+    `FeatureRows.hash_texts` calls this once per text; it is the per-text
+    step the benchmark's tracer times and counts as `baseline.hash`. Ids do
+    not depend on `feature_dim`: all hashing happens per batch.
     """
-    if codes is None:
-        codes = {}
     for tok in set(tokens).difference(codes):
-        raw = tok.encode("utf-8")
-        codes[tok] = (raw, zlib.crc32(raw, _UNIGRAM_STATE),
-                      zlib.crc32(b"\x1f", zlib.crc32(raw, _BIGRAM_STATE)))
-    if not tokens:
-        return Counter()
-    raw, unigrams, states = zip(*map(codes.__getitem__, tokens))
-    bigrams = map(zlib.crc32, raw[1:], states)
-    return Counter(map((feature_dim - 1).__and__, chain(unigrams, bigrams)))
+        codes[tok] = len(codes)
+    return list(map(codes.__getitem__, tokens))
+
+
+@dataclass(frozen=True)
+class _TokenCodes:
+    """Per vocabulary id: unigram CRC, CRC state after b"b\\x00" + token +
+    b"\\x1f", CRC of the token's bytes alone, and their number."""
+
+    unigram: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    nbytes: np.ndarray
+
+    @classmethod
+    def of(cls, vocabulary: Iterable[str]) -> "_TokenCodes":
+        raw = [tok.encode("utf-8") for tok in vocabulary]
+
+        def column(values, dtype=np.uint32):
+            return np.fromiter(values, dtype, len(raw))
+
+        return cls(column(zlib.crc32(r, _UNIGRAM_STATE) for r in raw),
+                   column(zlib.crc32(b"\x1f", zlib.crc32(r, _BIGRAM_STATE)) for r in raw),
+                   column(map(zlib.crc32, raw)),
+                   column(map(len, raw), np.int64))
+
+    def hash_block(self, ids: np.ndarray, lengths: np.ndarray,
+                   feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, counts, row lengths) of consecutive texts' token ids, the
+        first two as uint32.
+
+        A row's elements are its unigrams left to right, then its bigrams;
+        a bigram hashes as crc32(right) ^ A^len(right)(left state). Sorting
+        (row, index, position) keys once groups equal (row, index) pairs
+        with their first position first, which gives each pair's count and
+        the order the first occurrences are kept in.
+        """
+        n_rows = len(lengths)
+        n_elements = np.maximum(2 * lengths - 1, 0)
+        eptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(n_elements, out=eptr[1:])
+        tptr = np.cumsum(lengths)
+        # where each token's unigram goes, and its bigram if it has a right neighbour
+        unigram_at = np.arange(len(ids)) + np.repeat(eptr[:-1] - tptr + lengths, lengths)
+        bigram_at = unigram_at + np.repeat(lengths, lengths)
+        has_next = np.ones(len(ids), dtype=bool)
+        has_next[tptr[lengths > 0] - 1] = False
+        left = np.flatnonzero(has_next)
+        left_ids, right_ids = ids[left], ids[left + 1]
+
+        hashes = np.empty(eptr[-1], dtype=np.uint32)
+        hashes[unigram_at] = self.unigram[ids]
+        hashes[bigram_at[left]] = (crc_shift(self.left[left_ids], self.nbytes[right_ids])
+                                   ^ self.right[right_ids])
+        hashes &= np.uint32(feature_dim - 1)
+
+        # (row, index, position) keys, built in place to keep one array of them
+        pos_bits = np.uint64(len(hashes).bit_length())
+        keys = np.repeat(np.arange(n_rows, dtype=np.uint64) * np.uint64(feature_dim),
+                         n_elements)
+        keys += hashes
+        keys <<= pos_bits
+        keys |= np.arange(len(hashes), dtype=np.uint64)
+        keys.sort()
+        pair = keys >> pos_bits
+        is_start = np.ones(len(pair), dtype=bool)
+        is_start[1:] = pair[1:] != pair[:-1]
+        starts = np.flatnonzero(is_start)
+        counts = np.zeros(len(hashes), dtype=np.uint32)
+        counts[keys[starts] - (pair[starts] << pos_bits)] = np.diff(starts, append=len(keys))
+        first = np.flatnonzero(counts)
+        return hashes[first], counts[first], np.diff(np.searchsorted(first, eptr))
 
 
 @dataclass(frozen=True)
@@ -90,26 +204,45 @@ class FeatureRows:
     values: np.ndarray
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[int, int]]) -> "FeatureRows":
-        """Pack integer-count rows, one at a time, into CSR arrays."""
-        # typed buffers, not lists of Python ints: a batch of long reports
-        # holds a million entries
-        indptr, indices, counts = array("q", [0]), array("q"), array("q")
-        for row in rows:
-            indices.extend(row.keys())
-            counts.extend(row.values())
-            indptr.append(len(indices))
-        return cls(np.frombuffer(indptr, dtype=np.int64),
-                   np.frombuffer(indices, dtype=np.int64),
-                   np.frombuffer(counts, dtype=np.int64).astype(np.float64))
-
-    @classmethod
     def hash_texts(cls, texts: Iterable[str], feature_dim: int) -> "FeatureRows":
-        # one memo per batch: it dies with the call, so it is never shared
-        # between threads and never outgrows the batch's vocabulary
-        codes: TokenCodes = {}
-        return cls.from_rows(hash_token_features(t.split(), feature_dim, codes)
-                             for t in texts)
+        """Hashed unigram+bigram counts of each text; stable across runs and platforms.
+
+        Unigram t hashes as crc32(b"u\\x00" + t), bigram (a, b) as
+        crc32(b"b\\x00" + a + b"\\x1f" + b), masked to feature_dim - 1. A row
+        holds each index once, in the order hashing first sees it: unigrams
+        left to right, then bigrams.
+        """
+        # one vocabulary per batch: it dies with the call, so it is never
+        # shared and never outgrows the batch
+        codes: dict[str, int] = {}
+        # typed buffers, not lists of Python ints: a batch of long reports
+        # holds a million tokens
+        ids, lengths = array("q"), array("q")
+        for text in texts:
+            row = hash_token_features(text.split(), feature_dim, codes)
+            ids.extend(row)
+            lengths.append(len(row))
+        token_codes = _TokenCodes.of(codes)
+        ids_arr = np.frombuffer(ids, dtype=np.int64)
+        lengths_arr = np.frombuffer(lengths, dtype=np.int64)
+        tptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths_arr, out=tptr[1:])
+
+        # blocks give uint32 pieces, so they add only half the result's size
+        # while they are joined
+        empty = np.zeros(0, dtype=np.uint32)
+        pieces = [(empty, empty, np.zeros(1, dtype=np.int64))]
+        r0 = 0
+        while r0 < len(lengths):
+            r1 = max(int(np.searchsorted(tptr, tptr[r0] + BLOCK_TOKENS, side="right")) - 1,
+                     r0 + 1)
+            pieces.append(token_codes.hash_block(ids_arr[tptr[r0]:tptr[r1]],
+                                                 lengths_arr[r0:r1], feature_dim))
+            r0 = r1
+        indices, values, row_lengths = zip(*pieces)
+        return cls(np.cumsum(np.concatenate(row_lengths)),
+                   np.concatenate(indices, dtype=np.int64),
+                   np.concatenate(values, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -203,22 +336,14 @@ class BaselineModel:
         )
 
 
-def _as_rows(features: FeatureRows | Sequence[Mapping[int, int]]) -> FeatureRows:
-    return features if isinstance(features, FeatureRows) else FeatureRows.from_rows(features)
-
-
 def regularized_loss(
     weights: np.ndarray,
     bias: float,
-    features: FeatureRows | Sequence[Mapping[int, int]],
+    rows: FeatureRows,
     labels: Sequence[int],
     l2: float,
 ) -> float:
-    """Mean logistic NLL plus (l2/2)*||w||^2 (bias unregularized).
-
-    features is a FeatureRows batch or a sequence of hash_token_features rows.
-    """
-    rows = _as_rows(features)
+    """Mean logistic NLL plus (l2/2)*||w||^2 (bias unregularized)."""
     z = np.array(rows.logits(weights, bias))
     # softplus(z) - y*z, computed stably, summed in row order
     nll = np.logaddexp(0.0, z) - np.asarray(labels) * z
@@ -231,11 +356,10 @@ def regularized_loss(
 def regularized_gradient(
     weights: np.ndarray,
     bias: float,
-    features: FeatureRows | Sequence[Mapping[int, int]],
+    rows: FeatureRows,
     labels: Sequence[int],
     l2: float,
 ) -> tuple[np.ndarray, float]:
-    rows = _as_rows(features)
     grad_w = l2 * weights.copy()
     grad_b = 0.0
     n = len(rows)

@@ -42,6 +42,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
+from urllib.parse import urlsplit
 
 from .backend.baseline import TrainHyper
 from .backend.remote import DEFAULT_MAX_RETRIES, DEFAULT_TIMEOUT
@@ -85,8 +86,25 @@ class RemoteSettings:
     def endpoint_for(self, task: Tier) -> Optional[str]:
         env = os.environ.get(ENV_ENDPOINT[task])
         if env:
-            return env
+            return check_endpoint(env, f"environment variable {ENV_ENDPOINT[task]}")
         return self.endpoints.get(task.value)
+
+
+def check_endpoint(url: str, where: str) -> str:
+    """url, if it is an http or https URL with a host and a valid port.
+
+    Checked when the endpoint is read, so that a malformed one is a
+    configuration error naming where it came from, not a failed request.
+    """
+    try:
+        parts = urlsplit(url)
+        port = parts.port  # ValueError unless absent or a number in 0-65535
+    except ValueError:
+        parts, port = None, 0
+    if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or port == 0):
+        raise ConfigurationError(f"{where}: not an http(s) URL with a host: {url!r}")
+    return url
 
 
 @dataclass(frozen=True)
@@ -249,7 +267,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     remote_obj = _get(obj, "remote", dict, where, {})
     endpoints = _get(remote_obj, "endpoints", dict, "remote", {})
     for name in endpoints:
-        _get(endpoints, name, str, "remote.endpoints", None)
+        url = _get(endpoints, name, str, "remote.endpoints", None)
+        if url is not None:
+            check_endpoint(url, f"remote.endpoints: field {name!r}")
     remote = RemoteSettings(endpoints=dict(endpoints),
                             **_present(remote_obj, "remote", timeout=float, max_retries=int))
     if remote.timeout <= 0:

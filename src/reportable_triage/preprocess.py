@@ -15,6 +15,7 @@ live behind the backend boundary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -82,9 +83,27 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().translate(_PUNCT_TO_SPACE).split())
 
 
-def _has_token(text: str) -> bool:
-    """Whether normalize_text(text) is non-empty, without normalizing all of it."""
-    return any(not ch.isspace() and not is_punct(ch) for ch in text.lower())
+_SPACE = re.compile(r"\s")  # the characters str.isspace() and str.split() take as whitespace
+_CHARS_PER_TOKEN = 8  # a first guess of how long a piece to normalize
+
+
+def _leading_tokens(text: str, limit: int) -> list[str]:
+    """The first tokens of normalize_text(text), more than limit of them if
+    it has that many, normalizing no more of text than it takes.
+
+    text is normalized in pieces cut just before a whitespace character.
+    lower()'s only context rule, the final sigma, does not look across
+    whitespace, and split() drops it, so the pieces give the tokens of the
+    whole text.
+    """
+    tokens: list[str] = []
+    start = 0
+    while start < len(text) and len(tokens) <= limit:
+        cut = _SPACE.search(text, start + _CHARS_PER_TOKEN * (limit + 1 - len(tokens)))
+        end = cut.start() if cut else len(text)
+        tokens += normalize_text(text[start:end]).split()
+        start = end
+    return tokens
 
 
 DEFAULT_FALLBACK_SECTIONS = ("specimen",)
@@ -141,21 +160,16 @@ def assemble_input(
     remaining = token_budget
     truncated = False
     for name, raw in chunks:
-        if remaining == 0:
-            # the budget is spent: the next chunk with a token marks truncation
-            if _has_token(raw):
-                truncated = True
-                break
-            continue
-        tokens = normalize_text(raw).split()
-        if not tokens:
-            continue
+        tokens = _leading_tokens(raw, remaining)
         take = tokens[:remaining]
-        if len(take) < len(tokens):
+        if take:
+            kept.extend(take)
+            sections_used.append(name)
+            remaining -= len(take)
+        if len(tokens) > len(take):
+            # the budget ends inside this chunk, or before it when spent
             truncated = True
-        kept.extend(take)
-        sections_used.append(name)
-        remaining -= len(take)
+            break
 
     return NormalizedInput(
         text=" ".join(kept),

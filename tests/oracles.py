@@ -88,6 +88,32 @@ def reference_hash(tokens, feature_dim):
     return feats
 
 
+def reference_rows(texts, feature_dim):
+    """CSR lists (indptr, indices, values) packed from reference_hash, one text at a time."""
+    indptr, indices, values = [0], [], []
+    for text in texts:
+        feats = reference_hash(text.split(), feature_dim)
+        indices += feats
+        values += feats.values()
+        indptr.append(len(indices))
+    return indptr, indices, values
+
+
+def reference_assemble(chunks, token_budget):
+    """(text, token count, truncated, sections used) of (name, raw) chunks in
+    assembly order, each normalized in full before the budget cuts it."""
+    kept, used = [], []
+    for name, raw in chunks:
+        tokens = reference_normalize_text(raw).split()
+        room = token_budget - len(kept)
+        if tokens[:room]:
+            kept += tokens[:room]
+            used.append(name)
+        if len(tokens) > room:
+            return " ".join(kept), len(kept), True, tuple(used)
+    return " ".join(kept), len(kept), False, tuple(used)
+
+
 def _reference_sigmoid(z):
     z = max(min(z, _MAX_LOGIT), -_MAX_LOGIT)
     return 1.0 / (1.0 + np.exp(-z))

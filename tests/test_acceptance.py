@@ -26,7 +26,7 @@ from oracles import naive_counts, naive_eval
 
 from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import (
-    hash_token_features,
+    FeatureRows,
     regularized_gradient,
     regularized_loss,
 )
@@ -312,7 +312,7 @@ def test_criterion_5_gradient_check():
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     texts = [" ".join(rng.choice(vocab, size=int(rng.integers(3, 9))))
              for _ in range(10)]
-    features = [hash_token_features(t.split(), dim) for t in texts]
+    features = FeatureRows.hash_texts(texts, dim)
     labels = [int(rng.integers(0, 2)) for _ in range(10)]
     if len(set(labels)) == 1:
         labels[0] = 1 - labels[0]
@@ -321,7 +321,7 @@ def test_criterion_5_gradient_check():
     l2 = 1e-3
 
     grad_w, grad_b = regularized_gradient(weights, bias, features, labels, l2)
-    active = sorted({i for f in features for i in f})
+    active = sorted(set(features.indices.tolist()))
     coords = list(rng.choice(active, size=min(16, len(active)), replace=False))
     h = 1e-6
     worst = 0.0

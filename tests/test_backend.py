@@ -3,19 +3,22 @@ import subprocess
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reportable_triage.backend import baseline
 from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import (
+    BLOCK_TOKENS,
     BaselineBackend,
     BaselineModel,
     FeatureRows,
     TrainHyper,
-    hash_token_features,
+    crc_shift,
     load_baseline,
     regularized_gradient,
     regularized_loss,
@@ -26,7 +29,7 @@ from reportable_triage.backend.baseline import (
 from reportable_triage.errors import BaselineFormatError, ValidationError
 from reportable_triage.preprocess import NormalizedInput
 
-from oracles import reference_hash, reference_score, reference_train
+from oracles import reference_hash, reference_rows, reference_score, reference_train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,10 +71,15 @@ def test_threshold_monotonicity(p, t_low, t_high):
 
 # --- feature hashing ---------------------------------------------------------
 
+def row_items(rows, r):
+    a, b = rows.indptr[r], rows.indptr[r + 1]
+    return list(zip(rows.indices[a:b].tolist(), rows.values[a:b].tolist()))
+
+
 def test_hashing_matches_frozen_indices():
     dim = 1 << 18
-    feats = hash_token_features(["carcinoma"], dim)
-    assert feats == {zlib.crc32(b"u\x00carcinoma") & (dim - 1): 1.0}
+    feats = row_items(FeatureRows.hash_texts(["carcinoma"], dim), 0)
+    assert feats == [(zlib.crc32(b"u\x00carcinoma") & (dim - 1), 1.0)]
     # frozen values guard cross-platform / cross-run drift
     assert (zlib.crc32(b"u\x00carcinoma") & (dim - 1)) == 46042
     assert (zlib.crc32(b"u\x00benign") & (dim - 1)) == 120657
@@ -80,7 +88,7 @@ def test_hashing_matches_frozen_indices():
 
 def test_hashing_includes_bigrams_and_counts():
     dim = 1 << 10
-    feats = hash_token_features("a b a".split(), dim)
+    feats = dict(row_items(FeatureRows.hash_texts(["a b a"], dim), 0))
     ua = zlib.crc32(b"u\x00a") & (dim - 1)
     ub = zlib.crc32(b"u\x00b") & (dim - 1)
     bab = zlib.crc32(b"b\x00a\x1fb") & (dim - 1)
@@ -91,8 +99,8 @@ def test_hashing_includes_bigrams_and_counts():
 
 
 def test_hashing_deterministic_across_calls():
-    a = hash_token_features("one two three two".split(), 1 << 18)
-    b = hash_token_features("one two three two".split(), 1 << 18)
+    a = row_items(FeatureRows.hash_texts(["one two three two"], 1 << 18), 0)
+    b = row_items(FeatureRows.hash_texts(["one two three two"], 1 << 18), 0)
     assert a == b
 
 
@@ -109,17 +117,51 @@ TOKEN_LISTS = st.lists(
 @example(tokens=["", "x", ""], feature_dim=1 << 10)
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_hashing_equals_reference_item_by_item_in_order(tokens, feature_dim):
-    expected = list(reference_hash(tokens, feature_dim).items())
-    assert list(hash_token_features(tokens, feature_dim).items()) == expected
-    # token codes carried over from other texts change nothing
-    codes = {}
-    hash_token_features(["a", "b"] + tokens[::-1], feature_dim, codes)
-    assert list(hash_token_features(tokens, feature_dim, codes).items()) == expected
+    text = " ".join(tokens)
+    expected = list(reference_hash(text.split(), feature_dim).items())
+    assert row_items(FeatureRows.hash_texts([text], feature_dim), 0) == expected
+    # tokens an earlier text of the batch brought in change nothing
+    before = " ".join(["a", "b"] + tokens[::-1])
+    assert row_items(FeatureRows.hash_texts([before, text], feature_dim), 1) == expected
 
 
-def row_items(rows, r):
-    a, b = rows.indptr[r], rows.indptr[r + 1]
-    return list(zip(rows.indices[a:b].tolist(), rows.values[a:b].tolist()))
+TEXTS = st.lists(st.lists(st.sampled_from(["a", "b", "carcinoma", "é", "\U0001f600", "x" * 300])
+                          | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                          max_size=30).map(" ".join),
+                 max_size=12)
+
+
+@given(texts=TEXTS, feature_dim=st.sampled_from([2, 16, 1 << 18, 1 << 24]),
+       block=st.sampled_from([1, 3, 16, BLOCK_TOKENS]))
+@example(texts=[], feature_dim=16, block=BLOCK_TOKENS)
+@example(texts=["", "", ""], feature_dim=2, block=1)
+@example(texts=["a a a b a a", "", "a"], feature_dim=2, block=3)
+# blocks of 3 tokens: the first two texts share one, the third is longer
+# than a block and has one to itself, the fourth starts a new one
+@example(texts=["a b", "c", "d e f g h i j", "k é", "\U0001f600 " * 5], feature_dim=1 << 24,
+         block=3)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_batch_hashing_equals_reference_rows(texts, feature_dim, block):
+    with mock.patch.object(baseline, "BLOCK_TOKENS", block):
+        rows = FeatureRows.hash_texts(texts, feature_dim)
+    indptr, indices, values = reference_rows(texts, feature_dim)
+    assert rows.indptr.tolist() == indptr
+    assert rows.indices.tolist() == indices
+    assert rows.values.tolist() == values
+
+
+def test_crc_shift_continues_crc32_from_any_state():
+    rng = np.random.default_rng(8)
+    states = np.concatenate(([0, 0xFFFFFFFF], rng.integers(0, 1 << 32, size=30))).astype(np.uint32)
+    for n in range(301):
+        data = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        shifted = crc_shift(states, np.full(len(states), n)) ^ np.uint32(zlib.crc32(data))
+        assert shifted.tolist() == [zlib.crc32(data, s) for s in states.tolist()]
+    # one call with a different length per state
+    lengths = rng.integers(0, 301, size=len(states))
+    blobs = [rng.integers(0, 256, size=n, dtype=np.uint8).tobytes() for n in lengths]
+    shifted = crc_shift(states, lengths) ^ np.array([zlib.crc32(b) for b in blobs], dtype=np.uint32)
+    assert shifted.tolist() == [zlib.crc32(b, s) for b, s in zip(blobs, states.tolist())]
 
 
 def test_text_hashes_the_same_alone_in_a_batch_and_after_another_batch():
@@ -241,10 +283,11 @@ def exact_texts(seed, n):
 
 
 def test_hashing_matches_reference():
-    for text in exact_texts(11, 50):
-        for dim in (16, 1 << 18):
-            feats = hash_token_features(text.split(), dim)
-            assert list(feats.items()) == list(reference_hash(text.split(), dim).items())
+    texts = exact_texts(11, 50)
+    for dim in (16, 1 << 18):
+        rows = FeatureRows.hash_texts(texts, dim)
+        for r, text in enumerate(texts):
+            assert row_items(rows, r) == list(reference_hash(text.split(), dim).items())
 
 
 def test_score_batch_equals_dict_sum_scorer():
@@ -266,8 +309,8 @@ def test_train_equals_per_example_dict_sgd():
     # hashing merges them, so every row still has unique indices
     texts = exact_texts(14, 60) + [""]
     labels = [int(("carcinoma" in t) or ("invasive" in t)) for t in texts]
-    collided = [hash_token_features(t.split(), 16) for t in texts]
-    assert any(v > 1.0 for row in collided for v in row.values())
+    collided = FeatureRows.hash_texts(texts, 16)
+    assert (collided.values > 1.0).any()
     uni = {zlib.crc32(b"u\x00" + w.encode()) & 15 for w in EXACT_VOCAB}
     assert any(i in uni for t in texts
                for a, b in zip(t.split(), t.split()[1:])
@@ -288,7 +331,7 @@ def test_gradient_matches_central_finite_differences():
     texts = [" ".join(rng.choice(["alpha", "beta", "gamma", "delta", "eps"],
                                  size=rng.integers(3, 8)))
              for _ in range(10)]
-    features = [hash_token_features(t.split(), dim) for t in texts]
+    features = FeatureRows.hash_texts(texts, dim)
     labels = [int(rng.integers(0, 2)) for _ in range(10)]
     weights = rng.normal(scale=0.5, size=dim)
     bias = 0.3
@@ -296,7 +339,7 @@ def test_gradient_matches_central_finite_differences():
 
     grad_w, grad_b = regularized_gradient(weights, bias, features, labels, l2)
 
-    active = sorted({i for f in features for i in f})
+    active = sorted(set(features.indices.tolist()))
     sampled = list(rng.choice(active, size=min(12, len(active)), replace=False))
     sampled += [int(rng.integers(0, dim))]  # an (almost surely) inactive coordinate
     h = 1e-6

@@ -319,6 +319,42 @@ def test_triage_remote_setting_out_of_range_exits_1(tmp_path, capsys, key, value
     assert capsys.readouterr().err == f"error: remote: field '{key}': {reason}\n"
 
 
+@pytest.mark.parametrize("endpoint", [
+    "not-a-url", "localhost:8080", "ftp://example.org", "http://", "http://host:99999",
+    "http://host:port", "http://[::1", "",
+])
+def test_triage_malformed_config_endpoint_exits_1_naming_the_key(tmp_path, capsys, endpoint):
+    write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
+    good = "http://127.0.0.1:9"  # never contacted: the config is rejected on load
+    config = write_config(tmp_path, remote_kind=True,
+                          remote={"timeout": 0.3, "max_retries": 0,
+                                  "endpoints": {"t1": good, "t2": endpoint}})
+    code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: remote.endpoints: field 't2': not an http(s) URL with a host: {endpoint!r}\n")
+    # any command loads the config, so a bad endpoint fails it too
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+
+
+@pytest.mark.parametrize("endpoint", ["not-a-url", "http://host:port", "file:///tmp/x"])
+def test_triage_malformed_environment_endpoint_exits_1_naming_the_variable(
+        tmp_path, capsys, monkeypatch, endpoint):
+    write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
+    with MockClassifyServer() as server:
+        config = write_config(tmp_path, remote_kind=True,
+                              remote={"timeout": 5.0, "max_retries": 0,
+                                      "endpoints": {"t1": server.endpoint,
+                                                    "t2": server.endpoint}})
+        monkeypatch.setenv("TRIAGE_REMOTE_ENDPOINT_T1", endpoint)
+        code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
+        assert server.requests == []
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: environment variable TRIAGE_REMOTE_ENDPOINT_T1: "
+        f"not an http(s) URL with a host: {endpoint!r}\n")
+
+
 def test_triage_remote_backend_roundtrip(tmp_path):
     corpus = synth_corpus(SynthSpec(n_reports=6), seed=2)
     write_corpus(corpus, tmp_path / "corpus.jsonl")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reportable_triage.corpus import PathologyReport, Section
 from reportable_triage.errors import ValidationError
@@ -10,7 +10,9 @@ from reportable_triage.preprocess import (
     normalize_text,
 )
 
-from oracles import reference_normalize_text
+from reportable_triage import preprocess
+
+from oracles import reference_assemble, reference_normalize_text
 
 A = PipelineVariant.A_SYNOPTIC_FIRST
 B = PipelineVariant.B_DIAGNOSIS_FIRST
@@ -90,6 +92,53 @@ def test_chunk_with_a_token_after_spent_budget_truncates():
 def test_truncation_after_spent_budget_follows_the_reference(after):
     out = assemble_input(budget_spent_report(after), A, token_budget=3)
     assert out.truncated == bool(reference_normalize_text(after).split())
+
+
+# text at which a prefix cut could go wrong: final sigma, a combining mark
+# (a case-ignorable one), punctuation, whitespace beyond the ASCII space, and
+# long runs with no whitespace to cut at
+CUT_CHARS = st.sampled_from(list("aZ2 Σσς\u0301'.,-İ\t\n\x1c\x1d\x1e\x1f\xa0\u2028\u3000")
+                            + ["Σ.b", "a" * 20])
+CHUNK_TEXT = st.lists(CUT_CHARS | st.characters(blacklist_categories=("Cs",)),
+                      max_size=120).map("".join)
+
+
+@given(texts=st.lists(CHUNK_TEXT, min_size=1, max_size=3),
+       budget=st.integers(min_value=1, max_value=12))
+# a piece is cut at the first whitespace 8 characters per missing token on:
+# after "x", a piece of the second chunk ends at the first whitespace from
+# index 16 on
+@example(texts=["x", "a" * 15 + "Σ b c"], budget=2)
+@example(texts=["x", "A" * 16 + "\u2028Σ b"], budget=2)
+@example(texts=["x", "a" * 15 + ". b c"], budget=2)
+@example(texts=["x", "a" * 15 + "Σ.b c"], budget=2)
+@example(texts=["x", "abcdefghijklmnopqrstuvwxyz b"], budget=2)
+@example(texts=["x", "a\x1cb\x1dc\x1ed\x1fe\xa0f\u2028g " * 3], budget=2)
+@example(texts=["ΟΔΟΣ " * 40, "Σ."], budget=12)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_assembly_equals_full_normalization_of_each_chunk(texts, budget):
+    names = ("synoptic", "diagnosis", "specimen")[:len(texts)]
+    report = report_with([Section(name=n, text=t) for n, t in zip(names, texts)])
+    out = assemble_input(report, A, token_budget=budget)
+    expected = reference_assemble(list(zip(names, texts)), budget)
+    assert (out.text, out.approx_token_count, out.truncated, out.sections_used) == expected
+
+
+def test_assembly_normalizes_only_a_prefix_of_a_long_chunk(monkeypatch):
+    seen = []
+
+    def counting(text):
+        seen.append(len(text))
+        return normalize_text(text)
+
+    monkeypatch.setattr(preprocess, "normalize_text", counting)
+    long_chunk = "Invasive carcinoma, grade 2. " * 2000
+    report = report_with([Section(name="synoptic", text=long_chunk),
+                          Section(name="diagnosis", text=long_chunk)])
+    out = assemble_input(report, A, token_budget=5)
+    assert out.text == "invasive carcinoma grade 2 invasive"
+    assert out.truncated and out.sections_used == ("synoptic",)
+    assert sum(seen) < 100  # of 116,000 characters
 
 
 def test_variant_priority_sections():
