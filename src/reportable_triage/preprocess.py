@@ -98,12 +98,14 @@ def _leading_tokens(text: str, limit: int) -> list[str]:
     """
     tokens: list[str] = []
     start = 0
-    while start < len(text) and len(tokens) <= limit:
-        cut = _SPACE.search(text, start + _CHARS_PER_TOKEN * (limit + 1 - len(tokens)))
-        end = cut.start() if cut else len(text)
-        tokens += normalize_text(text[start:end]).split()
-        start = end
-    return tokens
+    end = _CHARS_PER_TOKEN * (limit + 1)
+    while end < len(text) and (cut := _SPACE.search(text, end)):
+        tokens += normalize_text(text[start:cut.start()]).split()
+        if len(tokens) > limit:
+            return tokens
+        start = cut.start()
+        end = start + _CHARS_PER_TOKEN * (limit + 1 - len(tokens))
+    return tokens + normalize_text(text[start:]).split()
 
 
 DEFAULT_FALLBACK_SECTIONS = ("specimen",)
@@ -160,7 +162,10 @@ def assemble_input(
     remaining = token_budget
     truncated = False
     for name, raw in chunks:
-        tokens = _leading_tokens(raw, remaining)
+        if len(raw) <= _CHARS_PER_TOKEN * (remaining + 1):
+            tokens = normalize_text(raw).split()  # too short to cut: the common case
+        else:
+            tokens = _leading_tokens(raw, remaining)
         take = tokens[:remaining]
         if take:
             kept.extend(take)

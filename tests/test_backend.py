@@ -3,8 +3,8 @@ import subprocess
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest

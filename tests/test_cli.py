@@ -337,7 +337,7 @@ def test_triage_malformed_config_endpoint_exits_1_naming_the_key(tmp_path, capsy
     assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
 
 
-@pytest.mark.parametrize("endpoint", ["not-a-url", "http://host:port", "file:///tmp/x"])
+@pytest.mark.parametrize("endpoint", ["not-a-url", "http://host:port", "mailto:registry@example.org"])
 def test_triage_malformed_environment_endpoint_exits_1_naming_the_variable(
         tmp_path, capsys, monkeypatch, endpoint):
     write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
