@@ -215,8 +215,8 @@ class FeatureRows:
         # one vocabulary per batch: it dies with the call, so it is never
         # shared and never outgrows the batch
         codes: dict[str, int] = {}
-        # typed buffers, not lists of Python ints: a batch of long reports
-        # holds a million tokens
+        # typed buffers, not lists of Python ints: a training set of long
+        # reports holds hundreds of thousands of tokens
         ids, lengths = array("q"), array("q")
         for text in texts:
             row = hash_token_features(text.split(), feature_dim, codes)
@@ -234,8 +234,11 @@ class FeatureRows:
         pieces = [(empty, empty, np.zeros(1, dtype=np.int64))]
         r0 = 0
         while r0 < len(lengths):
+            # at most BLOCK_TOKENS rows too (empty texts), so that a key's
+            # row, index and position bits always fit in 64
             r1 = max(int(np.searchsorted(tptr, tptr[r0] + BLOCK_TOKENS, side="right")) - 1,
                      r0 + 1)
+            r1 = min(r1, r0 + BLOCK_TOKENS)
             pieces.append(token_codes.hash_block(ids_arr[tptr[r0]:tptr[r1]],
                                                  lengths_arr[r0:r1], feature_dim))
             r0 = r1

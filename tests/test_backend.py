@@ -136,6 +136,8 @@ TEXTS = st.lists(st.lists(st.sampled_from(["a", "b", "carcinoma", "é", "\U0001f
 @example(texts=[], feature_dim=16, block=BLOCK_TOKENS)
 @example(texts=["", "", ""], feature_dim=2, block=1)
 @example(texts=["a a a b a a", "", "a"], feature_dim=2, block=3)
+# empty texts count against the rows of a block
+@example(texts=["", "", "", "a b", "", "", "c"], feature_dim=16, block=2)
 # blocks of 3 tokens: the first two texts share one, the third is longer
 # than a block and has one to itself, the fourth starts a new one
 @example(texts=["a b", "c", "d e f g h i j", "k é", "\U0001f600 " * 5], feature_dim=1 << 24,
