@@ -109,14 +109,12 @@ def crc_shift(states: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
     return states
 
 
-def hash_token_features(tokens: Sequence[str], feature_dim: int,
-                        codes: dict[str, int]) -> list[int]:
+def hash_token_features(tokens: Sequence[str], codes: dict[str, int]) -> list[int]:
     """The vocabulary ids of a text's tokens, in order.
 
     Tokens new to `codes`, the batch's vocabulary, get the next ids.
     `FeatureRows.hash_texts` calls this once per text; it is the per-text
-    step the benchmark's tracer times and counts as `baseline.hash`. Ids do
-    not depend on `feature_dim`: all hashing happens per batch.
+    step the benchmark's tracer times and counts as `baseline.hash`.
     """
     for tok in set(tokens).difference(codes):
         codes[tok] = len(codes)
@@ -219,7 +217,7 @@ class FeatureRows:
         # reports holds hundreds of thousands of tokens
         ids, lengths = array("q"), array("q")
         for text in texts:
-            row = hash_token_features(text.split(), feature_dim, codes)
+            row = hash_token_features(text.split(), codes)
             ids.extend(row)
             lengths.append(len(row))
         token_codes = _TokenCodes.of(codes)

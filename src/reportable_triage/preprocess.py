@@ -162,10 +162,7 @@ def assemble_input(
     remaining = token_budget
     truncated = False
     for name, raw in chunks:
-        if len(raw) <= _CHARS_PER_TOKEN * (remaining + 1):
-            tokens = normalize_text(raw).split()  # too short to cut: the common case
-        else:
-            tokens = _leading_tokens(raw, remaining)
+        tokens = _leading_tokens(raw, remaining)
         take = tokens[:remaining]
         if take:
             kept.extend(take)
