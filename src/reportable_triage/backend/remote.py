@@ -13,10 +13,9 @@ kinds so callers can tell a flaky network from a broken service.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import requests
@@ -30,7 +29,7 @@ from ..errors import (
     ValidationError,
 )
 from ..preprocess import NormalizedInput
-from ..util import parse_json
+from ..util import dumps_line, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +45,7 @@ def classify_url(endpoint: str) -> str:
 def encode_request(task: Tier, texts: Sequence[str]) -> bytes:
     """Canonical request body; byte-stable for a given (task, texts)."""
     payload = {"task": task.value, "texts": list(texts)}
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return dumps_line(payload).encode("utf-8")
 
 
 def _parse_scores(body: bytes, expected: int, url: str) -> list[float]:
@@ -107,13 +106,20 @@ def remote_score(
 
 @dataclass
 class RemoteBackend:
-    """ClassifierBackend adapter over a remote inference endpoint."""
+    """ClassifierBackend adapter over a remote inference endpoint.
+
+    Its batches go through one requests.Session, so they reuse one pooled
+    connection; close() releases it. A pooled connection the service has
+    dropped fails as a transport error, which remote_score retries.
+    """
 
     endpoint: str
     task: Tier
     backend_id: str
     timeout: float = DEFAULT_TIMEOUT
     max_retries: int = DEFAULT_MAX_RETRIES
+    session: requests.Session = field(default_factory=requests.Session, repr=False,
+                                      compare=False)
 
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
         try:
@@ -123,6 +129,10 @@ class RemoteBackend:
                 [inp.text for inp in inputs],
                 timeout=self.timeout,
                 max_retries=self.max_retries,
+                session=self.session,
             )
         except TransportError as exc:
             raise TransportError(f"backend {self.backend_id!r}: {exc}") from exc
+
+    def close(self) -> None:
+        self.session.close()

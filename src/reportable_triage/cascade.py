@@ -27,7 +27,6 @@ the sensitivity guarantee.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -38,7 +37,7 @@ from .config import MemberConfig, check_members
 from .corpus import Corpus, PathologyReport, Tier
 from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
-from .util import read_field, read_json_lines
+from .util import dumps_line, read_field, read_json_lines
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -250,7 +249,7 @@ def dumps_outcome(outcome: TriageOutcome, t1: TierConfig, t2: TierConfig) -> str
         "t1": _block_to_dict(outcome.t1, t1),
         "t2": _block_to_dict(outcome.t2, t2) if outcome.t2 is not None else None,
     }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+    return dumps_line(doc)
 
 
 # per tier, label value -> whether it is the tier's positive label

@@ -129,8 +129,10 @@ def _make_backend(cfg: RunConfig, tier: Tier, member: MemberConfig) -> Classifie
 def _sectioned(corpus: Corpus, cfg: RunConfig) -> Corpus:
     """Parse sections for any record that arrived with raw text only."""
     table = cfg.synonym_table()
-    records = [replace(rec, report=ensure_sections(rec.report, table))
-               for rec in corpus.records]
+    records = []
+    for rec in corpus.records:
+        report = ensure_sections(rec.report, table)
+        records.append(rec if report is rec.report else replace(rec, report=report))
     return Corpus(records=records)
 
 
@@ -237,7 +239,12 @@ def cmd_triage(args) -> int:
             )
 
     reports = [r.report for r in corpus]
-    outcomes = cascade.triage(reports, t1, t2, t2_report_ids=t2_ids)
+    try:
+        outcomes = cascade.triage(reports, t1, t2, t2_report_ids=t2_ids)
+    finally:
+        for backend in t1.backends + t2.backends:
+            if isinstance(backend, RemoteBackend):
+                backend.close()
     if args.t2_scope == "predicted":
         cascade.check_gating_soundness(outcomes)
 

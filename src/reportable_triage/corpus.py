@@ -19,17 +19,23 @@ synoptic and the diagnosis section, so both input pipelines receive signal.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional
 
 from .errors import CorpusFormatError, ValidationError
-from .util import atomic_write_bytes, ratio_round_half_up, read_field, read_json_lines
+from .util import (
+    atomic_write_bytes,
+    dumps_line,
+    lone_surrogate,
+    ratio_round_half_up,
+    read_field,
+    read_json_lines,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +82,7 @@ class Tier(str, Enum):
             raise error(f"{where}: field {key!r}: expected one of: {allowed}") from None
 
 
+@lru_cache(maxsize=1024)  # a corpus names few sections, in every record
 def is_normalized_section_name(name: str) -> bool:
     """Non-empty, lowercase and free of whitespace (as str.isspace defines it)."""
     return name.split() == [name] and name == name.lower()
@@ -166,6 +173,11 @@ _RECORD_FIELDS = (
     "t2_label",
 )
 _SECTION_FIELDS = ("name", "text", "header")
+_RECORD_KEYS = frozenset(_RECORD_FIELDS)
+_SECTION_KEYS = frozenset(_SECTION_FIELDS)
+# per label field, its tier and that tier's labels by value
+_LABEL_FIELDS = tuple((f"{tier.value}_label", tier, {m.value: m for m in tier.label_type})
+                      for tier in Tier)
 
 
 def record_to_dict(rec: LabeledReport) -> dict:
@@ -195,39 +207,80 @@ def _unknown_fields(obj: dict, known: tuple[str, ...], strict: bool, where: str)
         logger.warning("%s: ignoring unknown fields %s", where, unknown)
 
 
+def _read_section(s, strict: bool, where: str) -> Section:
+    """The section s holds; CorpusFormatError names where and the field."""
+    if not isinstance(s, dict):
+        raise CorpusFormatError(f"{where}: not a JSON object")
+    _unknown_fields(s, _SECTION_FIELDS, strict, where)
+    name = read_field(s, "name", str, where, CorpusFormatError)
+    text = read_field(s, "text", str, where, CorpusFormatError)
+    header = read_field(s, "header", str, where, CorpusFormatError, "")
+    try:
+        return Section(name=name, text=text, header=header)
+    except ValidationError:
+        raise CorpusFormatError(
+            f"{where}: field 'name': not normalized (non-empty, lowercase, no whitespace)"
+        ) from None
+
+
 def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") -> LabeledReport:
-    """The record obj holds; CorpusFormatError names where and the field."""
+    """The record obj holds; CorpusFormatError names where and the field.
+
+    Each check is made inline on the parsed values first, in the order the
+    fields are named below; a value that fails is read again through
+    read_field or _read_section, which raise the error that names it.
+    """
     if not isinstance(obj, dict):
         raise CorpusFormatError(f"{where}: not a JSON object")
-    _unknown_fields(obj, _RECORD_FIELDS, strict, where)
-    report_id = read_field(obj, "report_id", str, where, CorpusFormatError)
-    year = read_field(obj, "diagnosis_year", int, where, CorpusFormatError)
-    raw_text = read_field(obj, "raw_text", str, where, CorpusFormatError)
-    source_site = read_field(obj, "source_site", str, where, CorpusFormatError, None)
+    if not obj.keys() <= _RECORD_KEYS:
+        _unknown_fields(obj, _RECORD_FIELDS, strict, where)
+    get = obj.get
+    report_id, year, raw_text, source_site = (
+        get("report_id"), get("diagnosis_year"), get("raw_text"), get("source_site"))
+    # read_field's checks, made inline for the common case; it names what fails
+    if not (type(report_id) is str and (report_id.isascii() or lone_surrogate(report_id) < 0)
+            and type(year) is int
+            and type(raw_text) is str and (raw_text.isascii() or lone_surrogate(raw_text) < 0)
+            and (source_site is None or type(source_site) is str
+                 and (source_site.isascii() or lone_surrogate(source_site) < 0))):
+        report_id = read_field(obj, "report_id", str, where, CorpusFormatError)
+        year = read_field(obj, "diagnosis_year", int, where, CorpusFormatError)
+        raw_text = read_field(obj, "raw_text", str, where, CorpusFormatError)
+        source_site = read_field(obj, "source_site", str, where, CorpusFormatError, None)
 
-    sections: list[Section] = []
-    for j, s in enumerate(read_field(obj, "sections", list, where, CorpusFormatError, None)
-                          or ()):
-        sub = f"{where}: sections[{j}]"
-        if not isinstance(s, dict):
-            raise CorpusFormatError(f"{sub}: not a JSON object")
-        _unknown_fields(s, _SECTION_FIELDS, strict, sub)
-        name = read_field(s, "name", str, sub, CorpusFormatError)
-        text = read_field(s, "text", str, sub, CorpusFormatError)
-        header = read_field(s, "header", str, sub, CorpusFormatError, "")
-        try:
-            sections.append(Section(name=name, text=text, header=header))
-        except ValidationError:
-            raise CorpusFormatError(
-                f"{sub}: field 'name': not normalized (non-empty, lowercase, no whitespace)"
-            ) from None
+    sections = get("sections")
+    if sections is None:
+        sections = ()
+    elif type(sections) is not list:
+        read_field(obj, "sections", list, where, CorpusFormatError)
+    else:
+        parsed = []
+        for j, s in enumerate(sections):
+            # _read_section's checks, made inline for the common case; it names what fails
+            if type(s) is dict and s.keys() <= _SECTION_KEYS:
+                name, text, header = s.get("name"), s.get("text"), s.get("header", "")
+                if (type(name) is str and (name.isascii() or lone_surrogate(name) < 0)
+                        and type(text) is str and (text.isascii() or lone_surrogate(text) < 0)
+                        and type(header) is str
+                        and (header.isascii() or lone_surrogate(header) < 0)):
+                    try:
+                        parsed.append(Section(name, text, header))
+                        continue
+                    except ValidationError:  # a name that is not normalized
+                        pass
+            parsed.append(_read_section(s, strict, f"{where}: sections[{j}]"))
+        sections = tuple(parsed)
 
     labels = []
-    for key, tier in (("t1_label", Tier.T1), ("t2_label", Tier.T2)):
-        raw = read_field(obj, key, str, where, CorpusFormatError, None)
-        labels.append(None if raw is None else tier.parse_label(raw, where, key, CorpusFormatError))
+    for key, tier, by_value in _LABEL_FIELDS:
+        raw = get(key)
+        label = by_value.get(raw) if type(raw) is str else None
+        if label is None and raw is not None:
+            raw = read_field(obj, key, str, where, CorpusFormatError)
+            label = tier.parse_label(raw, where, key, CorpusFormatError)
+        labels.append(label)
     try:
-        report = PathologyReport(report_id, year, raw_text, source_site, tuple(sections))
+        report = PathologyReport(report_id, year, raw_text, source_site, sections)
     except ValidationError:  # the one rule PathologyReport checks
         raise CorpusFormatError(f"{where}: field 'report_id': empty string") from None
     try:
@@ -251,7 +304,7 @@ def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
 
 
 def dumps_record(rec: LabeledReport) -> str:
-    return json.dumps(record_to_dict(rec), ensure_ascii=False, separators=(",", ":"))
+    return dumps_line(record_to_dict(rec))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

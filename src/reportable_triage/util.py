@@ -1,5 +1,5 @@
-"""Small shared helpers: exact ratio arithmetic, punctuation, reading outside
-JSON and atomic file writes."""
+"""Small shared helpers: exact ratio arithmetic, punctuation, reading and
+writing JSON, and atomic file writes."""
 
 from __future__ import annotations
 
@@ -88,6 +88,11 @@ def parse_json(text: str) -> object:
         raise ValidationError("invalid JSON: integer literal too long") from None
     except RecursionError:
         raise ValidationError("invalid JSON: nested too deeply") from None
+
+
+# Compact JSON with non-ASCII text kept as is, for every line the program
+# writes or sends; one encoder, where json.dumps would build one per call.
+dumps_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 REQUIRED = object()

@@ -2,7 +2,8 @@
 
 Captures every request (path, headers, raw body) and answers with whatever
 the configured responder returns; a responder can also sleep to trigger
-client read timeouts.
+client read timeouts. It speaks HTTP/1.1, so a client may keep a connection
+open across requests; `connections` counts the connections it accepted.
 """
 
 from __future__ import annotations
@@ -29,11 +30,18 @@ class MockClassifyServer:
 
     def __init__(self, responder=None, sleep_s: float = 0.0):
         self.requests: list[CapturedRequest] = []
+        self.connections = 0
         self.sleep_s = sleep_s
         self._responder = responder or self.echo_scores([0.5])
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                outer.connections += 1
+                super().setup()
+
             def do_POST(self):
                 length = int(self.headers.get("content-length", 0))
                 captured = CapturedRequest(self.path, self.headers,

@@ -6,10 +6,21 @@ definitions only; they must never import from reportable_triage.metrics.
 
 from __future__ import annotations
 
+import logging
 import unicodedata
 import zlib
 
 import numpy as np
+
+from reportable_triage.corpus import LabeledReport, PathologyReport, Section, Tier
+from reportable_triage.errors import CorpusFormatError, ValidationError
+from reportable_triage.util import read_field
+
+# the logger corpus.record_from_dict warns through, so that warnings compare equal
+_corpus_logger = logging.getLogger("reportable_triage.corpus")
+_RECORD_FIELDS = ("report_id", "diagnosis_year", "source_site", "raw_text", "sections",
+                  "t1_label", "t2_label")
+_SECTION_FIELDS = ("name", "text", "header")
 
 
 def naive_counts(preds, golds, positive):
@@ -154,3 +165,53 @@ def reference_train(texts, labels, feature_dim, epochs, learning_rate, l2, seed)
             bias -= learning_rate * err
         history.append(_reference_loss(weights, bias, features, labels, l2))
     return weights, bias, history
+
+
+def _reference_unknown_fields(obj, known, strict, where):
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        if strict:
+            raise CorpusFormatError(f"{where}: field {unknown[0]!r}: unknown field")
+        _corpus_logger.warning("%s: ignoring unknown fields %s", where, unknown)
+
+
+def reference_record_from_dict(obj, *, strict=False, where="record"):
+    """corpus.record_from_dict as it was before its inline checks: every field
+    read through read_field, in this order, and every label through Tier."""
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{where}: not a JSON object")
+    _reference_unknown_fields(obj, _RECORD_FIELDS, strict, where)
+    report_id = read_field(obj, "report_id", str, where, CorpusFormatError)
+    year = read_field(obj, "diagnosis_year", int, where, CorpusFormatError)
+    raw_text = read_field(obj, "raw_text", str, where, CorpusFormatError)
+    source_site = read_field(obj, "source_site", str, where, CorpusFormatError, None)
+
+    sections = []
+    for j, s in enumerate(read_field(obj, "sections", list, where, CorpusFormatError, None)
+                          or ()):
+        sub = f"{where}: sections[{j}]"
+        if not isinstance(s, dict):
+            raise CorpusFormatError(f"{sub}: not a JSON object")
+        _reference_unknown_fields(s, _SECTION_FIELDS, strict, sub)
+        name = read_field(s, "name", str, sub, CorpusFormatError)
+        text = read_field(s, "text", str, sub, CorpusFormatError)
+        header = read_field(s, "header", str, sub, CorpusFormatError, "")
+        try:
+            sections.append(Section(name=name, text=text, header=header))
+        except ValidationError:
+            raise CorpusFormatError(
+                f"{sub}: field 'name': not normalized (non-empty, lowercase, no whitespace)"
+            ) from None
+
+    labels = []
+    for key, tier in (("t1_label", Tier.T1), ("t2_label", Tier.T2)):
+        raw = read_field(obj, key, str, where, CorpusFormatError, None)
+        labels.append(None if raw is None else tier.parse_label(raw, where, key, CorpusFormatError))
+    try:
+        report = PathologyReport(report_id, year, raw_text, source_site, tuple(sections))
+    except ValidationError:
+        raise CorpusFormatError(f"{where}: field 'report_id': empty string") from None
+    try:
+        return LabeledReport(report, *labels)
+    except ValidationError:
+        raise CorpusFormatError(f"{where}: field 't2_label': requires t1_label cancer") from None

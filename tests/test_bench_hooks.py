@@ -1,5 +1,6 @@
 """The traced benchmark wraps program functions by name; a rename must fail here,
-and so must a featurization or decision path that bypasses the wrapped functions."""
+and so must a featurization, decision or corpus I/O path that bypasses the
+wrapped functions."""
 
 import os
 import subprocess
@@ -38,7 +39,7 @@ for kind, argv in commands:
     with contextlib.redirect_stdout(io.StringIO()), tracer.span(f"cli.{kind}"):
         assert main(argv) == 0, argv
 for name in ("baseline.hash", "baseline.loss_eval", "baseline.score", "preprocess.normalize",
-             "cascade.combine", "cascade.serialize"):
+             "cascade.combine", "cascade.serialize", "corpus.load", "corpus.write"):
     calls = tracer.aggregates.get((0, name), (0,))[0]
     assert calls > 0, f"{name} recorded no calls"
 """

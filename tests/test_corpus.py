@@ -1,8 +1,9 @@
+import copy
 import json
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reportable_triage.corpus import (
     Corpus,
@@ -15,10 +16,13 @@ from reportable_triage.corpus import (
     dumps_record,
     is_normalized_section_name,
     load_corpus,
+    record_from_dict,
     synth_corpus,
     write_corpus,
 )
 from reportable_triage.errors import CorpusFormatError, ValidationError
+
+from oracles import reference_record_from_dict
 
 
 def make_record(rid, t1=None, t2=None, raw="DIAGNOSIS:\nbenign tissue\n"):
@@ -183,3 +187,122 @@ def test_split_and_isspace_agree_on_every_code_point():
 def test_is_normalized_section_name_equals_a_per_character_scan(name):
     assert is_normalized_section_name(name) == normalized_by_scan(name)
 
+
+
+# --- record_from_dict against the read_field-only reference -------------------
+
+ABSENT = object()
+# short strings over ASCII, non-ASCII (a final-sigma pair, an accent) and
+# whitespace, plus the names and labels a valid record uses
+TEXTS = (st.text(st.sampled_from("aZ_ \t\xa0\u03a3\u03c3\xe9"), max_size=5)
+         | st.sampled_from(["", "diagnosis", "synoptic", "Diagnosis", "cancer", "non_cancer",
+                            "reportable", "non_reportable"]))
+# the values a fault puts in a field: any JSON value, lone surrogates included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | TEXTS
+    | st.text(st.sampled_from("a\xe9\ud800\udcff"), min_size=1, max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(TEXTS, inner, max_size=2),
+    max_leaves=4)
+
+
+def mutated(draw, obj: dict, keys: list[str]) -> dict:
+    """obj with up to two of keys removed or set to any JSON value."""
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(keys))
+        value = draw(st.just(ABSENT) | JSON_VALUES)
+        if value is ABSENT:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return obj
+
+
+@st.composite
+def section_dicts(draw):
+    sec = {"name": draw(st.sampled_from(["diagnosis", "synoptic", "other"])),
+           "text": draw(TEXTS)}
+    if draw(st.booleans()):
+        sec["header"] = draw(TEXTS)
+    return mutated(draw, sec, ["name", "text", "header", "Name", "extra"])
+
+
+@st.composite
+def record_dicts(draw):
+    years = st.integers(1990, 2030)
+    obj = {"report_id": draw(TEXTS.filter(bool)),
+           "diagnosis_year": draw(st.one_of(years, years, years, st.booleans())),
+           "raw_text": draw(TEXTS)}
+    if draw(st.booleans()):
+        obj["source_site"] = draw(TEXTS)
+    if draw(st.booleans()):
+        obj["sections"] = draw(st.lists(section_dicts() | JSON_VALUES, max_size=3))
+    t1 = draw(st.sampled_from([None, "cancer", "non_cancer"]))
+    if t1 is not None:
+        obj["t1_label"] = t1
+    if draw(st.booleans()):
+        obj["t2_label"] = draw(st.sampled_from(["reportable", "non_reportable"]))
+    keys = ["report_id", "diagnosis_year", "source_site", "raw_text", "sections",
+            "t1_label", "t2_label", "extra", "Report_id"]
+    return mutated(draw, obj, keys)
+
+
+def loaded(read, obj, strict: bool, caplog):
+    """What read returns or raises on obj, and the warnings it logs."""
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        try:
+            out = ("record", read(copy.deepcopy(obj), strict=strict, where="c.jsonl: line 3"))
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            out = (type(exc), str(exc))
+    return out, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("obj", [
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x"},
+    {"diagnosis_year": 2023, "raw_text": "x"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": None},
+    {"report_id": "R1", "diagnosis_year": True, "raw_text": "x"},
+    {"report_id": "R1", "diagnosis_year": 2023.0, "raw_text": "x"},
+    {"report_id": "", "diagnosis_year": 2023, "raw_text": "x"},
+    {"report_id": "R\u00e9", "diagnosis_year": 2023, "raw_text": "\u03a3\u03c3",
+     "source_site": "s\u00e9"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "a\ud800"},
+    {"report_id": "R\udcff", "diagnosis_year": 2023, "raw_text": "x"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "source_site": None},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "source_site": "\ud800"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "sections": None},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "sections": {}},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "sections": [5]},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x",
+     "sections": [{"name": "diagnosis", "text": "t", "header": None}]},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x",
+     "sections": [{"name": "Diagnosis", "text": "t"}]},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x",
+     "sections": [{"name": "di\u00e4gnosis", "text": "t\ud800"}]},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x",
+     "sections": [{"name": "diagnosis", "text": "t", "extra": 1, "more": 2}]},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "extra": 1, "more": 2},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "t1_label": "maybe"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "t1_label": None,
+     "t2_label": "reportable"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "t1_label": "non_cancer",
+     "t2_label": "reportable"},
+    {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "t1_label": "cancer",
+     "t2_label": "\ud800"},
+    {"report_id": 5, "diagnosis_year": "soon", "raw_text": "x", "extra": 1},
+    [{"report_id": "R1"}],
+])
+def test_record_from_dict_equals_reference_on_each_kind_of_fault(obj, strict, caplog):
+    assert (loaded(record_from_dict, obj, strict, caplog)
+            == loaded(reference_record_from_dict, obj, strict, caplog))
+
+
+@given(obj=record_dicts() | JSON_VALUES, strict=st.booleans())
+@settings(max_examples=1500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_record_from_dict_equals_reference(obj, strict, caplog):
+    """The inline checks accept what read_field accepts, build the same record,
+    and otherwise raise the same error after logging the same warnings."""
+    assert (loaded(record_from_dict, obj, strict, caplog)
+            == loaded(reference_record_from_dict, obj, strict, caplog))

@@ -121,3 +121,21 @@ def test_remote_backend_scores_inputs_and_tags_transport_errors():
                             backend_id="remote-a", timeout=0.3, max_retries=0)
     with pytest.raises(TransportError, match="remote-a"):
         backend.score_batch([ni("one")])
+
+
+def test_remote_backend_sends_its_batches_over_one_connection():
+    def ni(text):
+        return NormalizedInput(text=text, approx_token_count=1, truncated=False,
+                               sections_used=("diagnosis",))
+
+    with MockClassifyServer(MockClassifyServer.score_per_text(0.25)) as server:
+        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T2,
+                                backend_id="remote-a", timeout=5)
+        for n in (3, 1, 2, 4):
+            assert backend.score_batch([ni(f"text {i}") for i in range(n)]) == [0.25] * n
+        backend.close()
+        assert len(server.requests) == 4
+        assert server.connections == 1
+        # a closed backend's session opens a new connection if used again
+        assert backend.score_batch([ni("again")]) == [0.25]
+        assert server.connections == 2
