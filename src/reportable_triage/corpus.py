@@ -252,7 +252,7 @@ def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") 
     if sections is None:
         sections = ()
     elif type(sections) is not list:
-        read_field(obj, "sections", list, where, CorpusFormatError)
+        read_field(obj, "sections", list, where, CorpusFormatError)  # raises, naming it
     else:
         parsed = []
         for j, s in enumerate(sections):
