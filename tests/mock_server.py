@@ -31,6 +31,7 @@ class MockClassifyServer:
     def __init__(self, responder=None, sleep_s: float = 0.0):
         self.requests: list[CapturedRequest] = []
         self.connections = 0
+        self._connections_lock = threading.Lock()  # each connection has its own thread
         self.sleep_s = sleep_s
         self._responder = responder or self.echo_scores([0.5])
         outer = self
@@ -39,7 +40,8 @@ class MockClassifyServer:
             protocol_version = "HTTP/1.1"
 
             def setup(self):
-                outer.connections += 1
+                with outer._connections_lock:
+                    outer.connections += 1
                 super().setup()
 
             def do_POST(self):
