@@ -10,10 +10,11 @@ the weight vector bit-for-bit.
 Each scoring or training call hashes its batch once into CSR arrays
 (`FeatureRows`), with numpy array operations rather than per-feature Python:
 
-- Ids. The only per-text Python step splits the text and maps its tokens to
-  ids of a vocabulary that lives for one call. Each distinct token is
-  encoded and CRC'd once: its unigram CRC, the CRC state after
-  b"b\\x00" + token + b"\\x1f", and the CRC of its bytes alone.
+- Ids. The only per-text Python step splits the text. A block's tokens
+  are mapped to ids of a vocabulary that lives for one call in one step,
+  and their strings die with the block. Each distinct token is encoded and
+  CRC'd once: its unigram CRC, the CRC state after b"b\\x00" + token +
+  b"\\x1f", and the CRC of its bytes alone.
 - Shift tables. CRC-32 is affine in its starting state: crc32(d, s) ==
   crc32(d) ^ A^len(d)(s), where A is the linear map one zero byte applies
   to the register (the identity behind zlib's crc32_combine). So a bigram
@@ -44,10 +45,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,16 +109,40 @@ def crc_shift(states: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
     return states
 
 
-def hash_token_features(tokens: Sequence[str], codes: dict[str, int]) -> list[int]:
-    """The vocabulary ids of a text's tokens, in order.
+def hash_token_features(tokens: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+    """The vocabulary ids of a block's tokens, in order, as int64.
 
-    Tokens new to `codes`, the batch's vocabulary, get the next ids.
-    `FeatureRows.hash_texts` calls this once per text; it is the per-text
-    step the benchmark's tracer times and counts as `baseline.hash`.
+    Tokens new to `codes`, the batch's vocabulary, get the next ids in the
+    order they first occur. `FeatureRows.hash_texts` calls this once per
+    block, with the block's texts' tokens one after another; it is the step
+    the benchmark's tracer times and counts as `baseline.hash`.
     """
-    for tok in set(tokens).difference(codes):
-        codes[tok] = len(codes)
-    return list(map(codes.__getitem__, tokens))
+    new = [tok for tok in dict.fromkeys(tokens) if tok not in codes]
+    codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+    return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
+
+
+def _token_id_blocks(texts: Iterable[str],
+                     codes: dict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block of consecutive texts, its token ids and its texts' token
+    counts, as int64.
+
+    A block holds at most BLOCK_TOKENS tokens, unless one text is longer and
+    is a block alone, and at most BLOCK_TOKENS texts (empty ones), so that a
+    key's row, index and position bits always fit in 64. Only one block's
+    token strings are alive at a time.
+    """
+    tokens: list[str] = []
+    lengths: list[int] = []
+    for text in texts:
+        row = text.split()
+        if lengths and (len(tokens) + len(row) > BLOCK_TOKENS or len(lengths) == BLOCK_TOKENS):
+            yield hash_token_features(tokens, codes), np.array(lengths, dtype=np.int64)
+            tokens, lengths = [], []
+        tokens += row
+        lengths.append(len(row))
+    if lengths:
+        yield hash_token_features(tokens, codes), np.array(lengths, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -213,36 +237,20 @@ class FeatureRows:
         # one vocabulary per batch: it dies with the call, so it is never
         # shared and never outgrows the batch
         codes: dict[str, int] = {}
-        # typed buffers, not lists of Python ints: a training set of long
-        # reports holds hundreds of thousands of tokens
-        ids, lengths = array("q"), array("q")
-        for text in texts:
-            row = hash_token_features(text.split(), codes)
-            ids.extend(row)
-            lengths.append(len(row))
+        blocks = list(_token_id_blocks(texts, codes))
         token_codes = _TokenCodes.of(codes)
-        ids_arr = np.frombuffer(ids, dtype=np.int64)
-        lengths_arr = np.frombuffer(lengths, dtype=np.int64)
-        tptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths_arr, out=tptr[1:])
 
-        # blocks give uint32 pieces, so they add only half the result's size
-        # while they are joined
+        # blocks give uint32 pieces, joined one column at a time, and a
+        # column's pieces die once it is joined: the join peaks at 20 bytes a
+        # feature, not 24
         empty = np.zeros(0, dtype=np.uint32)
         pieces = [(empty, empty, np.zeros(1, dtype=np.int64))]
-        r0 = 0
-        while r0 < len(lengths):
-            # at most BLOCK_TOKENS rows too (empty texts), so that a key's
-            # row, index and position bits always fit in 64
-            r1 = max(int(np.searchsorted(tptr, tptr[r0] + BLOCK_TOKENS, side="right")) - 1,
-                     r0 + 1)
-            r1 = min(r1, r0 + BLOCK_TOKENS)
-            pieces.append(token_codes.hash_block(ids_arr[tptr[r0]:tptr[r1]],
-                                                 lengths_arr[r0:r1], feature_dim))
-            r0 = r1
+        pieces += [token_codes.hash_block(ids, block_lengths, feature_dim)
+                   for ids, block_lengths in blocks]
         indices, values, row_lengths = zip(*pieces)
-        return cls(np.cumsum(np.concatenate(row_lengths)),
-                   np.concatenate(indices, dtype=np.int64),
+        del pieces, blocks
+        indices = np.concatenate(indices, dtype=np.int64)
+        return cls(np.cumsum(np.concatenate(row_lengths)), indices,
                    np.concatenate(values, dtype=np.float64))
 
     def __len__(self) -> int:

@@ -11,10 +11,11 @@ evaluation against gold tier-2 annotations there is an explicit-scope mode
 that scores tier 2 for a caller-supplied report set instead; outcomes written
 that way are evaluation artifacts, not production triage.
 
-run_tier returns, with its results, the input each member scored for each
-report. triage hands tier 2 the inputs of the selected reports from the
-tier-1 member that assembles inputs the same way, so no report is assembled
-twice for the same settings.
+triage assembles each report's inputs in one place, one per distinct
+assembly key of its members, and reads each of the report's sections once
+for all of them. Both tiers look their members' inputs up by key, so tier 2
+reuses what tier 1 assembled and no report is assembled twice for the same
+settings.
 
 read_outcomes validates an outcomes file completely as it loads it, the OR
 rule and the final-label rule included; evaluate_outcomes joins it to gold
@@ -97,17 +98,24 @@ def _assembly_key(member: MemberConfig) -> tuple:
     return member.variant, member.token_budget, tuple(member.fallback_sections)
 
 
+def _assemble(report: PathologyReport, keys: Iterable[tuple], into: dict) -> dict:
+    """into, given the report's input for each key it lacks; the report's
+    sections are read once for all of them."""
+    read: dict = {}
+    for key in keys:
+        if key not in into:
+            into[key] = assemble_input(report, *key, read)
+    return into
+
+
 def _score_batch(
     member: MemberConfig,
     backend: ClassifierBackend,
     batch: Sequence[PathologyReport],
-    inputs: Optional[Sequence[NormalizedInput]],
-) -> tuple[Sequence[NormalizedInput], list[float]]:
-    """The batch's inputs (assembled here unless given) and the member's
-    probabilities, each checked to be a number in [0, 1]."""
-    if inputs is None:
-        inputs = [assemble_input(r, member.variant, member.token_budget,
-                                 member.fallback_sections) for r in batch]
+    inputs: Sequence[NormalizedInput],
+) -> list[float]:
+    """The member's probabilities for the batch's inputs, each checked to be
+    a number in [0, 1]."""
     failed = (f"backend {member.backend_id!r} failed on reports "
               f"{batch[0].report_id!r}..{batch[-1].report_id!r}")
     try:
@@ -123,7 +131,7 @@ def _score_batch(
         # NaN fails the range test
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise TierExecutionError(f"{failed}: score {i} is not a number in [0, 1]: {p!r}")
-    return inputs, scores
+    return scores
 
 
 def run_tier(
@@ -131,37 +139,33 @@ def run_tier(
     config: TierConfig,
     batch_size: int = DEFAULT_BATCH_SIZE,
     *,
-    inputs: Sequence[Optional[Sequence[NormalizedInput]]] = (),
-) -> tuple[list[EnsembleResult], tuple[Sequence[NormalizedInput], ...]]:
+    inputs: Optional[Sequence[dict]] = None,
+) -> list[EnsembleResult]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
-    Returns the ensemble result per report and, per member, the input it
-    scored for each report. inputs[m], where given and not None, holds member
-    m's input for each report, so that member assembles nothing. The first
-    member scores all its batches, in report order, before the second member
-    scores any; the benchmark's remote check matches the service's requests to
-    members by this order.
+    inputs[i], where given, maps each member's assembly key to its input for
+    report i; otherwise run_tier assembles them. The first member scores all
+    its batches, in report order, before the second member scores any; the
+    benchmark's remote check matches the service's requests to members by
+    this order.
     """
-    member_inputs: list[list[NormalizedInput]] = []
+    keys = [_assembly_key(m) for m in config.members]
+    if inputs is None:
+        inputs = [_assemble(r, keys, {}) for r in reports]
     probabilities: list[list[float]] = []
-    for mi, (member, backend) in enumerate(zip(config.members, config.backends)):
-        given = inputs[mi] if mi < len(inputs) else None
-        scored: list[NormalizedInput] = []
+    for member, backend, key in zip(config.members, config.backends, keys):
         member_scores: list[float] = []
         for start in range(0, len(reports), batch_size):
-            batch_inputs, batch_scores = _score_batch(
-                member, backend, reports[start:start + batch_size],
-                None if given is None else given[start:start + batch_size])
-            scored.extend(batch_inputs)
-            member_scores.extend(batch_scores)
-        member_inputs.append(scored)
+            stop = start + batch_size
+            member_scores += _score_batch(member, backend, reports[start:stop],
+                                          [by_key[key] for by_key in inputs[start:stop]])
         probabilities.append(member_scores)
     a, b = config.members
     results = []
     for pair in zip(*probabilities):
         positive = (decide(pair[0], a.threshold), decide(pair[1], b.threshold))
         results.append(EnsembleResult(pair, positive, or_combine(positive)))
-    return results, tuple(member_inputs)
+    return results
 
 
 def triage(
@@ -180,22 +184,28 @@ def triage(
     follows production semantics, i.e. a tier-1-negative report stays
     non_cancer no matter what tier 2 said.
 
-    A tier-2 member whose assembly key (variant, token budget, fallback
-    sections) equals a tier-1 member's reads, from the inputs tier 1 returned,
-    the input that member scored, so tier 2 assembles it again for no report.
+    Each report is assembled once per distinct assembly key (variant, token
+    budget, fallback sections) of the members that score it, and reads each
+    of its sections once for all of them: for the t1 keys, and for the t2
+    keys no t1 member shares when the reports tier 2 scores are known before
+    tier 1 runs. A tier-2 member whose key equals a tier-1 member's reads
+    the input that member scored.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ConfigurationError("triage needs a t1 config and a t2 config, in that order")
-    t1_results, t1_inputs = run_tier(reports, t1, batch_size)
+    t1_keys = [_assembly_key(m) for m in t1.members]
+    t2_keys = [_assembly_key(m) for m in t2.members]
+    wanted = t2_report_ids or set()
+    inputs = [_assemble(r, t1_keys + t2_keys if r.report_id in wanted else t1_keys, {})
+              for r in reports]
+    t1_results = run_tier(reports, t1, batch_size, inputs=inputs)
 
     if t2_report_ids is None:
         selected = [i for i, res in enumerate(t1_results) if res.is_positive]
     else:
         selected = [i for i, r in enumerate(reports) if r.report_id in t2_report_ids]
-    t1_keys = [_assembly_key(m) for m in t1.members]
-    t2_inputs = [[t1_inputs[t1_keys.index(k)][i] for i in selected] if k in t1_keys else None
-                 for k in map(_assembly_key, t2.members)]
-    t2_results, _ = run_tier([reports[i] for i in selected], t2, batch_size, inputs=t2_inputs)
+    t2_results = run_tier([reports[i] for i in selected], t2, batch_size,
+                          inputs=[_assemble(reports[i], t2_keys, inputs[i]) for i in selected])
     t2_by_index = dict(zip(selected, t2_results))
 
     outcomes: list[TriageOutcome] = []

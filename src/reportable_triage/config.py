@@ -236,6 +236,8 @@ def load_run_config(path: str | Path) -> RunConfig:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigurationError(f"config path is a directory: {path}") from None
     try:
         obj = parse_json(text)
     except ValidationError as exc:

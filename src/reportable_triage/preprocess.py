@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .corpus import PathologyReport
 from .errors import ValidationError
@@ -87,9 +87,10 @@ _SPACE = re.compile(r"\s")  # the characters str.isspace() and str.split() take 
 _CHARS_PER_TOKEN = 8  # a first guess of how long a piece to normalize
 
 
-def _leading_tokens(text: str, limit: int) -> list[str]:
+def _leading_tokens(text: str, limit: int) -> tuple[list[str], bool]:
     """The first tokens of normalize_text(text), more than limit of them if
-    it has that many, normalizing no more of text than it takes.
+    it has that many, normalizing no more of text than it takes, and whether
+    they are all of its tokens.
 
     text is normalized in pieces cut just before a whitespace character.
     lower()'s only context rule, the final sigma, does not look across
@@ -102,10 +103,10 @@ def _leading_tokens(text: str, limit: int) -> list[str]:
     while end < len(text) and (cut := _SPACE.search(text, end)):
         tokens += normalize_text(text[start:cut.start()]).split()
         if len(tokens) > limit:
-            return tokens
+            return tokens, False
         start = cut.start()
         end = start + _CHARS_PER_TOKEN * (limit + 1 - len(tokens))
-    return tokens + normalize_text(text[start:]).split()
+    return tokens + normalize_text(text[start:]).split(), True
 
 
 DEFAULT_FALLBACK_SECTIONS = ("specimen",)
@@ -139,6 +140,7 @@ def assemble_input(
     variant: PipelineVariant,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     fallback_sections: Sequence[str] = DEFAULT_FALLBACK_SECTIONS,
+    read: Optional[dict[str, tuple[list[str], bool]]] = None,
 ) -> NormalizedInput:
     """Build the exact text a backend scores for this report and variant.
 
@@ -146,6 +148,12 @@ def assemble_input(
     section, then fallback_sections, then every remaining section in
     document order; unsectioned reports fall back to the normalized raw
     text (recorded as pseudo-section "raw_text").
+
+    read, when given, is shared by the calls for one report: it maps each
+    section text read so far to its leading tokens and whether they are all
+    of them. A later call reads a section again only when it needs more of
+    it than is there, so assembling one report for several variants or
+    budgets normalizes each section once. The result does not depend on it.
     """
     if token_budget <= 0:
         raise ValidationError("token_budget must be positive")
@@ -161,8 +169,13 @@ def assemble_input(
     sections_used: list[str] = []
     remaining = token_budget
     truncated = False
+    if read is None:
+        read = {}
     for name, raw in chunks:
-        tokens = _leading_tokens(raw, remaining)
+        # a prefix serves when it is whole or already runs past the budget
+        tokens, complete = read.get(raw, ((), False))
+        if not complete and len(tokens) <= remaining:
+            tokens, complete = read[raw] = _leading_tokens(raw, remaining)
         take = tokens[:remaining]
         if take:
             kept.extend(take)

@@ -112,6 +112,8 @@ def load_synonym_table(path: str | Path) -> SectionSynonymTable:
         data = Path(path).read_bytes()
     except FileNotFoundError:
         raise ValidationError(f"section synonyms file not found: {path}") from None
+    except IsADirectoryError:
+        raise ValidationError(f"section synonyms path is a directory: {path}") from None
     for lineno, line in enumerate(data.decode("utf-8", "surrogateescape").splitlines(), 1):
         at = lone_surrogate(line)
         if at >= 0:  # a byte that is not UTF-8

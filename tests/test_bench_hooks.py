@@ -1,6 +1,6 @@
 """The traced benchmark wraps program functions by name; a rename must fail here,
-and so must a featurization, decision or corpus I/O path that bypasses the
-wrapped functions."""
+and so must a featurization, decision, corpus I/O or triage assembly path that
+bypasses the wrapped functions."""
 
 import os
 import subprocess
@@ -42,6 +42,9 @@ for name in ("baseline.hash", "baseline.loss_eval", "baseline.score", "preproces
              "cascade.combine", "cascade.serialize", "corpus.load", "corpus.write"):
     calls = tracer.aggregates.get((0, name), (0,))[0]
     assert calls > 0, f"{name} recorded no calls"
+# training assembles through the wrapped function too; triage must as well
+assert tracer.counters.get((0, "preprocess.assemble_triage_calls"), 0) > 0, \
+    "triage assembled no input through preprocess.assemble_input"
 """
 
 

@@ -8,6 +8,7 @@ from reportable_triage.backend.baseline import TrainHyper, BaselineBackend, trai
 from reportable_triage.cascade import (
     FinalLabel,
     TierConfig,
+    _assembly_key,
     check_gating_soundness,
     dumps_outcome,
     or_combine,
@@ -24,7 +25,7 @@ from reportable_triage.corpus import (
     synth_corpus,
 )
 from reportable_triage.errors import ConfigurationError, TierExecutionError, ValidationError
-from reportable_triage.preprocess import PipelineVariant, assemble_input
+from reportable_triage.preprocess import PipelineVariant, assemble_input, normalize_text
 
 A, B = PipelineVariant.A_SYNOPTIC_FIRST, PipelineVariant.B_DIAGNOSIS_FIRST
 
@@ -121,8 +122,7 @@ def test_tier_config_needs_two_distinct_variants():
 # --- run_tier ------------------------------------------------------------------
 
 def test_run_tier_empty():
-    results, inputs = run_tier([], keyword_tier(Tier.T1))
-    assert results == [] and inputs == ([], [])
+    assert run_tier([], keyword_tier(Tier.T1)) == []
 
 
 def test_run_tier_signal_only_in_synoptic_fires_member_a():
@@ -132,7 +132,7 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     # budget so only its priority section is visible to it
     config = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
                      KeywordBackend("kw-b", "carcinoma"), token_budget=2)
-    [result], _ = run_tier([report], config)
+    [result] = run_tier([report], config)
     assert result.probabilities == (0.9, 0.1)
     assert result.member_positive == (True, False)
     assert result.is_positive
@@ -140,7 +140,7 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
 
 def test_run_tier_identical_decisions_combined_equal():
     raw = "SYNOPTIC REPORT:\nbenign\nDIAGNOSIS:\nbenign\n"
-    [result], _ = run_tier([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
+    [result] = run_tier([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
     assert result.member_positive == (False, False)
     assert not result.is_positive
 
@@ -152,7 +152,7 @@ def test_run_tier_order_preserving_and_batched():
                         f"DIAGNOSIS:\n{'carcinoma' if i % 3 == 0 else 'benign'}\n")
         for i in range(10)
     ]
-    results, _ = run_tier(reports, keyword_tier(Tier.T1), batch_size=3)
+    results = run_tier(reports, keyword_tier(Tier.T1), batch_size=3)
     for i, res in enumerate(results):
         assert res.is_positive == (i % 3 == 0)
 
@@ -174,16 +174,20 @@ def test_run_tier_member_a_scores_every_batch_in_order_before_member_b():
         [("rec-b", texts[B][s:s + 3]) for s in (0, 3, 6)]
 
 
-def test_run_tier_returns_the_input_each_member_scored():
+def test_run_tier_scores_the_inputs_it_is_given_by_assembly_key():
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma {i}\n"
                                         f"DIAGNOSIS:\nnote {i}\n") for i in range(5)]
-    given = [assemble_input(r, B, 3) for r in reports]
     a, b = RecordingBackend("rec-a", "x"), RecordingBackend("rec-b", "x")
     config = tier_of(Tier.T1, a, b, token_budget=256)
-    _, (inputs_a, inputs_b) = run_tier(reports, config, batch_size=2, inputs=[None, given])
-    assert inputs_a == [assemble_input(r, A, 256) for r in reports]
-    assert inputs_b == given
-    assert a.texts == [i.text for i in inputs_a] and b.texts == [i.text for i in given]
+    key_a, key_b = (_assembly_key(m) for m in config.members)
+    # inputs member B would not assemble itself, and an unused key beside them
+    given = [{key_a: assemble_input(r, A, 2), key_b: assemble_input(r, B, 3),
+              (A, 1, ()): None} for r in reports]
+    run_tier(reports, config, batch_size=2, inputs=given)
+    assert a.texts == [assemble_input(r, A, 2).text for r in reports]
+    assert b.texts == [assemble_input(r, B, 3).text for r in reports]
+    run_tier(reports, config, batch_size=2)
+    assert b.texts[len(reports):] == [assemble_input(r, B, 256).text for r in reports]
 
 
 def test_run_tier_backend_failure_names_report_range():
@@ -212,7 +216,7 @@ def test_run_tier_rejects_scores_outside_0_1():
                                   f"score 1 is not a number in [0, 1]: {bad!r}")
     for edge in (0.0, 1.0, 0, 1):
         config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("edge", edge))
-        results, _ = run_tier(reports, config, batch_size=2)
+        results = run_tier(reports, config, batch_size=2)
         assert [r.probabilities[1] for r in results] == [0.5, edge, 0.5, edge]
 
 
@@ -315,6 +319,37 @@ def test_triage_t2_reads_the_inputs_t1_assembled(monkeypatch, t2_scope, t2_budge
     # tier 2 assembles only for the member whose settings no t1 member shares
     shared = t2_budget_b == 256
     assert len(calls) == 2 * len(reports) + (0 if shared else len(selected))
+
+
+@pytest.mark.parametrize("t2_scope, t2_budget_b", [("predicted", 512), ("gold", 3)])
+def test_triage_normalizes_each_section_of_a_report_once(monkeypatch, t2_scope, t2_budget_b):
+    import reportable_triage.preprocess as preprocess
+
+    # every report fits the 256-token budget, so one read of a section
+    # serves both variants, and a t2 member that no t1 member shares
+    reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma staging {i}\n"
+                                        f"DIAGNOSIS:\ncarcinoma, grade {i % 3}\n"
+                                        f"SPECIMEN:\nskin {i}\nCOMMENT:\nsee note\n")
+               for i in range(12)]
+    t1 = keyword_tier(Tier.T1)
+    t2 = TierConfig(task=Tier.T2,
+                    members=(member("t2-a", A, token_budget=512),
+                             member("t2-b", B, token_budget=t2_budget_b)),
+                    backends=(KeywordBackend("t2-a", "staging"),
+                              KeywordBackend("t2-b", "staging")))
+    ids = {r.report_id for r in reports} if t2_scope == "gold" else None
+    normalized = []
+
+    def counting_normalize(text):
+        normalized.append(len(text))
+        return normalize_text(text)
+
+    monkeypatch.setattr(preprocess, "normalize_text", counting_normalize)
+    outcomes = triage(reports, t1, t2, batch_size=5, t2_report_ids=ids)
+
+    assert all(o.t2 is not None for o in outcomes)
+    assert all(len(r.sections) == 4 for r in reports)
+    assert sum(normalized) == sum(len(s.text) for r in reports for s in r.sections)
 
 
 def test_triage_rejects_swapped_tier_configs():

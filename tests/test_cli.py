@@ -208,6 +208,11 @@ def test_unreadable_config_file_exits_1_naming_it(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_config_path_that_is_a_directory_exits_1_naming_it(tmp_path, capsys):
+    assert main(["--config", str(tmp_path), "build-dataset", "--tier", "t1"]) == 1
+    assert capsys.readouterr().err == f"error: config path is a directory: {tmp_path}\n"
+
+
 # --- train-baseline -------------------------------------------------------------
 
 def test_train_prints_loss_and_seed(pipeline, capsys, tmp_path):
@@ -1060,8 +1065,10 @@ def test_triage_sections_raw_only_corpus_with_custom_synonyms(pipeline, tmp_path
     assert outcome["t1"]["combined"] == "cancer"
 
 
+DIRECTORY = object()
 SYNONYMS_DAMAGE = {
     "missing": (None, "error: section synonyms file not found: {path}"),
+    "directory": (DIRECTORY, "error: section synonyms path is a directory: {path}"),
     "non-UTF-8 byte": (b"# local\nMICROSCOPIC \xff EXAM = other\n",
                        "error: {path}: line 2: not UTF-8: byte 0xff"),
 }
@@ -1077,7 +1084,9 @@ def test_unreadable_synonyms_file_exits_1_naming_it(pipeline, tmp_path, capsys, 
                        "--out", str(tmp_path / "outcomes.jsonl")]}[command]
     content, message = SYNONYMS_DAMAGE[case]
     synonyms = tmp_path / "sections.cfg"
-    if content is not None:
+    if content is DIRECTORY:
+        synonyms.mkdir()
+    elif content is not None:
         synonyms.write_bytes(content)
     config_obj = json.loads((base / "config.json").read_text())
     config_obj["section_synonyms"] = str(synonyms)

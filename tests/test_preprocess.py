@@ -124,6 +124,42 @@ def test_assembly_equals_full_normalization_of_each_chunk(texts, budget):
     assert (out.text, out.approx_token_count, out.truncated, out.sections_used) == expected
 
 
+SECTION_NAMES = st.sampled_from(["synoptic", "diagnosis", "specimen", "margins", "other"])
+ASSEMBLY_KEYS = st.lists(
+    st.tuples(st.sampled_from([A, B]), st.integers(min_value=1, max_value=40),
+              st.lists(SECTION_NAMES, max_size=2).map(tuple)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def shared_read_reports(draw):
+    """A report with 0-4 sections whose texts come from a small pool, so that
+    texts repeat; the pool holds empty, budget-crossing and piece-cut texts."""
+    pool = draw(st.lists(CHUNK_TEXT | st.just("") | st.just("Carcinoma, grade 2. " * 30),
+                         min_size=1, max_size=3))
+    texts = st.sampled_from(pool)
+    sections = draw(st.lists(st.builds(Section, name=SECTION_NAMES, text=texts), max_size=4))
+    return report_with(sections, raw_text=draw(texts) or "x")
+
+
+@given(report=shared_read_reports(), keys=ASSEMBLY_KEYS)
+@example(report=report_with([Section(name="synoptic", text="a" * 15 + "Σ.b c"),
+                             Section(name="diagnosis", text="x")]),
+         keys=[(A, 2, ()), (B, 1, ()), (A, 3, ())])
+@example(report=report_with([Section(name="synoptic", text="ΟΔΟΣ " * 40),
+                             Section(name="diagnosis", text="ΟΔΟΣ " * 40)]),
+         keys=[(A, 1, ()), (B, 12, ()), (A, 40, ("specimen",))])
+@example(report=report_with([Section(name="diagnosis", text="")]),
+         keys=[(A, 1, ()), (B, 1, ())])
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_a_shared_read_assembles_as_a_read_of_its_own_in_any_key_order(report, keys):
+    alone = {key: assemble_input(report, *key) for key in keys}
+    for order in (keys, keys[::-1]):
+        read = {}
+        for key in order:
+            assert assemble_input(report, *key, read) == alone[key]
+
+
 def test_assembly_normalizes_only_a_prefix_of_a_long_chunk(monkeypatch):
     seen = []
 
