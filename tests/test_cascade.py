@@ -325,7 +325,7 @@ def test_triage_t2_reads_the_inputs_t1_assembled(monkeypatch, t2_scope, t2_budge
 def test_triage_normalizes_each_section_of_a_report_once(monkeypatch, t2_scope, t2_budget_b):
     import reportable_triage.preprocess as preprocess
 
-    # every report fits the 256-token budget, so one read of a section
+    # every report fits the 512-token budget, so one read of a section
     # serves both variants, and a t2 member that no t1 member shares
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma staging {i}\n"
                                         f"DIAGNOSIS:\ncarcinoma, grade {i % 3}\n"
