@@ -139,19 +139,17 @@ def run_tier(
     config: TierConfig,
     batch_size: int = DEFAULT_BATCH_SIZE,
     *,
-    inputs: Optional[Sequence[dict]] = None,
+    inputs: Sequence[dict],
 ) -> list[EnsembleResult]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
-    inputs[i], where given, maps each member's assembly key to its input for
-    report i; otherwise run_tier assembles them. The first member scores all
+    inputs[i] maps each member's assembly key to its input for report i
+    (see _assemble). The first member scores all
     its batches, in report order, before the second member scores any; the
     benchmark's remote check matches the service's requests to members by
     this order.
     """
     keys = [_assembly_key(m) for m in config.members]
-    if inputs is None:
-        inputs = [_assemble(r, keys, {}) for r in reports]
     probabilities: list[list[float]] = []
     for member, backend, key in zip(config.members, config.backends, keys):
         member_scores: list[float] = []
@@ -185,19 +183,17 @@ def triage(
     non_cancer no matter what tier 2 said.
 
     Each report is assembled once per distinct assembly key (variant, token
-    budget, fallback sections) of the members that score it, and reads each
-    of its sections once for all of them: for the t1 keys, and for the t2
-    keys no t1 member shares when the reports tier 2 scores are known before
-    tier 1 runs. A tier-2 member whose key equals a tier-1 member's reads
-    the input that member scored.
+    budget, fallback sections) of the members that score it, and its
+    sections are read once for both t1 keys. A tier-2 member whose key
+    equals a tier-1 member's reads the input that member scored; a t2 key
+    no t1 member shares is assembled after tier 1, for the reports tier 2
+    scores.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ConfigurationError("triage needs a t1 config and a t2 config, in that order")
     t1_keys = [_assembly_key(m) for m in t1.members]
     t2_keys = [_assembly_key(m) for m in t2.members]
-    wanted = t2_report_ids or set()
-    inputs = [_assemble(r, t1_keys + t2_keys if r.report_id in wanted else t1_keys, {})
-              for r in reports]
+    inputs = [_assemble(r, t1_keys, {}) for r in reports]
     t1_results = run_tier(reports, t1, batch_size, inputs=inputs)
 
     if t2_report_ids is None:

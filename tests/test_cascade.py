@@ -6,8 +6,10 @@ import pytest
 from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import TrainHyper, BaselineBackend, train_baseline
 from reportable_triage.cascade import (
+    DEFAULT_BATCH_SIZE,
     FinalLabel,
     TierConfig,
+    _assemble,
     _assembly_key,
     check_gating_soundness,
     dumps_outcome,
@@ -121,8 +123,15 @@ def test_tier_config_needs_two_distinct_variants():
 
 # --- run_tier ------------------------------------------------------------------
 
+def scored(reports, config, batch_size=DEFAULT_BATCH_SIZE):
+    """run_tier over reports with the inputs triage would assemble for them."""
+    keys = [_assembly_key(m) for m in config.members]
+    return run_tier(reports, config, batch_size,
+                    inputs=[_assemble(r, keys, {}) for r in reports])
+
+
 def test_run_tier_empty():
-    assert run_tier([], keyword_tier(Tier.T1)) == []
+    assert scored([], keyword_tier(Tier.T1)) == []
 
 
 def test_run_tier_signal_only_in_synoptic_fires_member_a():
@@ -132,7 +141,7 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     # budget so only its priority section is visible to it
     config = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
                      KeywordBackend("kw-b", "carcinoma"), token_budget=2)
-    [result] = run_tier([report], config)
+    [result] = scored([report], config)
     assert result.probabilities == (0.9, 0.1)
     assert result.member_positive == (True, False)
     assert result.is_positive
@@ -140,7 +149,7 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
 
 def test_run_tier_identical_decisions_combined_equal():
     raw = "SYNOPTIC REPORT:\nbenign\nDIAGNOSIS:\nbenign\n"
-    [result] = run_tier([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
+    [result] = scored([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
     assert result.member_positive == (False, False)
     assert not result.is_positive
 
@@ -152,7 +161,7 @@ def test_run_tier_order_preserving_and_batched():
                         f"DIAGNOSIS:\n{'carcinoma' if i % 3 == 0 else 'benign'}\n")
         for i in range(10)
     ]
-    results = run_tier(reports, keyword_tier(Tier.T1), batch_size=3)
+    results = scored(reports, keyword_tier(Tier.T1), batch_size=3)
     for i, res in enumerate(results):
         assert res.is_positive == (i % 3 == 0)
 
@@ -168,7 +177,7 @@ def test_run_tier_member_a_scores_every_batch_in_order_before_member_b():
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\nsyn {i}\n"
                                         f"DIAGNOSIS:\ndx {i}\n") for i in range(7)]
     config = tier_of(Tier.T1, LoggingBackend("rec-a", "x"), LoggingBackend("rec-b", "x"))
-    run_tier(reports, config, batch_size=3)
+    scored(reports, config, batch_size=3)
     texts = {v: [assemble_input(r, v).text for r in reports] for v in (A, B)}
     assert calls == [("rec-a", texts[A][s:s + 3]) for s in (0, 3, 6)] + \
         [("rec-b", texts[B][s:s + 3]) for s in (0, 3, 6)]
@@ -186,15 +195,13 @@ def test_run_tier_scores_the_inputs_it_is_given_by_assembly_key():
     run_tier(reports, config, batch_size=2, inputs=given)
     assert a.texts == [assemble_input(r, A, 2).text for r in reports]
     assert b.texts == [assemble_input(r, B, 3).text for r in reports]
-    run_tier(reports, config, batch_size=2)
-    assert b.texts[len(reports):] == [assemble_input(r, B, 256).text for r in reports]
 
 
 def test_run_tier_backend_failure_names_report_range():
     config = tier_of(Tier.T1, FailingBackend(), KeywordBackend("kw-b", "x"))
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
     with pytest.raises(TierExecutionError) as exc:
-        run_tier(reports, config, batch_size=2)
+        scored(reports, config, batch_size=2)
     assert "broken" in str(exc.value)
     assert "R0" in str(exc.value) and "R1" in str(exc.value)
 
@@ -211,12 +218,12 @@ def test_run_tier_rejects_scores_outside_0_1():
     for bad in (1.5, -0.1, float("nan"), True, "0.5"):
         config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("bad", bad))
         with pytest.raises(TierExecutionError) as exc:
-            run_tier(reports, config, batch_size=2)
+            scored(reports, config, batch_size=2)
         assert str(exc.value) == (f"backend 'bad' failed on reports 'R0'..'R1': "
                                   f"score 1 is not a number in [0, 1]: {bad!r}")
     for edge in (0.0, 1.0, 0, 1):
         config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("edge", edge))
-        results = run_tier(reports, config, batch_size=2)
+        results = scored(reports, config, batch_size=2)
         assert [r.probabilities[1] for r in results] == [0.5, edge, 0.5, edge]
 
 
@@ -321,12 +328,11 @@ def test_triage_t2_reads_the_inputs_t1_assembled(monkeypatch, t2_scope, t2_budge
     assert len(calls) == 2 * len(reports) + (0 if shared else len(selected))
 
 
-@pytest.mark.parametrize("t2_scope, t2_budget_b", [("predicted", 512), ("gold", 3)])
-def test_triage_normalizes_each_section_of_a_report_once(monkeypatch, t2_scope, t2_budget_b):
+def test_triage_normalizes_each_section_of_a_report_once(monkeypatch):
     import reportable_triage.preprocess as preprocess
 
     # every report fits the 512-token budget, so one read of a section
-    # serves both variants, and a t2 member that no t1 member shares
+    # serves both variants of both tiers
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma staging {i}\n"
                                         f"DIAGNOSIS:\ncarcinoma, grade {i % 3}\n"
                                         f"SPECIMEN:\nskin {i}\nCOMMENT:\nsee note\n")
@@ -334,10 +340,9 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch, t2_scope, 
     t1 = keyword_tier(Tier.T1)
     t2 = TierConfig(task=Tier.T2,
                     members=(member("t2-a", A, token_budget=512),
-                             member("t2-b", B, token_budget=t2_budget_b)),
+                             member("t2-b", B, token_budget=512)),
                     backends=(KeywordBackend("t2-a", "staging"),
                               KeywordBackend("t2-b", "staging")))
-    ids = {r.report_id for r in reports} if t2_scope == "gold" else None
     normalized = []
 
     def counting_normalize(text):
@@ -345,7 +350,7 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch, t2_scope, 
         return normalize_text(text)
 
     monkeypatch.setattr(preprocess, "normalize_text", counting_normalize)
-    outcomes = triage(reports, t1, t2, batch_size=5, t2_report_ids=ids)
+    outcomes = triage(reports, t1, t2, batch_size=5)
 
     assert all(o.t2 is not None for o in outcomes)
     assert all(len(r.sections) == 4 for r in reports)
