@@ -1,32 +1,1 @@
 """Two-tier pathology-report triage with a sensitivity-first OR-ensemble."""
-
-from .corpus import (
-    Corpus,
-    LabeledReport,
-    PathologyReport,
-    Section,
-    SynthSpec,
-    T1Label,
-    T2Label,
-    Tier,
-    load_corpus,
-    synth_corpus,
-    write_corpus,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "LabeledReport",
-    "PathologyReport",
-    "Section",
-    "SynthSpec",
-    "T1Label",
-    "T2Label",
-    "Tier",
-    "load_corpus",
-    "synth_corpus",
-    "write_corpus",
-    "__version__",
-]

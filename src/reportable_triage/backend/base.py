@@ -8,8 +8,6 @@ from ..preprocess import NormalizedInput
 
 
 class ClassifierBackend(Protocol):
-    backend_id: str
-
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
         """One probability of the task's positive class per input, order-preserving;
         never mutates model state. The cascade checks each is in [0, 1]."""

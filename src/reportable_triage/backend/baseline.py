@@ -344,6 +344,10 @@ class BaselineModel:
             and self.final_loss == other.final_loss
         )
 
+    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
+        """The ClassifierBackend contract: a loaded model is a triage member's backend."""
+        return score_batch(self, inputs)
+
 
 def regularized_loss(
     weights: np.ndarray,
@@ -481,14 +485,3 @@ def load_baseline(path: str | Path) -> BaselineModel:
         l2=l2,
         final_loss=final_loss,
     )
-
-
-@dataclass
-class BaselineBackend:
-    """ClassifierBackend adapter around an immutable trained BaselineModel."""
-
-    model: BaselineModel
-    backend_id: str
-
-    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        return score_batch(self.model, inputs)

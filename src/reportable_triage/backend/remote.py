@@ -14,7 +14,6 @@ kinds so callers can tell a flaky network from a broken service.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,7 +28,7 @@ from ..errors import (
     ValidationError,
 )
 from ..preprocess import NormalizedInput
-from ..util import dumps_line, parse_json
+from ..util import JSON_TYPES, dumps_line, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +62,9 @@ def _parse_scores(body: bytes, expected: int, url: str) -> list[float]:
     out: list[float] = []
     for i, value in enumerate(scores):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RemoteProtocolError(f"{url}: scores[{i}] is not a number: {value!r}")
-        if math.isnan(value) or not 0.0 <= value <= 1.0:
+            raise RemoteProtocolError(
+                f"{url}: scores[{i}] is not a number, got {JSON_TYPES[type(value)]}")
+        if not 0.0 <= value <= 1.0:  # False for NaN, and exact for any integer
             raise ScoreRangeError(f"{url}: scores[{i}] out of range [0, 1]: {value!r}")
         out.append(float(value))
     return out
@@ -115,24 +115,15 @@ class RemoteBackend:
 
     endpoint: str
     task: Tier
-    backend_id: str
     timeout: float = DEFAULT_TIMEOUT
     max_retries: int = DEFAULT_MAX_RETRIES
     session: requests.Session = field(default_factory=requests.Session, repr=False,
                                       compare=False)
 
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        try:
-            return remote_score(
-                self.endpoint,
-                self.task,
-                [inp.text for inp in inputs],
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                session=self.session,
-            )
-        except TransportError as exc:
-            raise TransportError(f"backend {self.backend_id!r}: {exc}") from exc
+        return remote_score(self.endpoint, self.task, [inp.text for inp in inputs],
+                            timeout=self.timeout, max_retries=self.max_retries,
+                            session=self.session)
 
     def close(self) -> None:
         self.session.close()

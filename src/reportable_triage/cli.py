@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import cascade, metrics, sampler
 from .backend.base import ClassifierBackend
-from .backend.baseline import BaselineBackend, load_baseline, save_baseline, train_baseline
+from .backend.baseline import load_baseline, save_baseline, train_baseline
 from .backend.remote import RemoteBackend
 from .config import MemberConfig, RunConfig, load_run_config
 from .corpus import Corpus, SynthSpec, Tier, load_corpus, synth_corpus, write_corpus
@@ -114,16 +114,15 @@ def _make_backend(cfg: RunConfig, tier: Tier, member: MemberConfig) -> Classifie
     if member.kind == "native_baseline":
         model_path = _require_file(cfg.model_file(member),
                                    f"model file for {member.backend_id!r}")
-        return BaselineBackend(model=load_baseline(model_path),
-                               backend_id=member.backend_id)
+        return load_baseline(model_path)
     endpoint = cfg.remote.endpoint_for(tier)
     if not endpoint:
         raise ConfigurationError(
             f"member {member.backend_id!r} is remote but no endpoint is configured "
             f"for {tier.value} (config remote.endpoints or TRIAGE_REMOTE_ENDPOINT_*)"
         )
-    return RemoteBackend(endpoint=endpoint, task=tier, backend_id=member.backend_id,
-                         timeout=cfg.remote.timeout, max_retries=cfg.remote.max_retries)
+    return RemoteBackend(endpoint=endpoint, task=tier, timeout=cfg.remote.timeout,
+                         max_retries=cfg.remote.max_retries)
 
 
 def _sectioned(corpus: Corpus, cfg: RunConfig) -> Corpus:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .corpus import Corpus, LabeledReport, T1Label, T2Label, Tier
 from .errors import ValidationError
@@ -177,11 +176,9 @@ def build_dataset(
     corpus: Corpus,
     task: Tier,
     split_spec: SplitSpec,
-    policy: Optional[UndersamplePolicy] = None,
+    policy: UndersamplePolicy,
 ) -> BuiltDataset:
     """Filter to task-labeled records, split, then undersample the train side."""
-    if policy is None:
-        policy = default_policy(task, split_spec.seed)
     labeled = with_label(corpus, task)
     if not labeled.records:
         raise ValidationError(f"no records carry a {task.value} label")

@@ -96,7 +96,7 @@ dumps_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 REQUIRED = object()
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "true or false", type(None): "null"}
 
 
@@ -121,7 +121,7 @@ def read_field(obj: dict, key: str, kind: type, where: str,
     if value is REQUIRED:
         reason = "missing required field"
     elif not (type(value) is kind or kind is float and type(value) is int):
-        reason = f"expected {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}"
+        reason = f"expected {JSON_TYPES[kind]}, got {JSON_TYPES[type(value)]}"
     elif kind is str:
         at = lone_surrogate(value)
         if at < 0:

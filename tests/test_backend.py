@@ -14,7 +14,6 @@ from reportable_triage.backend import baseline
 from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import (
     BLOCK_TOKENS,
-    BaselineBackend,
     BaselineModel,
     FeatureRows,
     TrainHyper,
@@ -423,9 +422,9 @@ def test_load_rejects_feature_dim_not_power_of_two(tmp_path):
         load_baseline(path)
 
 
-def test_baseline_backend_adapter():
+def test_baseline_model_is_a_backend():
     model = train_baseline(separable_set(4), TrainHyper(epochs=2), seed=8)
-    backend = BaselineBackend(model=model, backend_id="b-a")
-    scores = backend.score_batch([ni("carcinoma"), ni("benign")])
-    assert len(scores) == 2
-    assert backend.backend_id == "b-a"
+    inputs = [ni("carcinoma"), ni("benign")]
+    scores = model.score_batch(inputs)
+    assert scores == score_batch(model, inputs)
+    assert len(scores) == 2 and scores[0] > 0.5 > scores[1]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from reportable_triage.backend.base import decide
-from reportable_triage.backend.baseline import TrainHyper, BaselineBackend, train_baseline
+from reportable_triage.backend.baseline import TrainHyper, train_baseline
 from reportable_triage.cascade import (
     DEFAULT_BATCH_SIZE,
     FinalLabel,
@@ -51,8 +51,7 @@ def test_or_combine_both_positive():
 class KeywordBackend:
     """Scores 0.9 when its keyword occurs in the input text, else 0.1."""
 
-    def __init__(self, backend_id, keyword):
-        self.backend_id = backend_id
+    def __init__(self, keyword):
         self.keyword = keyword
         self.calls = 0
 
@@ -62,8 +61,8 @@ class KeywordBackend:
 
 
 class RecordingBackend(KeywordBackend):
-    def __init__(self, backend_id, keyword):
-        super().__init__(backend_id, keyword)
+    def __init__(self, keyword):
+        super().__init__(keyword)
         self.texts = []
 
     def score_batch(self, inputs):
@@ -72,8 +71,6 @@ class RecordingBackend(KeywordBackend):
 
 
 class FailingBackend:
-    backend_id = "broken"
-
     def score_batch(self, inputs):
         raise ValidationError("backend exploded")
 
@@ -89,22 +86,22 @@ def member(backend_id, variant, **settings):
                         **settings)
 
 
-def tier_of(task, backend_a, backend_b, **settings):
-    """A tier whose variant-A and variant-B members are scored by these backends."""
+def tier_of(task, backends, **settings):
+    """A tier of two members, {backend_id: backend} for variant A, then variant B."""
+    (id_a, backend_a), (id_b, backend_b) = backends.items()
     return TierConfig(task=task,
-                      members=(member(backend_a.backend_id, A, **settings),
-                               member(backend_b.backend_id, B, **settings)),
+                      members=(member(id_a, A, **settings), member(id_b, B, **settings)),
                       backends=(backend_a, backend_b))
 
 
 def keyword_tier(task, keyword_a="carcinoma", keyword_b="carcinoma"):
-    return tier_of(task, KeywordBackend("kw-a", keyword_a), KeywordBackend("kw-b", keyword_b))
+    return tier_of(task, {"kw-a": KeywordBackend(keyword_a), "kw-b": KeywordBackend(keyword_b)})
 
 
 # --- TierConfig validation ----------------------------------------------------
 
 def test_tier_config_needs_two_distinct_variants():
-    x, y = KeywordBackend("x", "k"), KeywordBackend("y", "k")
+    x, y = KeywordBackend("k"), KeywordBackend("k")
     TierConfig(task=Tier.T1, members=(member("x", A), member("y", B)), backends=(x, y))
     rejected = [
         ((member("x", A), member("y", A)), (x, y), "variants A and B"),
@@ -139,8 +136,8 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     report = report_from_raw("R1", raw)
     # member A reads synoptic-first, member B reads diagnosis-first with a tight
     # budget so only its priority section is visible to it
-    config = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
-                     KeywordBackend("kw-b", "carcinoma"), token_budget=2)
+    config = tier_of(Tier.T1, {"kw-a": KeywordBackend("carcinoma"),
+                               "kw-b": KeywordBackend("carcinoma")}, token_budget=2)
     [result] = scored([report], config)
     assert result.probabilities == (0.9, 0.1)
     assert result.member_positive == (True, False)
@@ -171,23 +168,23 @@ def test_run_tier_member_a_scores_every_batch_in_order_before_member_b():
 
     class LoggingBackend(KeywordBackend):
         def score_batch(self, inputs):
-            calls.append((self.backend_id, [inp.text for inp in inputs]))
+            calls.append((self, [inp.text for inp in inputs]))
             return super().score_batch(inputs)
 
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\nsyn {i}\n"
                                         f"DIAGNOSIS:\ndx {i}\n") for i in range(7)]
-    config = tier_of(Tier.T1, LoggingBackend("rec-a", "x"), LoggingBackend("rec-b", "x"))
-    scored(reports, config, batch_size=3)
+    a, b = LoggingBackend("x"), LoggingBackend("x")
+    scored(reports, tier_of(Tier.T1, {"rec-a": a, "rec-b": b}), batch_size=3)
     texts = {v: [assemble_input(r, v).text for r in reports] for v in (A, B)}
-    assert calls == [("rec-a", texts[A][s:s + 3]) for s in (0, 3, 6)] + \
-        [("rec-b", texts[B][s:s + 3]) for s in (0, 3, 6)]
+    assert calls == [(a, texts[A][s:s + 3]) for s in (0, 3, 6)] + \
+        [(b, texts[B][s:s + 3]) for s in (0, 3, 6)]
 
 
 def test_run_tier_scores_the_inputs_it_is_given_by_assembly_key():
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma {i}\n"
                                         f"DIAGNOSIS:\nnote {i}\n") for i in range(5)]
-    a, b = RecordingBackend("rec-a", "x"), RecordingBackend("rec-b", "x")
-    config = tier_of(Tier.T1, a, b, token_budget=256)
+    a, b = RecordingBackend("x"), RecordingBackend("x")
+    config = tier_of(Tier.T1, {"rec-a": a, "rec-b": b}, token_budget=256)
     key_a, key_b = (_assembly_key(m) for m in config.members)
     # inputs member B would not assemble itself, and an unused key beside them
     given = [{key_a: assemble_input(r, A, 2), key_b: assemble_input(r, B, 3),
@@ -198,7 +195,7 @@ def test_run_tier_scores_the_inputs_it_is_given_by_assembly_key():
 
 
 def test_run_tier_backend_failure_names_report_range():
-    config = tier_of(Tier.T1, FailingBackend(), KeywordBackend("kw-b", "x"))
+    config = tier_of(Tier.T1, {"broken": FailingBackend(), "kw-b": KeywordBackend("x")})
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
     with pytest.raises(TierExecutionError) as exc:
         scored(reports, config, batch_size=2)
@@ -208,21 +205,21 @@ def test_run_tier_backend_failure_names_report_range():
 
 def test_run_tier_rejects_scores_outside_0_1():
     class FixedBackend:
-        def __init__(self, backend_id, score):
-            self.backend_id, self.score = backend_id, score
+        def __init__(self, score):
+            self.score = score
 
         def score_batch(self, inputs):
             return [0.5] * (len(inputs) - 1) + [self.score]
 
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
     for bad in (1.5, -0.1, float("nan"), True, "0.5"):
-        config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("bad", bad))
+        config = tier_of(Tier.T1, {"kw-a": KeywordBackend("x"), "bad": FixedBackend(bad)})
         with pytest.raises(TierExecutionError) as exc:
             scored(reports, config, batch_size=2)
         assert str(exc.value) == (f"backend 'bad' failed on reports 'R0'..'R1': "
                                   f"score 1 is not a number in [0, 1]: {bad!r}")
     for edge in (0.0, 1.0, 0, 1):
-        config = tier_of(Tier.T1, KeywordBackend("kw-a", "x"), FixedBackend("edge", edge))
+        config = tier_of(Tier.T1, {"kw-a": KeywordBackend("x"), "edge": FixedBackend(edge)})
         results = scored(reports, config, batch_size=2)
         assert [r.probabilities[1] for r in results] == [0.5, edge, 0.5, edge]
 
@@ -306,9 +303,9 @@ def test_triage_t2_reads_the_inputs_t1_assembled(monkeypatch, t2_scope, t2_budge
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\ncarcinoma staging {i}\n"
                                         f"DIAGNOSIS:\ncarcinoma note\nSPECIMEN:\nskin\n"
                                if rng.random() < 0.4 else BENIGN_RAW) for i in range(20)]
-    t1 = tier_of(Tier.T1, KeywordBackend("kw-a", "carcinoma"),
-                 KeywordBackend("kw-b", "carcinoma"), token_budget=256)
-    t2_a, t2_b = RecordingBackend("t2-a", "staging"), RecordingBackend("t2-b", "staging")
+    t1 = tier_of(Tier.T1, {"kw-a": KeywordBackend("carcinoma"),
+                           "kw-b": KeywordBackend("carcinoma")}, token_budget=256)
+    t2_a, t2_b = RecordingBackend("staging"), RecordingBackend("staging")
     t2 = TierConfig(task=Tier.T2,
                     members=(member("t2-a", A, token_budget=256),
                              member("t2-b", B, token_budget=t2_budget_b)),
@@ -341,8 +338,7 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch):
     t2 = TierConfig(task=Tier.T2,
                     members=(member("t2-a", A, token_budget=512),
                              member("t2-b", B, token_budget=512)),
-                    backends=(KeywordBackend("t2-a", "staging"),
-                              KeywordBackend("t2-b", "staging")))
+                    backends=(KeywordBackend("staging"), KeywordBackend("staging")))
     normalized = []
 
     def counting_normalize(text):
@@ -450,12 +446,9 @@ def test_end_to_end_with_trained_baselines_on_synth():
         return out
 
     def tier_config(tier):
-        backends = [
-            BaselineBackend(model=train_baseline(pairs(variant, tier), hyper, seed=5),
-                            backend_id=f"bl-{name}")
-            for variant, name in ((A, "a"), (B, "b"))
-        ]
-        return tier_of(tier, *backends, token_budget=256)
+        models = {f"bl-{name}": train_baseline(pairs(variant, tier), hyper, seed=5)
+                  for variant, name in ((A, "a"), (B, "b"))}
+        return tier_of(tier, models, token_budget=256)
 
     outcomes = triage([r.report for r in corpus], tier_config(Tier.T1),
                       tier_config(Tier.T2))

@@ -1,9 +1,13 @@
 import copy
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -307,7 +311,39 @@ def test_triage_unreachable_remote_exits_2(tmp_path, capsys):
     code = main(["--config", str(config), "triage",
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 2
-    assert "unreachable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unreachable" in err
+    # the cascade names the failing member; the backend adds no second name
+    assert err.count("backend 't1-baseline-a'") == 1
+    assert err.count("backend '") == 1
+
+
+def test_process_entry_point_keeps_the_exit_code_contract(tmp_path):
+    def run(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run([sys.executable, "-m", "reportable_triage.cli", *argv],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+
+    def huge_scores(captured):  # beyond float range: out of [0, 1], not a crash
+        n = len(json.loads(captured.body)["texts"])
+        return 200, b'{"scores": [' + b",".join([b"9" * 400] * n) + b"]}"
+
+    synth = run("synth", "--n", "5", "--seed", "2", "--out", "corpus.jsonl")
+    assert synth.returncode == 0, synth.stderr
+    missing_config = run("build-dataset", "--tier", "t1")
+    with MockClassifyServer(huge_scores) as server:
+        config = write_config(tmp_path, remote_kind=True,
+                              remote={"timeout": 5, "max_retries": 0,
+                                      "endpoints": {"t1": server.endpoint,
+                                                    "t2": server.endpoint}})
+        huge_score = run("--config", str(config), "triage")
+    for failed, code, reason in ((missing_config, 1, "requires --config"),
+                                 (huge_score, 2, "out of range")):
+        assert failed.returncode == code, failed.stderr
+        assert "Traceback" not in failed.stderr
+        [error] = [line for line in failed.stderr.splitlines() if line.startswith("error: ")]
+        assert reason in error
 
 
 @pytest.mark.parametrize("key, value, reason", [

@@ -54,16 +54,25 @@ def test_out_of_range_score_is_range_error():
 
 
 def test_nan_score_is_range_error():
-    body = b'{"scores": [NaN]}'  # json.dumps would not emit this; craft by hand
-    with MockClassifyServer(lambda c: (200, body)) as server:
-        with pytest.raises(ScoreRangeError):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+    # json.dumps would not emit these; craft by hand. The integer is beyond
+    # float range, where a float() or math.isnan() of it overflows
+    for body in (b'{"scores": [NaN]}', b'{"scores": [' + b"9" * 400 + b"]}"):
+        with MockClassifyServer(lambda c, body=body: (200, body)) as server:
+            with pytest.raises(ScoreRangeError, match="out of range"):
+                remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
 
 
 def test_non_numeric_score_is_protocol_error():
-    with MockClassifyServer(lambda c: (200, b'{"scores": ["high"]}')) as server:
-        with pytest.raises(RemoteProtocolError, match="not a number"):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+    # the score is named by its JSON type, never echoed: it can be megabytes
+    for score, kind in (('"high"', "a string"), ('"' + "x" * 1_000_000 + '"', "a string"),
+                        ("true", "true or false"), ("null", "null"), ("[0.5]", "an array"),
+                        ('{"p": 0.5}', "an object")):
+        body = ('{"scores": [0.5, ' + score + "]}").encode()
+        with MockClassifyServer(lambda c, body=body: (200, body)) as server:
+            with pytest.raises(RemoteProtocolError) as exc:
+                remote_score(server.endpoint, Tier.T1, ["a", "b"], timeout=5)
+        assert str(exc.value) == (f"{server.endpoint}/v1/classify: "
+                                  f"scores[1] is not a number, got {kind}")
 
 
 def test_malformed_body_is_protocol_error():
@@ -103,23 +112,21 @@ def test_connection_refused_is_transport_error():
         remote_score(endpoint, Tier.T1, ["a"], timeout=0.5, max_retries=0)
 
 
-def test_remote_backend_scores_inputs_and_tags_transport_errors():
+def test_remote_backend_scores_inputs_and_raises_transport_errors():
     def ni(text):
         return NormalizedInput(text=text, approx_token_count=1, truncated=False,
                                sections_used=("diagnosis",))
 
     with MockClassifyServer(MockClassifyServer.score_per_text(0.8)) as server:
-        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T1,
-                                backend_id="remote-a", timeout=5)
+        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T1, timeout=5)
         scores = backend.score_batch([ni("one"), ni("two")])
         assert scores == [0.8, 0.8]
         sent = json.loads(server.requests[0].body)
         assert sent == {"task": "t1", "texts": ["one", "two"]}
         endpoint = server.endpoint
 
-    backend = RemoteBackend(endpoint=endpoint, task=Tier.T1,
-                            backend_id="remote-a", timeout=0.3, max_retries=0)
-    with pytest.raises(TransportError, match="remote-a"):
+    backend = RemoteBackend(endpoint=endpoint, task=Tier.T1, timeout=0.3, max_retries=0)
+    with pytest.raises(TransportError, match="unreachable"):
         backend.score_batch([ni("one")])
 
 
@@ -129,8 +136,7 @@ def test_remote_backend_sends_its_batches_over_one_connection():
                                sections_used=("diagnosis",))
 
     with MockClassifyServer(MockClassifyServer.score_per_text(0.25)) as server:
-        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T2,
-                                backend_id="remote-a", timeout=5)
+        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T2, timeout=5)
         for n in (3, 1, 2, 4):
             assert backend.score_batch([ni(f"text {i}") for i in range(n)]) == [0.25] * n
         backend.close()
