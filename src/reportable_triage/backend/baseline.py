@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import BaselineFormatError, ValidationError
+from ..errors import ValidationError
 from ..preprocess import NormalizedInput
 from ..util import atomic_write_bytes
 
@@ -457,24 +457,24 @@ def save_baseline(model: BaselineModel, path: str | Path) -> None:
 def load_baseline(path: str | Path) -> BaselineModel:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
-        raise BaselineFormatError(f"{path}: truncated model file")
+        raise ValidationError(f"{path}: truncated model file")
     magic, version, dim, seed, epochs, lr, l2, bias, final_loss, _ = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
-        raise BaselineFormatError(f"{path}: not a baseline model file")
+        raise ValidationError(f"{path}: not a baseline model file")
     if version != _FORMAT_VERSION:
-        raise BaselineFormatError(
+        raise ValidationError(
             f"{path}: unsupported format version {version} (expected {_FORMAT_VERSION})"
         )
     try:
         check_feature_dim(dim)
     except ValidationError as exc:
-        raise BaselineFormatError(f"{path}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None
     expected = _HEADER.size + 8 * dim
     if len(raw) != expected:
-        raise BaselineFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise ValidationError(f"{path}: expected {expected} bytes, found {len(raw)}")
     weights = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(np.float64)
     if not np.all(np.isfinite(weights)) or not np.isfinite(bias):
-        raise BaselineFormatError(f"{path}: non-finite weights")
+        raise ValidationError(f"{path}: non-finite weights")
     return BaselineModel(
         feature_dim=dim,
         weights=weights,

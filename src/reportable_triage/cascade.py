@@ -36,7 +36,7 @@ from . import metrics
 from .backend.base import ClassifierBackend, decide
 from .config import MemberConfig, check_members
 from .corpus import Corpus, PathologyReport, Tier
-from .errors import ConfigurationError, TierExecutionError, TriageError, ValidationError
+from .errors import TriageError, ValidationError
 from .preprocess import NormalizedInput, assemble_input
 from .util import dumps_line, read_field, read_json_lines
 
@@ -60,7 +60,7 @@ class TierConfig:
     def __post_init__(self) -> None:
         check_members(self.members, f"{self.task.value} tier")
         if len(self.backends) != len(self.members):
-            raise ConfigurationError(f"{self.task.value} tier: one backend per member")
+            raise ValidationError(f"{self.task.value} tier: one backend per member")
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,16 @@ def _score_batch(
     try:
         scores = backend.score_batch(inputs)
     except TriageError as exc:
-        raise TierExecutionError(f"{failed}: {exc}") from exc
+        raise TriageError(f"{failed}: {exc}") from exc
     if len(scores) != len(batch):
-        raise TierExecutionError(
+        raise TriageError(
             f"backend {member.backend_id!r} returned {len(scores)} scores "
             f"for {len(batch)} reports"
         )
     for i, p in enumerate(scores):
         # NaN fails the range test
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise TierExecutionError(f"{failed}: score {i} is not a number in [0, 1]: {p!r}")
+            raise TriageError(f"{failed}: score {i} is not a number in [0, 1]: {p!r}")
     return scores
 
 
@@ -190,7 +190,7 @@ def triage(
     scores.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
-        raise ConfigurationError("triage needs a t1 config and a t2 config, in that order")
+        raise ValidationError("triage needs a t1 config and a t2 config, in that order")
     t1_keys = [_assembly_key(m) for m in t1.members]
     t2_keys = [_assembly_key(m) for m in t2.members]
     inputs = [_assemble(r, t1_keys, {}) for r in reports]
@@ -267,13 +267,13 @@ def _read_member(member: dict, task: Tier, where: str) -> bool:
     """Whether a member's label is positive. ValidationError, naming the field,
     unless backend_id is a string and label a label of task that agrees with
     probability >= threshold, probability in [0, 1] and threshold in (0, 1)."""
-    read_field(member, "backend_id", str, where, ValidationError)
-    label = read_field(member, "label", str, where, ValidationError)
+    read_field(member, "backend_id", str, where)
+    label = read_field(member, "label", str, where)
     is_positive = task.parse_label(label, where, "label") is task.positive
-    probability = read_field(member, "probability", float, where, ValidationError)
+    probability = read_field(member, "probability", float, where)
     if not 0.0 <= probability <= 1.0:
         raise ValidationError(f"{where}: field 'probability': not in [0, 1]")
-    threshold = read_field(member, "threshold", float, where, ValidationError)
+    threshold = read_field(member, "threshold", float, where)
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"{where}: field 'threshold': not in (0, 1)")
     if is_positive is not decide(probability, threshold):
@@ -290,7 +290,7 @@ def _read_block(block: dict, task: Tier, where: str) -> bool:
     members = block.get("members")
     if (type(members) is not list or len(members) != 2
             or type(members[0]) is not dict or type(members[1]) is not dict):
-        read_field(block, "members", list, where, ValidationError)
+        read_field(block, "members", list, where)
         raise ValidationError(f"{where}: field 'members': needs exactly two member objects")
     any_positive = False
     for i, member in enumerate(members):
@@ -311,7 +311,7 @@ def _read_block(block: dict, task: Tier, where: str) -> bool:
     combined = block.get("combined")
     is_positive = positive.get(combined) if type(combined) is str else None
     if is_positive is None:
-        combined = read_field(block, "combined", str, where, ValidationError)
+        combined = read_field(block, "combined", str, where)
         is_positive = task.parse_label(combined, where, "combined") is task.positive
     if is_positive is not any_positive:
         raise ValidationError(f"{where}: field 'combined': not the OR of its members' labels")
@@ -326,10 +326,10 @@ def _read_outcome(obj, where: str) -> tuple[str, dict]:
     # read_field's checks, made inline for the common case; it names what fails
     if not (type(report_id) is str and report_id.isascii() and type(final) is str
             and final.isascii() and type(t1) is dict and (t2 is None or type(t2) is dict)):
-        report_id = read_field(obj, "report_id", str, where, ValidationError)
-        final = read_field(obj, "final", str, where, ValidationError)
-        t1 = read_field(obj, "t1", dict, where, ValidationError)
-        t2 = read_field(obj, "t2", dict, where, ValidationError, None)
+        report_id = read_field(obj, "report_id", str, where)
+        final = read_field(obj, "final", str, where)
+        t1 = read_field(obj, "t1", dict, where)
+        t2 = read_field(obj, "t2", dict, where, None)
     t1_positive = _read_block(t1, Tier.T1, f"{where}: t1")
     t2_positive = None if t2 is None else _read_block(t2, Tier.T2, f"{where}: t2")
     expected = final_label(t1_positive, t2_positive)
@@ -347,7 +347,7 @@ def read_outcomes(path) -> dict[str, dict]:
     _read_block), and the final label final_label gives for them. Gating is
     not checked: --t2-scope gold writes t2 blocks for t1-negative reports.
     """
-    return read_json_lines(path, _read_outcome, ValidationError)
+    return read_json_lines(path, _read_outcome)
 
 
 def _listed(ids: list[str]) -> str:

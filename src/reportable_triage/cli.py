@@ -22,7 +22,7 @@ from .backend.baseline import load_baseline, save_baseline, train_baseline
 from .backend.remote import RemoteBackend
 from .config import MemberConfig, RunConfig, load_run_config
 from .corpus import Corpus, SynthSpec, Tier, load_corpus, synth_corpus, write_corpus
-from .errors import ConfigurationError, TriageError, ValidationError
+from .errors import TriageError, ValidationError
 from .preprocess import assemble_input
 from .sectioner import ensure_sections
 from .util import atomic_write_text
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> RunConfig:
     if not args.config:
-        raise ConfigurationError("this command requires --config")
+        raise ValidationError("this command requires --config")
     cfg = load_run_config(args.config)
     if args.out_dir:
         cfg = replace(cfg, out_dir=Path(args.out_dir).resolve())
@@ -101,7 +101,7 @@ def _resolve_corpus(args, cfg: Optional[RunConfig]) -> Path:
         return Path(args.corpus)
     if cfg is not None and cfg.corpus_path is not None:
         return cfg.corpus_path
-    raise ConfigurationError("no corpus given: pass --corpus or set 'corpus' in the config")
+    raise ValidationError("no corpus given: pass --corpus or set 'corpus' in the config")
 
 
 def _require_file(path: Path, what: str) -> Path:
@@ -117,7 +117,7 @@ def _make_backend(cfg: RunConfig, tier: Tier, member: MemberConfig) -> Classifie
         return load_baseline(model_path)
     endpoint = cfg.remote.endpoint_for(tier)
     if not endpoint:
-        raise ConfigurationError(
+        raise ValidationError(
             f"member {member.backend_id!r} is remote but no endpoint is configured "
             f"for {tier.value} (config remote.endpoints or TRIAGE_REMOTE_ENDPOINT_*)"
         )
@@ -201,9 +201,9 @@ def cmd_train_baseline(args) -> int:
     variant = PipelineVariant.parse(args.variant)
     member = next((m for m in settings.members if m.variant is variant), None)
     if member is None:
-        raise ConfigurationError(f"no {tier.value} member uses variant {args.variant!r}")
+        raise ValidationError(f"no {tier.value} member uses variant {args.variant!r}")
     if member.kind != "native_baseline":
-        raise ConfigurationError(
+        raise ValidationError(
             f"member {member.backend_id!r} is {member.kind}, not native_baseline"
         )
     train_path = _require_file(cfg.dataset_dir(tier) / "train.jsonl",
@@ -314,15 +314,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (TriageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TriageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_RUNTIME
 
 
 def main_entry() -> None:

@@ -47,11 +47,11 @@ from urllib.parse import urlsplit
 from .backend.baseline import TrainHyper
 from .backend.remote import DEFAULT_MAX_RETRIES, DEFAULT_TIMEOUT
 from .corpus import Tier, is_normalized_section_name
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .preprocess import DEFAULT_FALLBACK_SECTIONS, DEFAULT_TOKEN_BUDGET, PipelineVariant
 from .sampler import SplitSpec, UndersamplePolicy, default_policy
 from .sectioner import SectionSynonymTable, default_synonym_table, load_synonym_table
-from .util import REQUIRED, open_json, parse_json, read_field
+from .util import open_json, parse_json, read_field
 
 ENV_ENDPOINT = {Tier.T1: "TRIAGE_REMOTE_ENDPOINT_T1", Tier.T2: "TRIAGE_REMOTE_ENDPOINT_T2"}
 
@@ -103,7 +103,7 @@ def check_endpoint(url: str, where: str) -> str:
         parts, port = None, 0
     if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
             or port == 0):
-        raise ConfigurationError(f"{where}: not an http(s) URL with a host: {url!r}")
+        raise ValidationError(f"{where}: not an http(s) URL with a host: {url!r}")
     return url
 
 
@@ -122,12 +122,12 @@ class RunConfig:
 
     def tier(self, task: Tier) -> TierSettings:
         if task not in self.tiers:
-            raise ConfigurationError(f"config has no settings for tier {task.value!r}")
+            raise ValidationError(f"config has no settings for tier {task.value!r}")
         return self.tiers[task]
 
     def model_file(self, member: MemberConfig) -> Path:
         if member.model_path is None:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"member {member.backend_id!r} is native_baseline but has no model_path"
             )
         path = Path(member.model_path)
@@ -137,18 +137,13 @@ class RunConfig:
         return self.out_dir / task.value
 
 
-def _get(obj: dict, key: str, kind: type, where: str, default=REQUIRED):
-    """obj[key] as kind, or default when absent; see util.read_field."""
-    return read_field(obj, key, kind, where, ConfigurationError, default)
-
-
 def _present(obj: dict, where: str, **kinds: type) -> dict:
-    """Each key of kinds that obj holds, read as its kind by _get.
+    """Each key of kinds that obj holds, read as its kind by read_field.
 
     Passed as keyword arguments to a dataclass, this leaves every absent key
     to the default the dataclass declares.
     """
-    return {key: _get(obj, key, kind, where) for key, kind in kinds.items() if key in obj}
+    return {key: read_field(obj, key, kind, where) for key, kind in kinds.items() if key in obj}
 
 
 def check_members(members: Sequence[MemberConfig], where: str) -> None:
@@ -156,73 +151,73 @@ def check_members(members: Sequence[MemberConfig], where: str) -> None:
     backend_ids, and each member's threshold is in (0, 1)."""
     for i, member in enumerate(members):
         if not 0.0 < member.threshold < 1.0:
-            raise ConfigurationError(f"{where}.members[{i}]: threshold must be in (0, 1)")
+            raise ValidationError(f"{where}.members[{i}]: threshold must be in (0, 1)")
     if len(members) != 2:
-        raise ConfigurationError(f"{where}: exactly two members are required per tier")
+        raise ValidationError(f"{where}: exactly two members are required per tier")
     if {m.variant for m in members} != set(PipelineVariant):
-        raise ConfigurationError(f"{where}: members must cover variants A and B exactly")
+        raise ValidationError(f"{where}: members must cover variants A and B exactly")
     if members[0].backend_id == members[1].backend_id:
-        raise ConfigurationError(f"{where}: member backend_ids must be distinct")
+        raise ValidationError(f"{where}: member backend_ids must be distinct")
 
 
 def _parse_member(obj: dict, where: str) -> MemberConfig:
     if not isinstance(obj, dict):
-        raise ConfigurationError(f"{where}: member must be an object")
-    kind = _get(obj, "kind", str, where)
+        raise ValidationError(f"{where}: member must be an object")
+    kind = read_field(obj, "kind", str, where)
     if kind not in ("native_baseline", "remote"):
-        raise ConfigurationError(f"{where}: unknown backend kind {kind!r}")
+        raise ValidationError(f"{where}: unknown backend kind {kind!r}")
     settings = _present(obj, where, threshold=float, token_budget=int, fallback_sections=list)
     if "fallback_sections" in settings:
         fallback = settings["fallback_sections"]
         if not all(isinstance(s, str) and is_normalized_section_name(s) for s in fallback):
-            raise ConfigurationError(
+            raise ValidationError(
                 f"{where}: fallback_sections must be a list of normalized section names"
             )
         settings["fallback_sections"] = tuple(fallback)
     member = MemberConfig(
-        backend_id=_get(obj, "backend_id", str, where),
+        backend_id=read_field(obj, "backend_id", str, where),
         kind=kind,
-        variant=PipelineVariant.parse(_get(obj, "variant", str, where)),
-        model_path=_get(obj, "model_path", str, where, None),
+        variant=PipelineVariant.parse(read_field(obj, "variant", str, where)),
+        model_path=read_field(obj, "model_path", str, where, None),
         **settings,
     )
     if member.token_budget <= 0:
-        raise ConfigurationError(f"{where}: token_budget must be positive")
+        raise ValidationError(f"{where}: token_budget must be positive")
     return member
 
 
 def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
     split_where = f"{where}.split"
-    split_obj = _get(obj, "split", dict, where)
-    split = SplitSpec(seed=_get(split_obj, "seed", int, split_where),
+    split_obj = read_field(obj, "split", dict, where)
+    split = SplitSpec(seed=read_field(split_obj, "seed", int, split_where),
                       **_present(split_obj, split_where, train_fraction=float, stratified=bool))
 
     under_where = f"{where}.undersample"
-    under_obj = _get(obj, "undersample", dict, where)
-    under_seed = _get(under_obj, "seed", int, under_where)
+    under_obj = read_field(obj, "undersample", dict, where)
+    under_seed = read_field(under_obj, "seed", int, under_where)
     base_policy = default_policy(task, under_seed)
-    classes = {key: task.parse_label(_get(under_obj, key, str, under_where,
-                                          getattr(base_policy, key).value),
-                                     under_where, key, ConfigurationError)
+    classes = {key: task.parse_label(read_field(under_obj, key, str, under_where,
+                                                getattr(base_policy, key).value),
+                                     under_where, key)
                for key in ("kept_class", "sampled_class")}
     policy = UndersamplePolicy(
         task=task,
         **classes,
-        ratio=_get(under_obj, "ratio", float, under_where, base_policy.ratio),
+        ratio=read_field(under_obj, "ratio", float, under_where, base_policy.ratio),
         seed=under_seed,
     )
 
     train_where = f"{where}.train"
-    train_obj = _get(obj, "train", dict, where)
+    train_obj = read_field(obj, "train", dict, where)
     hyper = TrainHyper(**_present(train_obj, train_where, epochs=int, learning_rate=float,
                                   feature_dim=int, l2=float))
-    train_seed = _get(train_obj, "seed", int, train_where)
+    train_seed = read_field(train_obj, "seed", int, train_where)
     if not 0 <= train_seed < 1 << 63:  # the model file stores it as a signed 64-bit integer
-        raise ConfigurationError(f"{train_where}: seed must be in [0, 2^63)")
+        raise ValidationError(f"{train_where}: seed must be in [0, 2^63)")
 
     members = tuple(
         _parse_member(m, f"{where}.members[{i}]")
-        for i, m in enumerate(_get(obj, "members", list, where))
+        for i, m in enumerate(read_field(obj, "members", list, where))
     )
     check_members(members, where)
     return TierSettings(task=task, split=split, policy=policy, train=hyper,
@@ -235,15 +230,15 @@ def load_run_config(path: str | Path) -> RunConfig:
         with open_json(path) as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
+        raise ValidationError(f"config file not found: {path}") from None
     except IsADirectoryError:
-        raise ConfigurationError(f"config path is a directory: {path}") from None
+        raise ValidationError(f"config path is a directory: {path}") from None
     try:
         obj = parse_json(text)
     except ValidationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
+        raise ValidationError(f"{path}: config must be a JSON object")
 
     base_dir = path.resolve().parent
     where = str(path)
@@ -254,31 +249,31 @@ def load_run_config(path: str | Path) -> RunConfig:
         p = Path(raw)
         return p if p.is_absolute() else base_dir / p
 
-    out_dir = resolve(_get(obj, "out_dir", str, where))
-    corpus_path = resolve(_get(obj, "corpus", str, where, None))
+    out_dir = resolve(read_field(obj, "out_dir", str, where))
+    corpus_path = resolve(read_field(obj, "corpus", str, where, None))
 
-    tiers_obj = _get(obj, "tiers", dict, where)
+    tiers_obj = read_field(obj, "tiers", dict, where)
     tiers: dict[Tier, TierSettings] = {}
     for tier in (Tier.T1, Tier.T2):
         if tier.value in tiers_obj:
-            tiers[tier] = _parse_tier(tier, _get(tiers_obj, tier.value, dict, "tiers"),
+            tiers[tier] = _parse_tier(tier, read_field(tiers_obj, tier.value, dict, "tiers"),
                                       f"tiers.{tier.value}")
     if not tiers:
-        raise ConfigurationError(f"{path}: config defines no tiers")
+        raise ValidationError(f"{path}: config defines no tiers")
 
-    remote_obj = _get(obj, "remote", dict, where, {})
-    endpoints = _get(remote_obj, "endpoints", dict, "remote", {})
+    remote_obj = read_field(obj, "remote", dict, where, {})
+    endpoints = read_field(remote_obj, "endpoints", dict, "remote", {})
     for name in endpoints:
-        url = _get(endpoints, name, str, "remote.endpoints", None)
+        url = read_field(endpoints, name, str, "remote.endpoints", None)
         if url is not None:
             check_endpoint(url, f"remote.endpoints: field {name!r}")
     remote = RemoteSettings(endpoints=dict(endpoints),
                             **_present(remote_obj, "remote", timeout=float, max_retries=int))
     if remote.timeout <= 0:
-        raise ConfigurationError("remote: field 'timeout': must be positive")
+        raise ValidationError("remote: field 'timeout': must be positive")
     if remote.max_retries < 0:
-        raise ConfigurationError("remote: field 'max_retries': must not be negative")
+        raise ValidationError("remote: field 'max_retries': must not be negative")
 
     return RunConfig(out_dir=out_dir, corpus_path=corpus_path, tiers=tiers, remote=remote,
                      section_synonyms_path=resolve(
-                         _get(obj, "section_synonyms", str, where, None)))
+                         read_field(obj, "section_synonyms", str, where, None)))

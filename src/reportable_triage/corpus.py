@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional
 
-from .errors import CorpusFormatError, ValidationError
+from .errors import ValidationError
 from .util import (
     atomic_write_bytes,
     dumps_line,
@@ -71,15 +71,15 @@ class Tier(str, Enum):
     def negative(self) -> "T1Label | T2Label":
         return T1Label.NON_CANCER if self is Tier.T1 else T2Label.NON_REPORTABLE
 
-    def parse_label(self, raw: str, where: str, key: str,
-                    error: type[ValidationError] = ValidationError) -> "T1Label | T2Label":
-        """The label raw names, or error("<where>: field '<key>': expected one
-        of: ...") if it names none; like read_field, it does not echo raw."""
+    def parse_label(self, raw: str, where: str, key: str) -> "T1Label | T2Label":
+        """The label raw names, or ValidationError("<where>: field '<key>':
+        expected one of: ...") if it names none; like read_field, it does not
+        echo raw."""
         try:
             return self.label_type(raw)
         except ValueError:
             allowed = ", ".join(m.value for m in self.label_type)
-            raise error(f"{where}: field {key!r}: expected one of: {allowed}") from None
+            raise ValidationError(f"{where}: field {key!r}: expected one of: {allowed}") from None
 
 
 @lru_cache(maxsize=1024)  # a corpus names few sections, in every record
@@ -203,35 +203,35 @@ def _unknown_fields(obj: dict, known: tuple[str, ...], strict: bool, where: str)
     unknown = [k for k in obj if k not in known]
     if unknown:
         if strict:
-            raise CorpusFormatError(f"{where}: field {unknown[0]!r}: unknown field")
+            raise ValidationError(f"{where}: field {unknown[0]!r}: unknown field")
         logger.warning("%s: ignoring unknown fields %s", where, unknown)
 
 
 def _read_section(s, strict: bool, where: str) -> Section:
-    """The section s holds; CorpusFormatError names where and the field."""
+    """The section s holds; ValidationError names where and the field."""
     if not isinstance(s, dict):
-        raise CorpusFormatError(f"{where}: not a JSON object")
+        raise ValidationError(f"{where}: not a JSON object")
     _unknown_fields(s, _SECTION_FIELDS, strict, where)
-    name = read_field(s, "name", str, where, CorpusFormatError)
-    text = read_field(s, "text", str, where, CorpusFormatError)
-    header = read_field(s, "header", str, where, CorpusFormatError, "")
+    name = read_field(s, "name", str, where)
+    text = read_field(s, "text", str, where)
+    header = read_field(s, "header", str, where, "")
     try:
         return Section(name=name, text=text, header=header)
     except ValidationError:
-        raise CorpusFormatError(
+        raise ValidationError(
             f"{where}: field 'name': not normalized (non-empty, lowercase, no whitespace)"
         ) from None
 
 
 def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") -> LabeledReport:
-    """The record obj holds; CorpusFormatError names where and the field.
+    """The record obj holds; ValidationError names where and the field.
 
     Each check is made inline on the parsed values first, in the order the
     fields are named below; a value that fails is read again through
     read_field or _read_section, which raise the error that names it.
     """
     if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: not a JSON object")
+        raise ValidationError(f"{where}: not a JSON object")
     if not obj.keys() <= _RECORD_KEYS:
         _unknown_fields(obj, _RECORD_FIELDS, strict, where)
     get = obj.get
@@ -243,16 +243,16 @@ def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") 
             and type(raw_text) is str and (raw_text.isascii() or lone_surrogate(raw_text) < 0)
             and (source_site is None or type(source_site) is str
                  and (source_site.isascii() or lone_surrogate(source_site) < 0))):
-        report_id = read_field(obj, "report_id", str, where, CorpusFormatError)
-        year = read_field(obj, "diagnosis_year", int, where, CorpusFormatError)
-        raw_text = read_field(obj, "raw_text", str, where, CorpusFormatError)
-        source_site = read_field(obj, "source_site", str, where, CorpusFormatError, None)
+        report_id = read_field(obj, "report_id", str, where)
+        year = read_field(obj, "diagnosis_year", int, where)
+        raw_text = read_field(obj, "raw_text", str, where)
+        source_site = read_field(obj, "source_site", str, where, None)
 
     sections = get("sections")
     if sections is None:
         sections = ()
     elif type(sections) is not list:
-        read_field(obj, "sections", list, where, CorpusFormatError)  # raises, naming it
+        read_field(obj, "sections", list, where)  # raises, naming it
     else:
         parsed = []
         for j, s in enumerate(sections):
@@ -276,23 +276,23 @@ def record_from_dict(obj: dict, *, strict: bool = False, where: str = "record") 
         raw = get(key)
         label = by_value.get(raw) if type(raw) is str else None
         if label is None and raw is not None:
-            raw = read_field(obj, key, str, where, CorpusFormatError)
-            label = tier.parse_label(raw, where, key, CorpusFormatError)
+            raw = read_field(obj, key, str, where)
+            label = tier.parse_label(raw, where, key)
         labels.append(label)
     try:
         report = PathologyReport(report_id, year, raw_text, source_site, sections)
     except ValidationError:  # the one rule PathologyReport checks
-        raise CorpusFormatError(f"{where}: field 'report_id': empty string") from None
+        raise ValidationError(f"{where}: field 'report_id': empty string") from None
     try:
         return LabeledReport(report, *labels)
     except ValidationError:  # the one rule LabeledReport checks
-        raise CorpusFormatError(f"{where}: field 't2_label': requires t1_label cancer") from None
+        raise ValidationError(f"{where}: field 't2_label': requires t1_label cancer") from None
 
 
 def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
     """Load a JSON Lines corpus file, preserving line order.
 
-    Raises CorpusFormatError naming the offending line and field, for a line
+    Raises ValidationError naming the offending line and field, for a line
     that is not UTF-8 or not JSON or a record that does not validate; a
     duplicate report_id names both line numbers.
     """
@@ -300,7 +300,7 @@ def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
         rec = record_from_dict(obj, strict=strict, where=where)
         return rec.report_id, rec
 
-    return Corpus(records=list(read_json_lines(path, read_line, CorpusFormatError).values()))
+    return Corpus(records=list(read_json_lines(path, read_line).values()))
 
 
 def dumps_record(rec: LabeledReport) -> str:

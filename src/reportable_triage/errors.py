@@ -1,28 +1,23 @@
 """Exception hierarchy shared across the package.
 
-Exit-code contract for the CLI: ValidationError (and subclasses) map to
-exit code 1, every other TriageError and I/O failure maps to exit code 2.
+Two classes carry the CLI's exit-code contract: ValidationError, bad input
+of any kind (arguments, config, corpus, outcomes, model file), exits 1;
+every other TriageError, and any OSError, is a runtime failure and exits 2.
+Each message starts with where the fault is: a file and line, a config key
+path, a model path, or a backend and its reports.
+
+The remote client raises four runtime kinds of its own, one per way the
+wire contract can fail, so that a caller can tell a flaky network from a
+broken service.
 """
 
 
 class TriageError(Exception):
-    """Base class for all errors raised by this package."""
+    """A runtime failure (exit 2), and the base of every error raised here."""
 
 
 class ValidationError(TriageError):
-    """Bad input data, configuration, or arguments."""
-
-
-class CorpusFormatError(ValidationError):
-    """A corpus file line that cannot be parsed into a valid record."""
-
-
-class ConfigurationError(ValidationError):
-    """Inconsistent tier/backend/run configuration."""
-
-
-class BaselineFormatError(ValidationError):
-    """A persisted baseline model file is unreadable or version-mismatched."""
+    """Bad input data, configuration, or arguments (exit 1)."""
 
 
 class TransportError(TriageError):
@@ -39,7 +34,3 @@ class RemoteProtocolError(TriageError):
 
 class ScoreRangeError(TriageError):
     """A classifier score fell outside [0, 1] or was NaN."""
-
-
-class TierExecutionError(TriageError):
-    """A tier member failed while scoring a batch of reports."""

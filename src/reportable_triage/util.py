@@ -100,17 +100,16 @@ JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an int
                float: "a number", bool: "true or false", type(None): "null"}
 
 
-def read_field(obj: dict, key: str, kind: type, where: str,
-               error: type[ValidationError], default=REQUIRED):
+def read_field(obj: dict, key: str, kind: type, where: str, default=REQUIRED):
     """obj[key], a parsed JSON value, as kind; default when the key is absent.
 
-    error("<where>: field '<key>': <reason>") is raised for a missing required
-    key, a value of another JSON type (named, but never echoed: it can be
-    megabytes), a number that is not finite (NaN, an infinity, or an integer
-    beyond float range) or a string holding a lone surrogate (a \\ud800-style
-    escape, which no output file can encode). Integers are accepted as
-    numbers; booleans are not integers. null is accepted only where the
-    default is None.
+    ValidationError("<where>: field '<key>': <reason>") is raised for a
+    missing required key, a value of another JSON type (named, but never
+    echoed: it can be megabytes), a number that is not finite (NaN, an
+    infinity, or an integer beyond float range) or a string holding a lone
+    surrogate (a \\ud800-style escape, which no output file can encode).
+    Integers are accepted as numbers; booleans are not integers. null is
+    accepted only where the default is None.
     """
     value = obj.get(key, default)
     if type(value) is kind and (value.isascii() if kind is str
@@ -135,17 +134,17 @@ def read_field(obj: dict, key: str, kind: type, where: str,
         if isfinite(value):
             return value
         reason = "not a finite number"
-    raise error(f"{where}: field {key!r}: {reason}")
+    raise ValidationError(f"{where}: field {key!r}: {reason}")
 
 
-def read_json_lines(path: str | os.PathLike, read_line: Callable[[object, str], tuple[str, T]],
-                    error: type[ValidationError]) -> dict[str, T]:
+def read_json_lines(path: str | os.PathLike,
+                    read_line: Callable[[object, str], tuple[str, T]]) -> dict[str, T]:
     """The items of a JSON Lines file keyed by report_id, in line order.
 
     Each line that is not blank is parsed and handed, with where =
     "<file name>: line N", to read_line, which returns its report_id and item
-    or raises an error that starts with where. A line that is not UTF-8 or not
-    JSON, or a report_id an earlier line had, raises error with that prefix.
+    or raises a ValidationError that starts with where. A line that is not
+    UTF-8 or not JSON, or a report_id an earlier line had, raises one too.
     """
     name = Path(path).name
     items: dict[str, T] = {}
@@ -158,11 +157,11 @@ def read_json_lines(path: str | os.PathLike, read_line: Callable[[object, str], 
             try:
                 obj = parse_json(line)
             except ValidationError as exc:
-                raise error(f"{where}: {exc}") from None
+                raise ValidationError(f"{where}: {exc}") from None
             report_id, item = read_line(obj, where)
             first = first_lines.setdefault(report_id, lineno)
             if first != lineno:
-                raise error(f"{where}: field 'report_id': duplicate {report_id!r} "
+                raise ValidationError(f"{where}: field 'report_id': duplicate {report_id!r} "
                             f"(first on line {first})")
             items[report_id] = item
     return items

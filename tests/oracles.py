@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 
 from reportable_triage.corpus import LabeledReport, PathologyReport, Section, Tier
-from reportable_triage.errors import CorpusFormatError, ValidationError
+from reportable_triage.errors import ValidationError
 from reportable_triage.util import read_field
 
 # the logger corpus.record_from_dict warns through, so that warnings compare equal
@@ -171,7 +171,7 @@ def _reference_unknown_fields(obj, known, strict, where):
     unknown = [k for k in obj if k not in known]
     if unknown:
         if strict:
-            raise CorpusFormatError(f"{where}: field {unknown[0]!r}: unknown field")
+            raise ValidationError(f"{where}: field {unknown[0]!r}: unknown field")
         _corpus_logger.warning("%s: ignoring unknown fields %s", where, unknown)
 
 
@@ -179,39 +179,39 @@ def reference_record_from_dict(obj, *, strict=False, where="record"):
     """corpus.record_from_dict as it was before its inline checks: every field
     read through read_field, in this order, and every label through Tier."""
     if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: not a JSON object")
+        raise ValidationError(f"{where}: not a JSON object")
     _reference_unknown_fields(obj, _RECORD_FIELDS, strict, where)
-    report_id = read_field(obj, "report_id", str, where, CorpusFormatError)
-    year = read_field(obj, "diagnosis_year", int, where, CorpusFormatError)
-    raw_text = read_field(obj, "raw_text", str, where, CorpusFormatError)
-    source_site = read_field(obj, "source_site", str, where, CorpusFormatError, None)
+    report_id = read_field(obj, "report_id", str, where)
+    year = read_field(obj, "diagnosis_year", int, where)
+    raw_text = read_field(obj, "raw_text", str, where)
+    source_site = read_field(obj, "source_site", str, where, None)
 
     sections = []
-    for j, s in enumerate(read_field(obj, "sections", list, where, CorpusFormatError, None)
+    for j, s in enumerate(read_field(obj, "sections", list, where, None)
                           or ()):
         sub = f"{where}: sections[{j}]"
         if not isinstance(s, dict):
-            raise CorpusFormatError(f"{sub}: not a JSON object")
+            raise ValidationError(f"{sub}: not a JSON object")
         _reference_unknown_fields(s, _SECTION_FIELDS, strict, sub)
-        name = read_field(s, "name", str, sub, CorpusFormatError)
-        text = read_field(s, "text", str, sub, CorpusFormatError)
-        header = read_field(s, "header", str, sub, CorpusFormatError, "")
+        name = read_field(s, "name", str, sub)
+        text = read_field(s, "text", str, sub)
+        header = read_field(s, "header", str, sub, "")
         try:
             sections.append(Section(name=name, text=text, header=header))
         except ValidationError:
-            raise CorpusFormatError(
+            raise ValidationError(
                 f"{sub}: field 'name': not normalized (non-empty, lowercase, no whitespace)"
             ) from None
 
     labels = []
     for key, tier in (("t1_label", Tier.T1), ("t2_label", Tier.T2)):
-        raw = read_field(obj, key, str, where, CorpusFormatError, None)
-        labels.append(None if raw is None else tier.parse_label(raw, where, key, CorpusFormatError))
+        raw = read_field(obj, key, str, where, None)
+        labels.append(None if raw is None else tier.parse_label(raw, where, key))
     try:
         report = PathologyReport(report_id, year, raw_text, source_site, tuple(sections))
     except ValidationError:
-        raise CorpusFormatError(f"{where}: field 'report_id': empty string") from None
+        raise ValidationError(f"{where}: field 'report_id': empty string") from None
     try:
         return LabeledReport(report, *labels)
     except ValidationError:
-        raise CorpusFormatError(f"{where}: field 't2_label': requires t1_label cancer") from None
+        raise ValidationError(f"{where}: field 't2_label': requires t1_label cancer") from None

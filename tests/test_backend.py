@@ -25,7 +25,7 @@ from reportable_triage.backend.baseline import (
     score_batch,
     train_baseline,
 )
-from reportable_triage.errors import BaselineFormatError, ValidationError
+from reportable_triage.errors import ValidationError
 from reportable_triage.preprocess import NormalizedInput
 
 from oracles import reference_hash, reference_rows, reference_score, reference_train
@@ -387,8 +387,9 @@ def test_model_file_bytes_do_not_depend_on_blas_threads(tmp_path):
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 100)
-    with pytest.raises(BaselineFormatError, match="not a baseline"):
+    with pytest.raises(ValidationError) as exc:
         load_baseline(path)
+    assert str(exc.value) == f"{path}: not a baseline model file"
 
 
 def test_load_rejects_version_mismatch(tmp_path):
@@ -398,17 +399,20 @@ def test_load_rejects_version_mismatch(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = (99).to_bytes(4, "little")  # bump format_version
     path.write_bytes(bytes(raw))
-    with pytest.raises(BaselineFormatError, match="version"):
+    with pytest.raises(ValidationError) as exc:
         load_baseline(path)
+    assert str(exc.value) == f"{path}: unsupported format version 99 (expected 1)"
 
 
 def test_load_rejects_truncated_file(tmp_path):
     model = train_baseline(separable_set(4), TrainHyper(epochs=1, feature_dim=16), seed=6)
     path = tmp_path / "model.bin"
     save_baseline(model, path)
+    size = len(path.read_bytes())
     path.write_bytes(path.read_bytes()[:-9])
-    with pytest.raises(BaselineFormatError):
+    with pytest.raises(ValidationError) as exc:
         load_baseline(path)
+    assert str(exc.value) == f"{path}: expected {size} bytes, found {size - 9}"
 
 
 def test_load_rejects_feature_dim_not_power_of_two(tmp_path):
@@ -418,8 +422,10 @@ def test_load_rejects_feature_dim_not_power_of_two(tmp_path):
     raw = bytearray(path.read_bytes()[:-8])  # three weights for a dim of 3
     raw[8:16] = (3).to_bytes(8, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(BaselineFormatError, match="power of two"):
+    with pytest.raises(ValidationError) as exc:
         load_baseline(path)
+    assert str(exc.value).startswith(f"{path}: feature_dim must be a power of two in [2, ")
+    assert str(exc.value).endswith("], got 3")
 
 
 def test_baseline_model_is_a_backend():

@@ -26,7 +26,7 @@ from reportable_triage.corpus import (
     Tier,
     synth_corpus,
 )
-from reportable_triage.errors import ConfigurationError, TierExecutionError, ValidationError
+from reportable_triage.errors import TriageError, ValidationError
 from reportable_triage.preprocess import PipelineVariant, assemble_input, normalize_text
 
 A, B = PipelineVariant.A_SYNOPTIC_FIRST, PipelineVariant.B_DIAGNOSIS_FIRST
@@ -114,7 +114,7 @@ def test_tier_config_needs_two_distinct_variants():
          r"members\[1\]: threshold must be in \(0, 1\)"),
     ]
     for members, backends, reason in rejected:
-        with pytest.raises(ConfigurationError, match=reason):
+        with pytest.raises(ValidationError, match=r"^t1 tier\b.*" + reason):
             TierConfig(task=Tier.T1, members=members, backends=backends)
 
 
@@ -197,10 +197,10 @@ def test_run_tier_scores_the_inputs_it_is_given_by_assembly_key():
 def test_run_tier_backend_failure_names_report_range():
     config = tier_of(Tier.T1, {"broken": FailingBackend(), "kw-b": KeywordBackend("x")})
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
-    with pytest.raises(TierExecutionError) as exc:
+    with pytest.raises(TriageError) as exc:
         scored(reports, config, batch_size=2)
-    assert "broken" in str(exc.value)
-    assert "R0" in str(exc.value) and "R1" in str(exc.value)
+    assert not isinstance(exc.value, ValidationError)  # a runtime failure: exit 2
+    assert str(exc.value) == "backend 'broken' failed on reports 'R0'..'R1': backend exploded"
 
 
 def test_run_tier_rejects_scores_outside_0_1():
@@ -214,8 +214,9 @@ def test_run_tier_rejects_scores_outside_0_1():
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
     for bad in (1.5, -0.1, float("nan"), True, "0.5"):
         config = tier_of(Tier.T1, {"kw-a": KeywordBackend("x"), "bad": FixedBackend(bad)})
-        with pytest.raises(TierExecutionError) as exc:
+        with pytest.raises(TriageError) as exc:
             scored(reports, config, batch_size=2)
+        assert not isinstance(exc.value, ValidationError)  # a runtime failure: exit 2
         assert str(exc.value) == (f"backend 'bad' failed on reports 'R0'..'R1': "
                                   f"score 1 is not a number in [0, 1]: {bad!r}")
     for edge in (0.0, 1.0, 0, 1):
@@ -355,8 +356,9 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch):
 
 def test_triage_rejects_swapped_tier_configs():
     t1, t2 = full_cascade()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError) as exc:
         triage([], t2, t1)
+    assert str(exc.value) == "triage needs a t1 config and a t2 config, in that order"
 
 
 # --- FN-subset property --------------------------------------------------------

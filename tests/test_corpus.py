@@ -20,7 +20,7 @@ from reportable_triage.corpus import (
     synth_corpus,
     write_corpus,
 )
-from reportable_triage.errors import CorpusFormatError, ValidationError
+from reportable_triage.errors import ValidationError
 
 from oracles import reference_record_from_dict
 
@@ -43,10 +43,10 @@ def test_duplicate_report_id_names_both_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     lines = [dumps_record(make_record(rid)) for rid in ["R0", "R1", "R2", "R3", "R1"]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(ValidationError) as exc:
         load_corpus(path)
-    assert "R1" in str(exc.value)
-    assert "2" in str(exc.value) and "5" in str(exc.value)
+    assert str(exc.value) == ("c.jsonl: line 5: field 'report_id': duplicate 'R1' "
+                              "(first on line 2)")
 
 
 def test_t2_without_t1_cancer_rejected(tmp_path):
@@ -55,8 +55,9 @@ def test_t2_without_t1_cancer_rejected(tmp_path):
            "t2_label": "reportable"}
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="t2_label"):
+    with pytest.raises(ValidationError) as exc:
         load_corpus(path)
+    assert str(exc.value) == "c.jsonl: line 1: field 't2_label': requires t1_label cancer"
     with pytest.raises(ValidationError):
         make_record("R1", t1=None, t2=T2Label.REPORTABLE)
     with pytest.raises(ValidationError):
@@ -68,16 +69,16 @@ def test_malformed_line_names_line_and_field(tmp_path):
     good = dumps_record(make_record("R0"))
     bad = json.dumps({"report_id": "R1", "diagnosis_year": "soon", "raw_text": "x"})
     path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(ValidationError) as exc:
         load_corpus(path)
-    msg = str(exc.value)
-    assert "line 2" in msg and "diagnosis_year" in msg
+    assert str(exc.value) == ("c.jsonl: line 2: field 'diagnosis_year': "
+                              "expected an integer, got a string")
 
 
 def test_invalid_json_names_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="line 1"):
+    with pytest.raises(ValidationError, match=r"^c\.jsonl: line 1: invalid JSON: "):
         load_corpus(path)
 
 
@@ -85,8 +86,9 @@ def test_unknown_field_strict_vs_lenient(tmp_path, caplog):
     obj = {"report_id": "R1", "diagnosis_year": 2023, "raw_text": "x", "extra": 1}
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="extra"):
+    with pytest.raises(ValidationError) as exc:
         load_corpus(path, strict=True)
+    assert str(exc.value) == "c.jsonl: line 1: field 'extra': unknown field"
     with caplog.at_level("WARNING"):
         loaded = load_corpus(path, strict=False)
     assert len(loaded) == 1
@@ -158,7 +160,7 @@ def test_invalid_label_value(tmp_path):
            "t1_label": "maybe"}
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="t1_label") as info:
+    with pytest.raises(ValidationError, match="t1_label") as info:
         load_corpus(path)
     assert str(info.value) == ("c.jsonl: line 1: field 't1_label': "
                                "expected one of: cancer, non_cancer")
