@@ -8,7 +8,8 @@ Wire contract: POST {endpoint}/v1/classify with body
 Only transport failures (connection refused/reset, timeouts) are retried;
 the request is idempotent so a duplicate delivery is harmless. Status,
 protocol, and score-range violations fail immediately with distinct error
-kinds so callers can tell a flaky network from a broken service.
+kinds so callers can tell a flaky network from a broken service; all four
+are runtime failures (exit 2). No message echoes a value that can be long.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ def _parse_scores(body: bytes, expected: int, url: str) -> list[float]:
             raise RemoteProtocolError(
                 f"{url}: scores[{i}] is not a number, got {JSON_TYPES[type(value)]}")
         if not 0.0 <= value <= 1.0:  # False for NaN, and exact for any integer
-            raise ScoreRangeError(f"{url}: scores[{i}] out of range [0, 1]: {value!r}")
+            # a float's repr is short; an integer's can run to 4,300 digits
+            shown = repr(value) if type(value) is float else JSON_TYPES[int]
+            raise ScoreRangeError(f"{url}: scores[{i}] out of range [0, 1]: {shown}")
         out.append(float(value))
     return out
 

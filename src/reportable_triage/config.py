@@ -146,6 +146,15 @@ def _present(obj: dict, where: str, **kinds: type) -> dict:
     return {key: read_field(obj, key, kind, where) for key, kind in kinds.items() if key in obj}
 
 
+def _build(make, where: str, **kwargs):
+    """make(**kwargs); a rule the object checks itself is named after where,
+    the object's key path in the config."""
+    try:
+        return make(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def check_members(members: Sequence[MemberConfig], where: str) -> None:
     """A tier has exactly two members, variants A and B, with distinct
     backend_ids, and each member's threshold is in (0, 1)."""
@@ -174,10 +183,15 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
                 f"{where}: fallback_sections must be a list of normalized section names"
             )
         settings["fallback_sections"] = tuple(fallback)
+    variant = read_field(obj, "variant", str, where)
+    try:
+        variant = PipelineVariant.parse(variant)
+    except ValidationError:  # named like a read_field error, without echoing the value
+        raise ValidationError(f"{where}: field 'variant': expected one of: a, b") from None
     member = MemberConfig(
         backend_id=read_field(obj, "backend_id", str, where),
         kind=kind,
-        variant=PipelineVariant.parse(read_field(obj, "variant", str, where)),
+        variant=variant,
         model_path=read_field(obj, "model_path", str, where, None),
         **settings,
     )
@@ -189,8 +203,8 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
 def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
     split_where = f"{where}.split"
     split_obj = read_field(obj, "split", dict, where)
-    split = SplitSpec(seed=read_field(split_obj, "seed", int, split_where),
-                      **_present(split_obj, split_where, train_fraction=float, stratified=bool))
+    split = _build(SplitSpec, split_where, seed=read_field(split_obj, "seed", int, split_where),
+                   **_present(split_obj, split_where, train_fraction=float, stratified=bool))
 
     under_where = f"{where}.undersample"
     under_obj = read_field(obj, "undersample", dict, where)
@@ -200,7 +214,8 @@ def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
                                                 getattr(base_policy, key).value),
                                      under_where, key)
                for key in ("kept_class", "sampled_class")}
-    policy = UndersamplePolicy(
+    policy = _build(
+        UndersamplePolicy, under_where,
         task=task,
         **classes,
         ratio=read_field(under_obj, "ratio", float, under_where, base_policy.ratio),
@@ -209,8 +224,9 @@ def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
 
     train_where = f"{where}.train"
     train_obj = read_field(obj, "train", dict, where)
-    hyper = TrainHyper(**_present(train_obj, train_where, epochs=int, learning_rate=float,
-                                  feature_dim=int, l2=float))
+    hyper = _build(TrainHyper, train_where,
+                   **_present(train_obj, train_where, epochs=int, learning_rate=float,
+                              feature_dim=int, l2=float))
     train_seed = read_field(train_obj, "seed", int, train_where)
     if not 0 <= train_seed < 1 << 63:  # the model file stores it as a signed 64-bit integer
         raise ValidationError(f"{train_where}: seed must be in [0, 2^63)")

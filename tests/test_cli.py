@@ -169,6 +169,36 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key_path, value, line", [
+    (("tiers", "t2", "train", "epochs"), 0,
+     "tiers.t2.train: epochs and learning_rate must be positive, l2 >= 0"),
+    (("tiers", "t1", "train", "feature_dim"), 3,
+     "tiers.t1.train: feature_dim must be a power of two in [2, 16777216], got 3"),
+    (("tiers", "t2", "split", "train_fraction"), 1.5,
+     "tiers.t2.split: train_fraction must be in (0, 1), got 1.5"),
+    (("tiers", "t1", "undersample", "ratio"), -1,
+     "tiers.t1.undersample: ratio must be positive, got -1.0"),
+    (("tiers", "t2", "undersample", "kept_class"), "reportable",
+     "tiers.t2.undersample: kept_class and sampled_class must differ"),
+    (("tiers", "t1", "members", 0, "variant"), "z",
+     "tiers.t1.members[0]: field 'variant': expected one of: a, b"),
+], ids=["epochs-0", "feature-dim-3", "train-fraction-1.5", "ratio-negative",
+        "kept-equals-sampled", "variant-unknown"])
+def test_config_value_breaking_a_rule_names_its_key_path(tmp_path, capsys, key_path, value,
+                                                          line):
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    parent = doc
+    for key in key_path[:-1]:
+        parent = parent[key]
+    parent[key_path[-1]] = value
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {'.'.join(key_path[:3])}")
+    assert err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("key", ["kept_class", "sampled_class"])
 def test_config_undersample_class_not_a_label_names_the_field(tmp_path, capsys, key):
     config = write_config(tmp_path)
@@ -316,6 +346,48 @@ def test_triage_unreachable_remote_exits_2(tmp_path, capsys):
     # the cascade names the failing member; the backend adds no second name
     assert err.count("backend 't1-baseline-a'") == 1
     assert err.count("backend '") == 1
+
+
+def scores_per_text(score: bytes):
+    def respond(texts):
+        return 200, b'{"scores": [' + b",".join([score] * len(texts)) + b"]}"
+    return respond
+
+
+REMOTE_FAILURES = {  # case: (texts -> (status, body), the reason remote_score gives)
+    "status 503": (lambda texts: (503, b"busy"), "status 503"),
+    "body not JSON": (lambda texts: (200, b"<html>oops</html>"),
+                      "malformed response body: invalid JSON: Expecting value"),
+    "no scores": (lambda texts: (200, b'{"result": []}'), "response missing 'scores' array"),
+    "count mismatch": (lambda texts: (200, b'{"scores": [0.5]}'),
+                       "score count mismatch: sent 5 texts, got 1 scores"),
+    "score not a number": (scores_per_text(b'"high"'), "scores[0] is not a number, got a string"),
+    "score out of range": (scores_per_text(b"1.5"), "scores[0] out of range [0, 1]: 1.5"),
+    "4,300-digit score": (scores_per_text(b"9" * 4300),
+                          "scores[0] out of range [0, 1]: an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOTE_FAILURES))
+def test_triage_failing_remote_exits_2_naming_the_member_once(tmp_path, capsys, case):
+    respond, reason = REMOTE_FAILURES[case]
+    corpus = synth_corpus(SynthSpec(n_reports=5), seed=2)
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    first, last = corpus.records[0].report_id, corpus.records[-1].report_id
+    with MockClassifyServer(lambda captured: respond(json.loads(captured.body)["texts"])) \
+            as server:
+        config = write_config(tmp_path, remote_kind=True,
+                              remote={"timeout": 5, "max_retries": 0,
+                                      "endpoints": {"t1": server.endpoint,
+                                                    "t2": server.endpoint}})
+        code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: backend 't1-baseline-a' failed on reports {first!r}..{last!r}: "
+        f"{server.endpoint}/v1/classify: {reason}"]
+    assert err.count("backend '") == 1
+    assert "Traceback" not in err
 
 
 def test_process_entry_point_keeps_the_exit_code_contract(tmp_path):

@@ -48,9 +48,18 @@ def test_count_mismatch_is_protocol_error():
 
 
 def test_out_of_range_score_is_range_error():
-    with MockClassifyServer(MockClassifyServer.echo_scores([1.5])) as server:
-        with pytest.raises(ScoreRangeError, match="out of range"):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+    # a float is shown; an integer is named, not printed: 4,300 digits is the
+    # most parse_json reads
+    for score, shown in (("1.5", "1.5"), ("-0.25", "-0.25"), ("2", "an integer"),
+                         ("9" * 4300, "an integer"), ("-" + "9" * 4300, "an integer")):
+        body = ('{"scores": [0.5, ' + score + "]}").encode()
+        with MockClassifyServer(lambda c, body=body: (200, body)) as server:
+            with pytest.raises(ScoreRangeError) as exc:
+                remote_score(server.endpoint, Tier.T1, ["a", "b"], timeout=5)
+        message = str(exc.value)
+        assert message == (f"{server.endpoint}/v1/classify: "
+                           f"scores[1] out of range [0, 1]: {shown}")
+        assert len(message) < 100
 
 
 def test_nan_score_is_range_error():
