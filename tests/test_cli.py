@@ -194,9 +194,7 @@ def test_config_value_breaking_a_rule_names_its_key_path(tmp_path, capsys, key_p
     parent[key_path[-1]] = value
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {'.'.join(key_path[:3])}")
-    assert err == f"error: {line}\n"
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("key", ["kept_class", "sampled_class"])
