@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from ..preprocess import NormalizedInput
 
 
 class ClassifierBackend(Protocol):
-    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        """One probability of the task's positive class per input, order-preserving;
+    """Scores inputs in two steps: featurize, then score the features.
+
+    Two backends whose feature_dim is equal and not None featurize an input
+    alike, so the cascade may score one from rows the other featurized.
+    Such features support `take(rows)` and `type(features).join(parts)`.
+    """
+
+    feature_dim: Optional[int]
+
+    def featurize(self, inputs: Sequence[NormalizedInput]) -> Sequence:
+        """What score_features scores, one row per input, in order."""
+        ...
+
+    def score_features(self, features: Sequence) -> list[float]:
+        """One probability of the task's positive class per row, order-preserving;
         never mutates model state. The cascade checks each is in [0, 1]."""
         ...
 

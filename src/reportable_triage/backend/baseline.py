@@ -256,6 +256,28 @@ class FeatureRows:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    def take(self, rows: np.ndarray) -> "FeatureRows":
+        """The given rows, in the given order, stored compact: indices and
+        counts as uint32, 8 bytes a feature (feature_dim is at most 2^24).
+        Their logits are the same floats: uint32 converts to float64 exactly."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return FeatureRows(indptr, self.indices[at].astype(np.uint32, copy=False),
+                           self.values[at].astype(np.uint32, copy=False))
+
+    @classmethod
+    def join(cls, parts: Sequence["FeatureRows"]) -> "FeatureRows":
+        """The rows of parts, one part after another; numpy promotes the
+        dtypes, so compact parts join compact."""
+        lengths = [np.diff(part.indptr) for part in parts]
+        return cls(np.concatenate([np.zeros(1, dtype=np.int64), *lengths]).cumsum(),
+                   np.concatenate([part.indices for part in parts]),
+                   np.concatenate([part.values for part in parts]))
+
     def row_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(indices, values) views of each row."""
         bounds = self.indptr.tolist()
@@ -344,8 +366,16 @@ class BaselineModel:
             and self.final_loss == other.final_loss
         )
 
+    # The ClassifierBackend contract: a loaded model is a triage member's backend.
+
+    def featurize(self, inputs: Sequence[NormalizedInput]) -> FeatureRows:
+        """The hashed rows of the inputs' texts; they depend on feature_dim only."""
+        return FeatureRows.hash_texts((inp.text for inp in inputs), self.feature_dim)
+
+    def score_features(self, rows: FeatureRows) -> list[float]:
+        return score_batch(self, rows)
+
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        """The ClassifierBackend contract: a loaded model is a triage member's backend."""
         return score_batch(self, inputs)
 
 
@@ -430,10 +460,12 @@ def train_baseline(
     )
 
 
-def score_batch(model: BaselineModel, inputs: Sequence[NormalizedInput]) -> list[float]:
-    if not inputs:
+def score_batch(model: BaselineModel,
+                batch: Sequence[NormalizedInput] | FeatureRows) -> list[float]:
+    """One probability per input, or per row of rows model.featurize made."""
+    if not len(batch):
         raise ValidationError("score_batch requires a non-empty input batch")
-    rows = FeatureRows.hash_texts((inp.text for inp in inputs), model.feature_dim)
+    rows = batch if isinstance(batch, FeatureRows) else model.featurize(batch)
     return [float(_sigmoid(z)) for z in rows.logits(model.weights, model.bias)]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import requests
 
@@ -123,10 +123,18 @@ class RemoteBackend:
     session: requests.Session = field(default_factory=requests.Session, repr=False,
                                       compare=False)
 
+    # the service hashes, so a remote member's features are its texts
+    feature_dim: ClassVar[None] = None
+
+    def featurize(self, inputs: Sequence[NormalizedInput]) -> list[str]:
+        return [inp.text for inp in inputs]
+
+    def score_features(self, texts: Sequence[str]) -> list[float]:
+        return remote_score(self.endpoint, self.task, texts, timeout=self.timeout,
+                            max_retries=self.max_retries, session=self.session)
+
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        return remote_score(self.endpoint, self.task, [inp.text for inp in inputs],
-                            timeout=self.timeout, max_retries=self.max_retries,
-                            session=self.session)
+        return self.score_features(self.featurize(inputs))
 
     def close(self) -> None:
         self.session.close()

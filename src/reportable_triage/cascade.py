@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import metrics
 from .backend.base import ClassifierBackend, decide
 from .config import MemberConfig, check_members
@@ -112,14 +114,14 @@ def _score_batch(
     member: MemberConfig,
     backend: ClassifierBackend,
     batch: Sequence[PathologyReport],
-    inputs: Sequence[NormalizedInput],
+    features: Sequence,
 ) -> list[float]:
-    """The member's probabilities for the batch's inputs, each checked to be
-    a number in [0, 1]."""
+    """The member's probabilities for the batch's features, each checked to
+    be a number in [0, 1]."""
     failed = (f"backend {member.backend_id!r} failed on reports "
               f"{batch[0].report_id!r}..{batch[-1].report_id!r}")
     try:
-        scores = backend.score_batch(inputs)
+        scores = backend.score_features(features)
     except TriageError as exc:
         raise TriageError(f"{failed}: {exc}") from exc
     if len(scores) != len(batch):
@@ -134,12 +136,64 @@ def _score_batch(
     return scores
 
 
+class _Kept:
+    """Features a tier-1 member keeps for a tier-2 member that featurizes as
+    it does: those of the reports that can reach tier 2 through it.
+
+    With only=None those are the member's own positives (predicted gating);
+    otherwise the reports whose entry in the bool array only is set (an
+    explicit tier-2 scope). Each batch's rows are taken compact, with numpy.
+    """
+
+    def __init__(self, only: Optional[np.ndarray]):
+        self.only = only
+        self.parts: list = []
+        self.reports: list[np.ndarray] = []
+
+    def add(self, start: int, features, positive: list[bool]) -> None:
+        """Keep what can reach tier 2 of the batch that starts at report start."""
+        wanted = positive if self.only is None else self.only[start:start + len(positive)]
+        rows = np.flatnonzero(wanted)
+        if len(rows):
+            self.parts.append(features.take(rows))
+            self.reports.append(start + rows)
+
+    def rows_for(self, reports: list[int], n_reports: int) -> Optional[tuple]:
+        """(kept features, the row of each of reports in them or -1), or None
+        if nothing was kept; reports index the n_reports tier 1 scored."""
+        if not self.parts:
+            return None
+        kept = np.concatenate(self.reports)
+        at = np.full(n_reports, -1, dtype=np.int64)
+        at[kept] = np.arange(len(kept))
+        return type(self.parts[0]).join(self.parts), at[reports]
+
+
+def _featurize(backend: ClassifierBackend, inputs: list[NormalizedInput],
+               kept, at: np.ndarray) -> Sequence:
+    """backend's features of inputs: input j's is row at[j] of kept where
+    at[j] >= 0, and only the other inputs are featurized."""
+    reused = np.flatnonzero(at >= 0)
+    if len(reused) == 0:
+        return backend.featurize(inputs)
+    features = kept.take(at[reused])
+    fresh = np.flatnonzero(at < 0)
+    if len(fresh) == 0:
+        return features
+    features = type(features).join(
+        [features, backend.featurize([inputs[j] for j in fresh])])
+    # row k of features is input order[k]'s; put them back in input order
+    return features.take(np.argsort(np.concatenate([reused, fresh])))
+
+
 def run_tier(
     reports: Sequence[PathologyReport],
     config: TierConfig,
     batch_size: int = DEFAULT_BATCH_SIZE,
     *,
     inputs: Sequence[dict],
+    reuse: Sequence[Optional[tuple]] = (None, None),
+    keep: Sequence[Optional[_Kept]] = (None, None),
 ) -> list[EnsembleResult]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
@@ -148,22 +202,34 @@ def run_tier(
     its batches, in report order, before the second member scores any; the
     benchmark's remote check matches the service's requests to members by
     this order.
+
+    reuse[m], when given, is (kept, at): member m scores report i from row
+    at[i] of the features kept when at[i] >= 0, and featurizes only the
+    other reports. keep[m], when given, is shown each of member m's batches.
     """
-    keys = [_assembly_key(m) for m in config.members]
     probabilities: list[list[float]] = []
-    for member, backend, key in zip(config.members, config.backends, keys):
+    positives: list[list[bool]] = []
+    for member, backend, reused, keeper in zip(config.members, config.backends, reuse, keep):
+        key = _assembly_key(member)
         member_scores: list[float] = []
+        member_positive: list[bool] = []
         for start in range(0, len(reports), batch_size):
             stop = start + batch_size
-            member_scores += _score_batch(member, backend, reports[start:stop],
-                                          [by_key[key] for by_key in inputs[start:stop]])
+            batch_inputs = [by_key[key] for by_key in inputs[start:stop]]
+            if reused is None:
+                features = backend.featurize(batch_inputs)
+            else:
+                features = _featurize(backend, batch_inputs, reused[0], reused[1][start:stop])
+            scores = _score_batch(member, backend, reports[start:stop], features)
+            positive = [decide(p, member.threshold) for p in scores]
+            if keeper is not None:
+                keeper.add(start, features, positive)
+            member_scores += scores
+            member_positive += positive
         probabilities.append(member_scores)
-    a, b = config.members
-    results = []
-    for pair in zip(*probabilities):
-        positive = (decide(pair[0], a.threshold), decide(pair[1], b.threshold))
-        results.append(EnsembleResult(pair, positive, or_combine(positive)))
-    return results
+        positives.append(member_positive)
+    return [EnsembleResult(pair, positive, or_combine(positive))
+            for pair, positive in zip(zip(*probabilities), zip(*positives))]
 
 
 def triage(
@@ -188,20 +254,36 @@ def triage(
     equals a tier-1 member's reads the input that member scored; a t2 key
     no t1 member shares is assembled after tier 1, for the reports tier 2
     scores.
+
+    A tier-2 member whose key and feature_dim (not None) also equal a
+    tier-1 member's scores from the features that member kept: those of its
+    positives, or of the explicit scope. It featurizes only the reports the
+    other tier-1 member rescued.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ValidationError("triage needs a t1 config and a t2 config, in that order")
     t1_keys = [_assembly_key(m) for m in t1.members]
     t2_keys = [_assembly_key(m) for m in t2.members]
+    # per t2 member, the index of the t1 member whose features it scores, if any
+    donors = [next((i for i, (key, backend) in enumerate(zip(t1_keys, t1.backends))
+                    if key == t2_key and backend.feature_dim is not None
+                    and backend.feature_dim == t2_backend.feature_dim), None)
+              for t2_key, t2_backend in zip(t2_keys, t2.backends)]
+    only = (None if t2_report_ids is None
+            else np.array([r.report_id in t2_report_ids for r in reports], dtype=bool))
+    keep = [_Kept(only) if i in donors else None for i in range(len(t1.members))]
     inputs = [_assemble(r, t1_keys, {}) for r in reports]
-    t1_results = run_tier(reports, t1, batch_size, inputs=inputs)
+    t1_results = run_tier(reports, t1, batch_size, inputs=inputs, keep=keep)
 
-    if t2_report_ids is None:
+    if only is None:
         selected = [i for i, res in enumerate(t1_results) if res.is_positive]
     else:
-        selected = [i for i, r in enumerate(reports) if r.report_id in t2_report_ids]
+        selected = np.flatnonzero(only).tolist()
+    reuse = [None if i is None else keep[i].rows_for(selected, len(reports)) for i in donors]
+    del keep  # the parts, now joined
     t2_results = run_tier([reports[i] for i in selected], t2, batch_size,
-                          inputs=[_assemble(reports[i], t2_keys, inputs[i]) for i in selected])
+                          inputs=[_assemble(reports[i], t2_keys, inputs[i]) for i in selected],
+                          reuse=reuse)
     t2_by_index = dict(zip(selected, t2_results))
 
     outcomes: list[TriageOutcome] = []

@@ -103,7 +103,8 @@ def check_endpoint(url: str, where: str) -> str:
         parts, port = None, 0
     if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
             or port == 0):
-        raise ValidationError(f"{where}: not an http(s) URL with a host: {url!r}")
+        # named, not echoed: an endpoint can be megabytes long
+        raise ValidationError(f"{where}: not an http(s) URL with a host")
     return url
 
 
@@ -174,7 +175,8 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
         raise ValidationError(f"{where}: member must be an object")
     kind = read_field(obj, "kind", str, where)
     if kind not in ("native_baseline", "remote"):
-        raise ValidationError(f"{where}: unknown backend kind {kind!r}")
+        # named like a read_field error, without echoing the value
+        raise ValidationError(f"{where}: field 'kind': expected one of: native_baseline, remote")
     settings = _present(obj, where, threshold=float, token_budget=int, fallback_sections=list)
     if "fallback_sections" in settings:
         fallback = settings["fallback_sections"]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .corpus import PathologyReport
+from .corpus import PathologyReport, Section
 from .errors import ValidationError
 from .util import is_punct
 
@@ -87,52 +87,57 @@ _SPACE = re.compile(r"\s")  # the characters str.isspace() and str.split() take 
 _CHARS_PER_TOKEN = 8  # a first guess of how long a piece to normalize
 
 
-def _leading_tokens(text: str, limit: int) -> tuple[list[str], bool]:
-    """The first tokens of normalize_text(text), more than limit of them if
-    it has that many, normalizing no more of text than it takes, and whether
-    they are all of its tokens.
+def _leading_text(text: str, limit: int) -> tuple[str, int, bool]:
+    """normalize_text of a prefix of text that holds more than limit tokens,
+    if text has that many, normalizing no more of text than it takes; its
+    token count; and whether it is all of text.
 
     text is normalized in pieces cut just before a whitespace character.
     lower()'s only context rule, the final sigma, does not look across
-    whitespace, and split() drops it, so the pieces give the tokens of the
-    whole text.
+    whitespace, and split() drops it, so the pieces, joined by a space, give
+    normalize_text of the whole text. A piece's tokens are counted by its
+    spaces: it is never split again.
     """
-    tokens: list[str] = []
+    pieces: list[str] = []
+    count = 0
     start = 0
     end = _CHARS_PER_TOKEN * (limit + 1)
     while end < len(text) and (cut := _SPACE.search(text, end)):
-        tokens += normalize_text(text[start:cut.start()]).split()
-        if len(tokens) > limit:
-            return tokens, False
+        piece = normalize_text(text[start:cut.start()])
+        if piece:
+            pieces.append(piece)
+            count += piece.count(" ") + 1
+            if count > limit:
+                return " ".join(pieces), count, False
         start = cut.start()
-        end = start + _CHARS_PER_TOKEN * (limit + 1 - len(tokens))
-    return tokens + normalize_text(text[start:]).split(), True
+        end = start + _CHARS_PER_TOKEN * (limit + 1 - count)
+    piece = normalize_text(text[start:])
+    if piece:
+        pieces.append(piece)
+        count += piece.count(" ") + 1
+    return " ".join(pieces), count, True
 
 
 DEFAULT_FALLBACK_SECTIONS = ("specimen",)
 
 
-def _ordered_chunks(
-    report: PathologyReport,
-    variant: PipelineVariant,
-    fallback_sections: Sequence[str],
-) -> list[tuple[str, str]]:
-    """(section name, raw body) pairs in assembly priority order."""
-    sections = report.sections
-    primary_names = (variant.priority_section, variant.secondary_section,
-                     *fallback_sections)
-    used_indices: set[int] = set()
-    chunks: list[tuple[str, str]] = []
-    for name in primary_names:
-        for i, section in enumerate(sections):
-            if section.name == name and i not in used_indices:
-                used_indices.add(i)
-                chunks.append((section.name, section.text))
+def _ordered_chunks(sections: Sequence[Section], names: Sequence[str]) -> list[Section]:
+    """sections in assembly order: for each of names in turn, the first
+    section of that name not yet taken (so the k-th request for a name takes
+    its k-th section), then the rest in document order.
+
+    Each taken section is popped from a copy of sections, so later names
+    scan only what is left, and what is left at the end is the rest.
+    """
+    rest = list(sections)
+    ordered = []
+    for name in names:
+        for i, section in enumerate(rest):
+            if section.name == name:
+                ordered.append(rest.pop(i))
                 break
-    for i, section in enumerate(sections):
-        if i not in used_indices:
-            chunks.append((section.name, section.text))
-    return chunks
+    ordered += rest
+    return ordered
 
 
 def assemble_input(
@@ -140,7 +145,7 @@ def assemble_input(
     variant: PipelineVariant,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     fallback_sections: Sequence[str] = DEFAULT_FALLBACK_SECTIONS,
-    read: Optional[dict[str, tuple[list[str], bool]]] = None,
+    read: Optional[dict[str, tuple[str, int, bool]]] = None,
 ) -> NormalizedInput:
     """Build the exact text a backend scores for this report and variant.
 
@@ -150,8 +155,8 @@ def assemble_input(
     text (recorded as pseudo-section "raw_text").
 
     read, when given, is shared by the calls for one report: it maps each
-    section text read so far to its leading tokens and whether they are all
-    of them. A later call reads a section again only when it needs more of
+    section text read so far to its normalized prefix, that prefix's token
+    count and whether it is all of the section. A later call reads a section again only when it needs more of
     it than is there, so assembling one report for several variants or
     budgets normalizes each section once. The result does not depend on it.
     """
@@ -161,9 +166,10 @@ def assemble_input(
         raise ValidationError(f"empty report {report.report_id!r}")
 
     if report.sections:
-        chunks = _ordered_chunks(report, variant, fallback_sections)
+        chunks = _ordered_chunks(report.sections, (variant.priority_section,
+                                                   variant.secondary_section, *fallback_sections))
     else:
-        chunks = [("raw_text", report.raw_text)]
+        chunks = [Section(name="raw_text", text=report.raw_text)]
 
     kept: list[str] = []
     sections_used: list[str] = []
@@ -171,24 +177,25 @@ def assemble_input(
     truncated = False
     if read is None:
         read = {}
-    for name, raw in chunks:
+    for chunk in chunks:
+        raw = chunk.text
         # a prefix serves when it is whole or already runs past the budget
-        tokens, complete = read.get(raw, ((), False))
-        if not complete and len(tokens) <= remaining:
-            tokens, complete = read[raw] = _leading_tokens(raw, remaining)
-        take = tokens[:remaining]
+        text, count, complete = read.get(raw, ("", 0, False))
+        if not complete and count <= remaining:
+            text, count, complete = read[raw] = _leading_text(raw, remaining)
+        take = min(count, remaining)
         if take:
-            kept.extend(take)
-            sections_used.append(name)
-            remaining -= len(take)
-        if len(tokens) > len(take):
+            kept.append(text if take == count else " ".join(text.split(" ", take)[:take]))
+            sections_used.append(chunk.name)
+            remaining -= take
+        if count > take:
             # the budget ends inside this chunk, or before it when spent
             truncated = True
             break
 
     return NormalizedInput(
         text=" ".join(kept),
-        approx_token_count=len(kept),
+        approx_token_count=token_budget - remaining,
         truncated=truncated,
         sections_used=tuple(sections_used),
     )

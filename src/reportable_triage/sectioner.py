@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -38,10 +39,18 @@ HEADER_MAX_LENGTH = 48
 HEADER_MIN_UPPER_RATIO = 0.8
 
 
+# ASCII bytes that are not letters, and that are not uppercase letters: once
+# _ALLOWED_CONTENT_RE matches, header content is ASCII, so deleting these
+# from its bytes counts its letters and uppercase letters in C
+_NOT_LETTER = bytes(c for c in range(128) if not chr(c).isalpha())
+_NOT_UPPER = bytes(c for c in range(128) if not chr(c).isupper())
+
+
 def header_end(line: str) -> Optional[int]:
-    """The offset just past line's header colon, or None if line is no header."""
-    if ":" not in line:  # the header pattern needs a colon; most lines have none
-        return None
+    """The offset just past line's header colon, or None if line is no header.
+
+    parse_sections calls it only for lines that hold a colon, which the
+    header pattern needs."""
     m = _HEADER_PREFIX_RE.match(line)
     if m is None:
         return None
@@ -50,15 +59,16 @@ def header_end(line: str) -> Optional[int]:
         return None
     if _ALLOWED_CONTENT_RE.fullmatch(content) is None:
         return None
-    letters = [c for c in content if c.isalpha()]
+    raw = content.encode("ascii")
+    letters = len(raw.translate(None, _NOT_LETTER))
     if not letters:
         return None
-    upper = sum(1 for c in letters if c.isupper())
-    if upper / len(letters) < HEADER_MIN_UPPER_RATIO:
+    if len(raw.translate(None, _NOT_UPPER)) / letters < HEADER_MIN_UPPER_RATIO:
         return None
     return m.end()
 
 
+@lru_cache(maxsize=1024)  # a corpus spells its headers a few ways, in every report
 def normalize_header_key(raw: str) -> str:
     """Lookup key for a raw header: lowercase, punctuation removed, spaces collapsed."""
     stripped = "".join(c for c in raw.lower() if not is_punct(c))
@@ -151,7 +161,7 @@ def parse_sections(raw_text: str, table: Optional[SectionSynonymTable] = None) -
         )
 
     for line in raw_text.splitlines(keepends=True):
-        cut = header_end(line)
+        cut = header_end(line) if ":" in line else None
         if cut is None:
             body_parts.append(line)
             continue

@@ -7,6 +7,7 @@ definitions only; they must never import from reportable_triage.metrics.
 from __future__ import annotations
 
 import logging
+import re
 import unicodedata
 import zlib
 
@@ -123,6 +124,51 @@ def reference_assemble(chunks, token_budget):
         if len(tokens) > room:
             return " ".join(kept), len(kept), True, tuple(used)
     return " ".join(kept), len(kept), False, tuple(used)
+
+
+def reference_ordered_chunks(sections, names):
+    """(name, text) of sections in assembly order, as the program ordered them
+    before it popped taken sections from a copy: one scan of the list per
+    requested name, skipping the indices taken, then one more for the rest."""
+    used_indices = set()
+    chunks = []
+    for name in names:
+        for i, section in enumerate(sections):
+            if section.name == name and i not in used_indices:
+                used_indices.add(i)
+                chunks.append((section.name, section.text))
+                break
+    for i, section in enumerate(sections):
+        if i not in used_indices:
+            chunks.append((section.name, section.text))
+    return chunks
+
+
+_REFERENCE_HEADER_PREFIX = re.compile(r"[ \t]*([^:\n\r]*):")
+_REFERENCE_HEADER_CONTENT = re.compile(r"[A-Za-z0-9 &,/\-]+")
+
+
+def reference_header_end(line):
+    """sectioner.header_end as it was before it counted letters in C: the
+    offset just past the header colon, or None. Letters are counted with
+    str.isalpha and str.isupper, one character at a time."""
+    if ":" not in line:
+        return None
+    m = _REFERENCE_HEADER_PREFIX.match(line)
+    if m is None:
+        return None
+    content = m.group(1).strip()
+    if not 1 <= len(content) <= 48:
+        return None
+    if _REFERENCE_HEADER_CONTENT.fullmatch(content) is None:
+        return None
+    letters = [c for c in content if c.isalpha()]
+    if not letters:
+        return None
+    upper = sum(1 for c in letters if c.isupper())
+    if upper / len(letters) < 0.8:
+        return None
+    return m.end()
 
 
 def _reference_sigmoid(z):

@@ -1,10 +1,17 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from reportable_triage.backend.base import decide
-from reportable_triage.backend.baseline import TrainHyper, train_baseline
+from reportable_triage.backend.baseline import (
+    BaselineModel,
+    FeatureRows,
+    TrainHyper,
+    train_baseline,
+)
+from reportable_triage.backend.remote import RemoteBackend
 from reportable_triage.cascade import (
     DEFAULT_BATCH_SIZE,
     FinalLabel,
@@ -29,6 +36,8 @@ from reportable_triage.corpus import (
 from reportable_triage.errors import TriageError, ValidationError
 from reportable_triage.preprocess import PipelineVariant, assemble_input, normalize_text
 
+from mock_server import MockClassifyServer
+
 A, B = PipelineVariant.A_SYNOPTIC_FIRST, PipelineVariant.B_DIAGNOSIS_FIRST
 
 
@@ -48,14 +57,24 @@ def test_or_combine_both_positive():
 
 # --- fake backends for orchestration tests -----------------------------------
 
-class KeywordBackend:
+class InputBackend:
+    """A backend whose features are its inputs: it hashes nothing, so the
+    cascade never scores it from another member's features."""
+
+    feature_dim = None
+
+    def featurize(self, inputs):
+        return list(inputs)
+
+
+class KeywordBackend(InputBackend):
     """Scores 0.9 when its keyword occurs in the input text, else 0.1."""
 
     def __init__(self, keyword):
         self.keyword = keyword
         self.calls = 0
 
-    def score_batch(self, inputs):
+    def score_features(self, inputs):
         self.calls += 1
         return [0.9 if self.keyword in inp.text.split() else 0.1 for inp in inputs]
 
@@ -65,13 +84,13 @@ class RecordingBackend(KeywordBackend):
         super().__init__(keyword)
         self.texts = []
 
-    def score_batch(self, inputs):
+    def score_features(self, inputs):
         self.texts.extend(inp.text for inp in inputs)
-        return super().score_batch(inputs)
+        return super().score_features(inputs)
 
 
-class FailingBackend:
-    def score_batch(self, inputs):
+class FailingBackend(InputBackend):
+    def score_features(self, inputs):
         raise ValidationError("backend exploded")
 
 
@@ -167,9 +186,9 @@ def test_run_tier_member_a_scores_every_batch_in_order_before_member_b():
     calls = []
 
     class LoggingBackend(KeywordBackend):
-        def score_batch(self, inputs):
+        def score_features(self, inputs):
             calls.append((self, [inp.text for inp in inputs]))
-            return super().score_batch(inputs)
+            return super().score_features(inputs)
 
     reports = [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\nsyn {i}\n"
                                         f"DIAGNOSIS:\ndx {i}\n") for i in range(7)]
@@ -204,11 +223,11 @@ def test_run_tier_backend_failure_names_report_range():
 
 
 def test_run_tier_rejects_scores_outside_0_1():
-    class FixedBackend:
+    class FixedBackend(InputBackend):
         def __init__(self, score):
             self.score = score
 
-        def score_batch(self, inputs):
+        def score_features(self, inputs):
             return [0.5] * (len(inputs) - 1) + [self.score]
 
     reports = [report_from_raw(f"R{i}", "DIAGNOSIS:\nbenign\n") for i in range(4)]
@@ -352,6 +371,113 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch):
     assert all(o.t2 is not None for o in outcomes)
     assert all(len(r.sections) == 4 for r in reports)
     assert sum(normalized) == sum(len(s.text) for r in reports for s in r.sections)
+
+
+# --- tier 2 scores from the features tier 1 kept ------------------------------
+
+DIM = 1 << 18
+
+
+def keyword_model(keyword, feature_dim=DIM):
+    """A baseline model that calls a text positive iff keyword is one of its tokens."""
+    weights = np.zeros(feature_dim)
+    weights[FeatureRows.hash_texts([keyword], feature_dim).indices] = 10.0
+    return BaselineModel(feature_dim=feature_dim, weights=weights, bias=-5.0, seed=0,
+                         epochs=1, learning_rate=0.1, l2=0.0, final_loss=0.0)
+
+
+def random_model(seed, feature_dim=DIM):
+    weights = np.random.default_rng(seed).normal(size=feature_dim)
+    return BaselineModel(feature_dim=feature_dim, weights=weights, bias=0.1, seed=seed,
+                         epochs=1, learning_rate=0.1, l2=0.0, final_loss=0.0)
+
+
+def rescue_reports(n=40):
+    """Reports whose synoptic section (what member A reads at budget 3) holds
+    alpha, whose diagnosis (what B reads) holds beta, both or neither."""
+    rng = random.Random(12)
+    return [report_from_raw(f"R{i}", f"SYNOPTIC REPORT:\n{rng.choice(['alpha', 'gamma'])} s{i} "
+                                     f"note\nDIAGNOSIS:\n{rng.choice(['beta', 'delta'])} d{i} "
+                                     f"note\nSPECIMEN:\nskin {i}\n")
+            for i in range(n)]
+
+
+def rescue_t1():
+    return TierConfig(task=Tier.T1,
+                      members=(member("t1-a", A, token_budget=3),
+                               member("t1-b", B, token_budget=3)),
+                      backends=(keyword_model("alpha"), keyword_model("beta")))
+
+
+def count_hashed_rows(monkeypatch):
+    """A list that gets the number of rows of every FeatureRows.hash_texts call."""
+    hashed = []
+    hash_texts = FeatureRows.hash_texts
+
+    def counting(texts, feature_dim):
+        rows = hash_texts(texts, feature_dim)
+        hashed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(FeatureRows, "hash_texts", staticmethod(counting))
+    return hashed
+
+
+@pytest.mark.parametrize("t2_scope", ["predicted", "gold"])
+@pytest.mark.parametrize("t2_a", ["shared", "other_feature_dim", "other_token_budget"])
+def test_tier2_scores_from_tier1_rows_as_from_fresh_hashing(monkeypatch, t2_scope, t2_a):
+    reports = rescue_reports()
+    budget_a = 4 if t2_a == "other_token_budget" else 3
+    dim_a = DIM // 2 if t2_a == "other_feature_dim" else DIM
+    t2_models = (random_model(1, dim_a), random_model(2))
+    t2 = TierConfig(task=Tier.T2,
+                    members=(member("t2-a", A, token_budget=budget_a),
+                             member("t2-b", B, token_budget=3)),
+                    backends=t2_models)
+    ids = {r.report_id for r in reports[1::2]} if t2_scope == "gold" else None
+    t1 = rescue_t1()
+    hashed = count_hashed_rows(monkeypatch)
+    outcomes = triage(reports, t1, t2, batch_size=4, t2_report_ids=ids)
+    n_hashed = sum(hashed)
+
+    t1_calls = [o.t1.member_positive for o in outcomes]
+    assert (True, False) in t1_calls and (False, True) in t1_calls  # A-only and B-only rescues
+    selected = [(r, o) for r, o in zip(reports, outcomes) if o.t2 is not None]
+    assert 0 < len(selected) < len(reports)
+    for report, outcome in selected:
+        fresh = (t2_models[0].score_batch([assemble_input(report, A, budget_a)])[0],
+                 t2_models[1].score_batch([assemble_input(report, B, 3)])[0])
+        assert outcome.t2.probabilities == fresh
+
+    # a t2 member hashes only what its t1 counterpart did not keep: under
+    # predicted gating the other member's rescues, under gold scope nothing
+    if t2_scope == "gold":
+        kept = [len(selected)] * 2
+    else:
+        kept = [sum(o.t1.member_positive[m] for _, o in selected) for m in (0, 1)]
+    if t2_a != "shared":
+        kept[0] = 0
+    assert n_hashed == 2 * len(reports) + 2 * len(selected) - sum(kept)
+
+
+def test_remote_tier2_member_sends_the_texts_it_sent_before(monkeypatch):
+    reports = rescue_reports()
+    t1 = rescue_t1()
+    hashed = count_hashed_rows(monkeypatch)
+    with MockClassifyServer(MockClassifyServer.score_per_text(0.7)) as server:
+        t2 = TierConfig(task=Tier.T2,
+                        members=(member("t2-a", A, token_budget=3),
+                                 member("t2-b", B, token_budget=3)),
+                        backends=tuple(RemoteBackend(endpoint=server.endpoint, task=Tier.T2,
+                                                     timeout=5) for _ in "ab"))
+        outcomes = triage(reports, t1, t2, batch_size=4)
+        for backend in t2.backends:
+            backend.close()
+    selected = [r for r, o in zip(reports, outcomes) if o.t2 is not None]
+    expected = [[assemble_input(r, v, 3).text for r in selected[s:s + 4]]
+                for v in (A, B) for s in range(0, len(selected), 4)]
+    assert [json.loads(req.body)["texts"] for req in server.requests] == expected
+    assert sum(hashed) == 2 * len(reports)  # tier 1 only
 
 
 def test_triage_rejects_swapped_tier_configs():

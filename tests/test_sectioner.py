@@ -2,6 +2,7 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reportable_triage.corpus import PathologyReport
 from reportable_triage.errors import ValidationError
@@ -9,11 +10,14 @@ from reportable_triage.sectioner import (
     SectionSynonymTable,
     default_synonym_table,
     ensure_sections,
+    header_end,
     load_synonym_table,
     normalize_header_key,
     parse_sections,
     reassemble,
 )
+
+from oracles import reference_header_end
 
 TABLE = default_synonym_table()
 
@@ -186,3 +190,25 @@ def test_fuzz_lossless_partition_and_idempotence():
         assert parse_sections(raw, TABLE) == sections
         for s in sections:
             assert s.name and s.name == s.name.lower()
+
+
+# header-like pieces, separators that str.splitlines takes as line ends but
+# the header pattern does not (\x0b, \x85, \u2028), and uppercase letters
+# outside ASCII, which the allowed-content rule rejects
+_HEADER_PIECES = st.sampled_from([
+    "DIAGNOSIS", "Final Diagnosis", "SPECIMEN(S)", "A & B/C-D", "ÉTAT", "ΣΥΝ", "İX", "12",
+    ":", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028", "x", "AB", "é", "ß",
+])
+
+
+@given(st.lists(_HEADER_PIECES, max_size=12).map("".join))
+@example("\x0bDIAGNOSIS:\n")
+@example("DIAG\x85NOSIS: x")
+@example("ÉTAT:\n")
+@example("ABCD e:\n")  # 4 of 5 letters uppercase: exactly the ratio
+@example("ABC de:\n")
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_header_scan_agrees_with_reference_line_by_line(text):
+    for line in (text, *text.splitlines(keepends=True)):
+        assert header_end(line) == reference_header_end(line)
+        assert (header_end(line) if ":" in line else None) == reference_header_end(line)
