@@ -219,7 +219,11 @@ class _TokenCodes:
 class FeatureRows:
     """Hashed features of a batch in CSR form: row r is
     indices[indptr[r]:indptr[r + 1]] with the counts at the same places in
-    values. Indices are unique within a row, because hashing merges them."""
+    values. Indices are unique within a row, because hashing merges them.
+
+    Hashing gives uint32 indices and counts (feature_dim is at most 2^24),
+    8 bytes a feature; logits are the same floats as from int64 and
+    float64, because uint32 converts to float64 exactly."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -240,39 +244,32 @@ class FeatureRows:
         blocks = list(_token_id_blocks(texts, codes))
         token_codes = _TokenCodes.of(codes)
 
-        # blocks give uint32 pieces, joined one column at a time, and a
-        # column's pieces die once it is joined: the join peaks at 20 bytes a
-        # feature, not 24
+        # blocks give uint32 pieces, joined as they are: 8 bytes a feature
         empty = np.zeros(0, dtype=np.uint32)
         pieces = [(empty, empty, np.zeros(1, dtype=np.int64))]
         pieces += [token_codes.hash_block(ids, block_lengths, feature_dim)
                    for ids, block_lengths in blocks]
         indices, values, row_lengths = zip(*pieces)
         del pieces, blocks
-        indices = np.concatenate(indices, dtype=np.int64)
-        return cls(np.cumsum(np.concatenate(row_lengths)), indices,
-                   np.concatenate(values, dtype=np.float64))
+        return cls(np.cumsum(np.concatenate(row_lengths)), np.concatenate(indices),
+                   np.concatenate(values))
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
     def take(self, rows: np.ndarray) -> "FeatureRows":
-        """The given rows, in the given order, stored compact: indices and
-        counts as uint32, 8 bytes a feature (feature_dim is at most 2^24).
-        Their logits are the same floats: uint32 converts to float64 exactly."""
+        """The given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return FeatureRows(indptr, self.indices[at].astype(np.uint32, copy=False),
-                           self.values[at].astype(np.uint32, copy=False))
+        return FeatureRows(indptr, self.indices[at], self.values[at])
 
     @classmethod
     def join(cls, parts: Sequence["FeatureRows"]) -> "FeatureRows":
-        """The rows of parts, one part after another; numpy promotes the
-        dtypes, so compact parts join compact."""
+        """The rows of parts, one part after another."""
         lengths = [np.diff(part.indptr) for part in parts]
         return cls(np.concatenate([np.zeros(1, dtype=np.int64), *lengths]).cumsum(),
                    np.concatenate([part.indices for part in parts]),
@@ -428,6 +425,10 @@ def train_baseline(
         raise ValidationError("degenerate training set: only one class present")
 
     rows = FeatureRows.hash_texts((inp.text for inp, _ in train), hyper.feature_dim)
+    # SGD takes one small numpy step per example, and steps that mix uint32
+    # with float64 take about half again as long
+    rows = FeatureRows(rows.indptr, rows.indices.astype(np.int64),
+                       rows.values.astype(np.float64))
     examples = rows.row_slices()
     ys = [y for _, y in train]
 

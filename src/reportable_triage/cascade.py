@@ -224,6 +224,9 @@ def run_tier(
             positive = [decide(p, member.threshold) for p in scores]
             if keeper is not None:
                 keeper.add(start, features, positive)
+            # dropped now, not when the next batch's features replace them:
+            # two batches' rows alive at once would raise peak RSS
+            del features
             member_scores += scores
             member_positive += positive
         probabilities.append(member_scores)
