@@ -11,8 +11,7 @@ class ClassifierBackend(Protocol):
     """Scores inputs in two steps: featurize, then score the features.
 
     Two backends whose feature_dim is equal and not None featurize an input
-    alike, so the cascade may score one from rows the other featurized.
-    Such features support `take(rows)` and `type(features).join(parts)`.
+    alike, so the cascade may score one's features with the other.
     """
 
     feature_dim: Optional[int]

@@ -257,24 +257,6 @@ class FeatureRows:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def take(self, rows: np.ndarray) -> "FeatureRows":
-        """The given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return FeatureRows(indptr, self.indices[at], self.values[at])
-
-    @classmethod
-    def join(cls, parts: Sequence["FeatureRows"]) -> "FeatureRows":
-        """The rows of parts, one part after another."""
-        lengths = [np.diff(part.indptr) for part in parts]
-        return cls(np.concatenate([np.zeros(1, dtype=np.int64), *lengths]).cumsum(),
-                   np.concatenate([part.indices for part in parts]),
-                   np.concatenate([part.values for part in parts]))
-
     def row_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(indices, values) views of each row."""
         bounds = self.indptr.tolist()
@@ -467,7 +449,9 @@ def score_batch(model: BaselineModel,
     if not len(batch):
         raise ValidationError("score_batch requires a non-empty input batch")
     rows = batch if isinstance(batch, FeatureRows) else model.featurize(batch)
-    return [float(_sigmoid(z)) for z in rows.logits(model.weights, model.bias)]
+    z = np.array(rows.logits(model.weights, model.bias))
+    # _sigmoid's clamp and formula, over the whole batch in one step
+    return (1.0 / (1.0 + np.exp(-np.clip(z, -_MAX_LOGIT, _MAX_LOGIT)))).tolist()
 
 
 def save_baseline(model: BaselineModel, path: str | Path) -> None:

@@ -15,7 +15,10 @@ triage assembles each report's inputs in one place, one per distinct
 assembly key of its members, and reads each of the report's sections once
 for all of them. Both tiers look their members' inputs up by key, so tier 2
 reuses what tier 1 assembled and no report is assembled twice for the same
-settings.
+settings. A tier-2 member that featurizes as a tier-1 member does scores
+that member's features of every report while tier 1 runs, one batch at a
+time, so tier 2 featurizes nothing for it and no features outlive their
+batch.
 
 read_outcomes validates an outcomes file completely as it loads it, the OR
 rule and the final-label rule included; evaluate_outcomes joins it to gold
@@ -32,14 +35,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import metrics
 from .backend.base import ClassifierBackend, decide
 from .config import MemberConfig, check_members
 from .corpus import Corpus, PathologyReport, Tier
 from .errors import TriageError, ValidationError
-from .preprocess import NormalizedInput, assemble_input
+from .preprocess import assemble_input
 from .util import dumps_line, read_field, read_json_lines
 
 DEFAULT_BATCH_SIZE = 256
@@ -136,54 +137,20 @@ def _score_batch(
     return scores
 
 
-class _Kept:
-    """Features a tier-1 member keeps for a tier-2 member that featurizes as
-    it does: those of the reports that can reach tier 2 through it.
-
-    With only=None those are the member's own positives (predicted gating);
-    otherwise the reports whose entry in the bool array only is set (an
-    explicit tier-2 scope). Each batch's rows are taken compact, with numpy.
-    """
-
-    def __init__(self, only: Optional[np.ndarray]):
-        self.only = only
-        self.parts: list = []
-        self.reports: list[np.ndarray] = []
-
-    def add(self, start: int, features, positive: list[bool]) -> None:
-        """Keep what can reach tier 2 of the batch that starts at report start."""
-        wanted = positive if self.only is None else self.only[start:start + len(positive)]
-        rows = np.flatnonzero(wanted)
-        if len(rows):
-            self.parts.append(features.take(rows))
-            self.reports.append(start + rows)
-
-    def rows_for(self, reports: list[int], n_reports: int) -> Optional[tuple]:
-        """(kept features, the row of each of reports in them or -1), or None
-        if nothing was kept; reports index the n_reports tier 1 scored."""
-        if not self.parts:
-            return None
-        kept = np.concatenate(self.reports)
-        at = np.full(n_reports, -1, dtype=np.int64)
-        at[kept] = np.arange(len(kept))
-        return type(self.parts[0]).join(self.parts), at[reports]
-
-
-def _featurize(backend: ClassifierBackend, inputs: list[NormalizedInput],
-               kept, at: np.ndarray) -> Sequence:
-    """backend's features of inputs: input j's is row at[j] of kept where
-    at[j] >= 0, and only the other inputs are featurized."""
-    reused = np.flatnonzero(at >= 0)
-    if len(reused) == 0:
-        return backend.featurize(inputs)
-    features = kept.take(at[reused])
-    fresh = np.flatnonzero(at < 0)
-    if len(fresh) == 0:
-        return features
-    features = type(features).join(
-        [features, backend.featurize([inputs[j] for j in fresh])])
-    # row k of features is input order[k]'s; put them back in input order
-    return features.take(np.argsort(np.concatenate([reused, fresh])))
+def _score_each_batch(reports: Sequence[PathologyReport], inputs: Sequence[dict], key: tuple,
+                      scorers: Sequence[tuple], batch_size: int) -> None:
+    """Append each (member, backend, into) of scorers' probability of each
+    report to its list into. The first backend featurizes each batch's inputs
+    under key, and every scorer scores those features."""
+    featurize = scorers[0][1].featurize
+    for start in range(0, len(reports), batch_size):
+        stop = start + batch_size
+        features = featurize([by_key[key] for by_key in inputs[start:stop]])
+        for member, backend, into in scorers:
+            into += _score_batch(member, backend, reports[start:stop], features)
+        # dropped now, not when the next batch's features replace them:
+        # two batches' rows alive at once would raise peak RSS
+        del features
 
 
 def run_tier(
@@ -192,47 +159,34 @@ def run_tier(
     batch_size: int = DEFAULT_BATCH_SIZE,
     *,
     inputs: Sequence[dict],
-    reuse: Sequence[Optional[tuple]] = (None, None),
-    keep: Sequence[Optional[_Kept]] = (None, None),
+    also: Sequence[Optional[tuple[MemberConfig, ClassifierBackend, list]]] = (None, None),
+    given: Sequence[Optional[Sequence[float]]] = (None, None),
 ) -> list[EnsembleResult]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
     inputs[i] maps each member's assembly key to its input for report i
-    (see _assemble). The first member scores all
-    its batches, in report order, before the second member scores any; the
-    benchmark's remote check matches the service's requests to members by
-    this order.
+    (see _assemble). The first member scores all its batches, in report
+    order, before the second member scores any; the benchmark's remote check
+    matches the service's requests to members by this order.
 
-    reuse[m], when given, is (kept, at): member m scores report i from row
-    at[i] of the features kept when at[i] >= 0, and featurizes only the
-    other reports. keep[m], when given, is shown each of member m's batches.
+    also[m], when given, is (member, backend, into): another tier's member
+    that scores member m's features of each batch too, and appends its
+    probability of each report to the list into. given[m], when given, is
+    member m's probability of each report, scored before; member m then
+    featurizes and scores nothing.
     """
-    probabilities: list[list[float]] = []
-    positives: list[list[bool]] = []
-    for member, backend, reused, keeper in zip(config.members, config.backends, reuse, keep):
-        key = _assembly_key(member)
-        member_scores: list[float] = []
-        member_positive: list[bool] = []
-        for start in range(0, len(reports), batch_size):
-            stop = start + batch_size
-            batch_inputs = [by_key[key] for by_key in inputs[start:stop]]
-            if reused is None:
-                features = backend.featurize(batch_inputs)
-            else:
-                features = _featurize(backend, batch_inputs, reused[0], reused[1][start:stop])
-            scores = _score_batch(member, backend, reports[start:stop], features)
-            positive = [decide(p, member.threshold) for p in scores]
-            if keeper is not None:
-                keeper.add(start, features, positive)
-            # dropped now, not when the next batch's features replace them:
-            # two batches' rows alive at once would raise peak RSS
-            del features
-            member_scores += scores
-            member_positive += positive
-        probabilities.append(member_scores)
-        positives.append(member_positive)
-    return [EnsembleResult(pair, positive, or_combine(positive))
-            for pair, positive in zip(zip(*probabilities), zip(*positives))]
+    probabilities: list[Sequence[float]] = []
+    for member, backend, rider, scores in zip(config.members, config.backends, also, given):
+        if scores is None:
+            scores = []
+            scorers = [(member, backend, scores)] + ([] if rider is None else [rider])
+            _score_each_batch(reports, inputs, _assembly_key(member), scorers, batch_size)
+        probabilities.append(scores)
+    results = []
+    for pair in zip(*probabilities):
+        positive = tuple(decide(p, m.threshold) for p, m in zip(pair, config.members))
+        results.append(EnsembleResult(pair, positive, or_combine(positive)))
+    return results
 
 
 def triage(
@@ -259,34 +213,33 @@ def triage(
     scores.
 
     A tier-2 member whose key and feature_dim (not None) also equal a
-    tier-1 member's scores from the features that member kept: those of its
-    positives, or of the explicit scope. It featurizes only the reports the
-    other tier-1 member rescued.
+    tier-1 member's scores that member's features of every report, one batch
+    at a time, while tier 1 runs; tier 2 then reads its probabilities of the
+    reports it selected and featurizes nothing for it.
     """
     if t1.task is not Tier.T1 or t2.task is not Tier.T2:
         raise ValidationError("triage needs a t1 config and a t2 config, in that order")
     t1_keys = [_assembly_key(m) for m in t1.members]
     t2_keys = [_assembly_key(m) for m in t2.members]
-    # per t2 member, the index of the t1 member whose features it scores, if any
-    donors = [next((i for i, (key, backend) in enumerate(zip(t1_keys, t1.backends))
-                    if key == t2_key and backend.feature_dim is not None
-                    and backend.feature_dim == t2_backend.feature_dim), None)
-              for t2_key, t2_backend in zip(t2_keys, t2.backends)]
-    only = (None if t2_report_ids is None
-            else np.array([r.report_id in t2_report_ids for r in reports], dtype=bool))
-    keep = [_Kept(only) if i in donors else None for i in range(len(t1.members))]
+    # per t2 member, its probability of every report if it scores a t1 member's features
+    shared: list[Optional[list[float]]] = [None, None]
+    also: list[Optional[tuple]] = [None, None]
+    for j, (t2_member, t2_backend, t2_key) in enumerate(zip(t2.members, t2.backends, t2_keys)):
+        for i, (t1_key, t1_backend) in enumerate(zip(t1_keys, t1.backends)):
+            if (t1_key == t2_key and t1_backend.feature_dim is not None
+                    and t1_backend.feature_dim == t2_backend.feature_dim):
+                shared[j] = []
+                also[i] = (t2_member, t2_backend, shared[j])
     inputs = [_assemble(r, t1_keys, {}) for r in reports]
-    t1_results = run_tier(reports, t1, batch_size, inputs=inputs, keep=keep)
+    t1_results = run_tier(reports, t1, batch_size, inputs=inputs, also=also)
 
-    if only is None:
+    if t2_report_ids is None:
         selected = [i for i, res in enumerate(t1_results) if res.is_positive]
     else:
-        selected = np.flatnonzero(only).tolist()
-    reuse = [None if i is None else keep[i].rows_for(selected, len(reports)) for i in donors]
-    del keep  # the parts, now joined
+        selected = [i for i, r in enumerate(reports) if r.report_id in t2_report_ids]
     t2_results = run_tier([reports[i] for i in selected], t2, batch_size,
                           inputs=[_assemble(reports[i], t2_keys, inputs[i]) for i in selected],
-                          reuse=reuse)
+                          given=[None if s is None else [s[i] for i in selected] for s in shared])
     t2_by_index = dict(zip(selected, t2_results))
 
     outcomes: list[TriageOutcome] = []

@@ -78,16 +78,20 @@ def normalize_header_key(raw: str) -> str:
 class SectionSynonymTable:
     """Maps raw header variants to normalized section names."""
 
-    def __init__(self, entries: dict[str, str]):
+    def __init__(self, entries: dict[str, str], where: Optional[dict[str, str]] = None):
+        """where, if given, names the place of raw headers' entries (such as
+        'line N') for error messages. No message echoes an entry: one read
+        from a file may be of any length."""
         self._map: dict[str, str] = {}
+        where = where or {}
         for raw, name in entries.items():
             if not is_normalized_section_name(name):
-                raise ValidationError(
-                    f"synonym table value {name!r} is not a normalized section name"
-                )
+                raise ValidationError(f"{where.get(raw, 'synonym table')}: the section "
+                                      f"name is not normalized (lowercase, one word)")
             key = normalize_header_key(raw)
             if not key:
-                raise ValidationError(f"synonym table key {raw!r} normalizes to nothing")
+                raise ValidationError(
+                    f"{where.get(raw, 'synonym table')}: the raw header normalizes to nothing")
             self._map[key] = name
         for required in ("synoptic", "diagnosis", "specimen"):
             if required not in self._map.values():
@@ -118,6 +122,7 @@ def default_synonym_table() -> SectionSynonymTable:
 def load_synonym_table(path: str | Path) -> SectionSynonymTable:
     """Read 'raw header = normalized name' lines; '#' starts a comment."""
     entries = dict(_DEFAULT_ENTRIES)
+    where: dict[str, str] = {}
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
@@ -138,7 +143,11 @@ def load_synonym_table(path: str | Path) -> SectionSynonymTable:
             )
         raw, name = (part.strip() for part in stripped.split("=", 1))
         entries[raw] = name
-    return SectionSynonymTable(entries)
+        where[raw] = f"line {lineno}"
+    try:
+        return SectionSynonymTable(entries, where)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def parse_sections(raw_text: str, table: Optional[SectionSynonymTable] = None) -> list[Section]:

@@ -135,36 +135,6 @@ def test_hashing_equals_reference_item_by_item_in_order(texts, feature_dim, bloc
     assert rows.values.tolist() == values
 
 
-@st.composite
-def taken_and_joined(draw):
-    """Texts, and two lists of row indices into them, repeats allowed."""
-    texts = draw(TEXTS.filter(len))
-    rows = st.lists(st.integers(min_value=0, max_value=len(texts) - 1), max_size=8)
-    return texts, draw(rows), draw(rows)
-
-
-@given(case=taken_and_joined(), feature_dim=st.sampled_from([2, 1 << 10, 1 << 18]))
-@example(case=(["a b", "", "carcinoma é a"], [2, 0], [1, 2, 2]), feature_dim=1 << 18)
-@example(case=(["a"], [], []), feature_dim=16)
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_taking_and_joining_rows_equals_hashing_the_same_subset(case, feature_dim):
-    texts, first, second = case
-    rows = FeatureRows.hash_texts(texts, feature_dim)
-    # joined in every mix of compact (taken) and freshly hashed parts
-    parts = [rows.take(first), FeatureRows.hash_texts([texts[i] for i in second], feature_dim)]
-    joined = FeatureRows.join(parts)
-    expected = FeatureRows.hash_texts([texts[i] for i in first + second], feature_dim)
-    weights = np.random.default_rng(feature_dim).normal(size=feature_dim)
-    for got in (joined, joined.take(np.arange(len(joined))),
-                FeatureRows.join([rows.take(first), rows.take(second)])):
-        assert got.indptr.tolist() == expected.indptr.tolist()
-        assert got.indices.tolist() == expected.indices.tolist()
-        assert got.values.tolist() == expected.values.tolist()
-        assert got.logits(weights, 0.25) == expected.logits(weights, 0.25)
-    taken = rows.take(first)
-    assert taken.indices.dtype == taken.values.dtype == np.uint32  # 8 bytes a feature
-
-
 def test_crc_shift_continues_crc32_from_any_state():
     rng = np.random.default_rng(8)
     states = np.concatenate(([0, 0xFFFFFFFF], rng.integers(0, 1 << 32, size=30))).astype(np.uint32)
@@ -285,6 +255,24 @@ def test_scoring_is_pure_and_thread_safe():
                                 range(8)))
     assert all(r == serial for r in results)
     assert np.array_equal(model.weights, before)
+
+
+@given(logits=st.lists(st.floats(allow_nan=False), min_size=1, max_size=300))
+@example(logits=[35.0, -35.0, 700.0, -700.0, 0.0, -0.0, 35.000000000000004, -34.99999999999999,
+                 float("inf"), float("-inf"), 5e-324, 1e-300])
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_batch_probabilities_equal_sigmoid_per_value_bit_for_bit(logits):
+    n = len(logits)
+    model = BaselineModel(feature_dim=n, weights=np.array(logits), bias=0.0, seed=0,
+                          epochs=1, learning_rate=0.1, l2=0.0, final_loss=0.0)
+    # row r holds feature r once, so its logit is 0.0 + logits[r]
+    rows = FeatureRows(np.arange(n + 1), np.arange(n, dtype=np.uint32),
+                       np.ones(n, dtype=np.uint32))
+    expected = [float(baseline._sigmoid(z)) for z in rows.logits(model.weights, model.bias)]
+    got = score_batch(model, rows)
+    # probabilities are positive and never NaN, so == compares their bits
+    assert got == expected
+    assert all(type(p) is float for p in got)
 
 
 # --- bit-exactness against the per-example dict code ------------------------

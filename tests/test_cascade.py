@@ -373,7 +373,7 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch):
     assert sum(normalized) == sum(len(s.text) for r in reports for s in r.sections)
 
 
-# --- tier 2 scores from the features tier 1 kept ------------------------------
+# --- tier 2 scores the features tier 1 hashed --------------------------------
 
 DIM = 1 << 18
 
@@ -449,15 +449,27 @@ def test_tier2_scores_from_tier1_rows_as_from_fresh_hashing(monkeypatch, t2_scop
                  t2_models[1].score_batch([assemble_input(report, B, 3)])[0])
         assert outcome.t2.probabilities == fresh
 
-    # a t2 member hashes only what its t1 counterpart did not keep: under
-    # predicted gating the other member's rescues, under gold scope nothing
-    if t2_scope == "gold":
-        kept = [len(selected)] * 2
-    else:
-        kept = [sum(o.t1.member_positive[m] for _, o in selected) for m in (0, 1)]
-    if t2_a != "shared":
-        kept[0] = 0
-    assert n_hashed == 2 * len(reports) + 2 * len(selected) - sum(kept)
+    # a t2 member that shares its t1 counterpart's assembly key and
+    # feature_dim scores that member's rows and hashes nothing; one that does
+    # not hashes every report tier 2 selected
+    assert n_hashed == 2 * len(reports) + (0 if t2_a == "shared" else len(selected))
+
+
+def test_shared_tier2_member_failure_names_it_and_a_report_range():
+    class Hashing(KeywordBackend):
+        feature_dim = 1 << 4
+
+    class FailingHashing(FailingBackend):
+        feature_dim = 1 << 4
+
+    # R0 and R1 are t1-negative: a shared t2 member scores them in tier 1 all the same
+    reports = [report_from_raw(f"R{i}", cancer_raw() if i > 1 else BENIGN_RAW) for i in range(4)]
+    t1 = tier_of(Tier.T1, {"kw-a": Hashing("carcinoma"), "kw-b": Hashing("carcinoma")})
+    t2 = tier_of(Tier.T2, {"t2-a": Hashing("staging"), "broken": FailingHashing()})
+    with pytest.raises(TriageError) as exc:
+        triage(reports, t1, t2, batch_size=2)
+    assert not isinstance(exc.value, ValidationError)  # a runtime failure: exit 2
+    assert str(exc.value) == "backend 'broken' failed on reports 'R0'..'R1': backend exploded"
 
 
 def test_remote_tier2_member_sends_the_texts_it_sent_before(monkeypatch):

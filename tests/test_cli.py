@@ -1205,7 +1205,31 @@ SYNONYMS_DAMAGE = {
     "directory": (DIRECTORY, "error: section synonyms path is a directory: {path}"),
     "non-UTF-8 byte": (b"# local\nMICROSCOPIC \xff EXAM = other\n",
                        "error: {path}: line 2: not UTF-8: byte 0xff"),
+    "name not normalized": (b"# local\nFINAL DIAGNOSIS = Diagnosis Section\n",
+                            "error: {path}: line 2: the section name is not normalized "
+                            "(lowercase, one word)"),
+    "header normalizes to nothing": (b"(( )) = diagnosis\n",
+                                     "error: {path}: line 1: the raw header normalizes to "
+                                     "nothing"),
+    "no synoptic mapping": (b"synoptic = other\nsynoptic report = other\n"
+                            b"synoptic data = other\n",
+                            "error: {path}: synonym table lacks a mapping to 'synoptic'"),
 }
+
+
+def synonyms_config(base, tmp_path, content):
+    """The pipeline's config with section_synonyms set to a file of content,
+    none, or (DIRECTORY) a directory; returns (config path, synonyms path)."""
+    synonyms = tmp_path / "sections.cfg"
+    if content is DIRECTORY:
+        synonyms.mkdir()
+    elif content is not None:
+        synonyms.write_bytes(content)
+    config_obj = json.loads((base / "config.json").read_text())
+    config_obj["section_synonyms"] = str(synonyms)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_obj), encoding="utf-8")
+    return config_path, synonyms
 
 
 @pytest.mark.parametrize("command", ["train-baseline", "triage"])
@@ -1217,19 +1241,34 @@ def test_unreadable_synonyms_file_exits_1_naming_it(pipeline, tmp_path, capsys, 
             "triage": ["--corpus", str(base / "corpus.jsonl"),
                        "--out", str(tmp_path / "outcomes.jsonl")]}[command]
     content, message = SYNONYMS_DAMAGE[case]
-    synonyms = tmp_path / "sections.cfg"
-    if content is DIRECTORY:
-        synonyms.mkdir()
-    elif content is not None:
-        synonyms.write_bytes(content)
-    config_obj = json.loads((base / "config.json").read_text())
-    config_obj["section_synonyms"] = str(synonyms)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config_obj), encoding="utf-8")
+    config_path, synonyms = synonyms_config(base, tmp_path, content)
     # the failure comes before anything is written to the shared out_dir
     assert main(["--config", str(config_path), "--out-dir", str(base / "out"), command,
                  *args]) == 1
     assert capsys.readouterr().err == message.format(path=synonyms) + "\n"
+
+
+MILLION = 1_000_000
+OVERSIZED_SYNONYMS = {
+    "header normalizes to nothing": b"(" * MILLION + b" = diagnosis",
+    "name not normalized": b"FINAL DIAGNOSIS = " + b"Diagnosis Section " * (MILLION // 18),
+    "no equals sign": b"X" * MILLION,
+    "non-UTF-8 byte": b"X" * MILLION + b"\xff",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_SYNONYMS))
+def test_oversized_synonyms_line_exits_1_with_one_short_error_line(pipeline, tmp_path, capsys,
+                                                                   case):
+    base, _, _ = pipeline
+    config_path, synonyms = synonyms_config(base, tmp_path,
+                                            b"# local\n" + OVERSIZED_SYNONYMS[case] + b"\n")
+    assert main(["--config", str(config_path), "--out-dir", str(base / "out"), "triage",
+                 "--corpus", str(base / "corpus.jsonl"),
+                 "--out", str(tmp_path / "outcomes.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {synonyms}: line 2: ") and err.endswith("\n")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_strict_mode_rejects_unknown_corpus_fields(tmp_path, capsys):
