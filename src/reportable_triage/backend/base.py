@@ -8,7 +8,9 @@ from ..preprocess import NormalizedInput
 
 
 class ClassifierBackend(Protocol):
-    """Scores inputs in two steps: featurize, then score the features.
+    """Scores inputs in two steps: featurize, then score the features. A
+    backend that scores elsewhere may start on features in send(), so that
+    the caller can work until it asks score_features for their scores.
 
     Two backends whose feature_dim is equal and not None featurize an input
     alike, so the cascade may score one's features with the other.
@@ -18,6 +20,11 @@ class ClassifierBackend(Protocol):
 
     def featurize(self, inputs: Sequence[NormalizedInput]) -> Sequence:
         """What score_features scores, one row per input, in order."""
+        ...
+
+    def send(self, features: Sequence) -> None:
+        """Start scoring features, which score_features is given next; it
+        raises what goes wrong. An in-process backend does nothing here."""
         ...
 
     def score_features(self, features: Sequence) -> list[float]:

@@ -351,6 +351,9 @@ class BaselineModel:
         """The hashed rows of the inputs' texts; they depend on feature_dim only."""
         return FeatureRows.hash_texts((inp.text for inp in inputs), self.feature_dim)
 
+    def send(self, rows: FeatureRows) -> None:
+        pass  # scored in-process, by score_features
+
     def score_features(self, rows: FeatureRows) -> list[float]:
         return score_batch(self, rows)
 

@@ -5,20 +5,30 @@ Wire contract: POST {endpoint}/v1/classify with body
 "x-client: reportable-triage/1"; the service answers 200 with
 {"scores":[...]} of equal length, every score in [0, 1].
 
-Only transport failures (connection refused/reset, timeouts) are retried;
-the request is idempotent so a duplicate delivery is harmless. Status,
-protocol, and score-range violations fail immediately with distinct error
-kinds so callers can tell a flaky network from a broken service; all four
-are runtime failures (exit 2). No message echoes a value that can be long.
+A request goes out in two steps over a keep-alive Connection: send() puts
+it on the connection and remote_score reads its reply, so a caller can work
+while the service scores. The client is the standard library's http.client:
+it reads no proxy settings, and it verifies an https service's certificate
+against the system's trust store.
+
+Only transport failures (connection refused/reset, timeouts) are retried,
+after a bounded exponential backoff; the request is idempotent so a
+duplicate delivery is harmless. Status, protocol, and score-range
+violations fail immediately with distinct error kinds so callers can tell a
+flaky network from a broken service; all four are runtime failures (exit
+2). No message echoes a value that can be long.
 """
 
 from __future__ import annotations
 
 import logging
+import ssl
+import weakref
 from dataclasses import dataclass, field
+from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
+from time import sleep
 from typing import ClassVar, Optional, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from ..corpus import Tier
 from ..errors import (
@@ -36,6 +46,14 @@ logger = logging.getLogger(__name__)
 CLIENT_HEADER = "reportable-triage/1"
 DEFAULT_TIMEOUT = 10.0
 DEFAULT_MAX_RETRIES = 2
+# the first retry waits BACKOFF_BASE_S, and each later one twice as long as
+# the one before, up to BACKOFF_MAX_S
+BACKOFF_BASE_S = 0.1
+BACKOFF_MAX_S = 2.0
+
+_HEADERS = {"content-type": "application/json", "x-client": CLIENT_HEADER}
+# OSError covers the socket, timeouts and TLS; HTTPException a reply that is not HTTP
+_TRANSPORT_ERRORS = (OSError, HTTPException)
 
 
 def classify_url(endpoint: str) -> str:
@@ -46,6 +64,70 @@ def encode_request(task: Tier, texts: Sequence[str]) -> bytes:
     """Canonical request body; byte-stable for a given (task, texts)."""
     payload = {"task": task.value, "texts": list(texts)}
     return dumps_line(payload).encode("utf-8")
+
+
+class Connection:
+    """One keep-alive connection to an endpoint's classify URL. It opens when
+    a request is sent and reopens on the next one after a failure.
+
+    send() puts a request on it; receive() reads the reply. A connection
+    the service dropped while it sat idle fails before the reply starts:
+    receive() then sends the request again, once, on a fresh connection.
+    """
+
+    def __init__(self, endpoint: str, timeout: float):
+        self.url = classify_url(endpoint)
+        parts = urlsplit(self.url)
+        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+        if parts.scheme == "https":
+            self._http = HTTPSConnection(parts.hostname, parts.port or 443, timeout=timeout,
+                                         context=ssl.create_default_context())
+        else:
+            self._http = HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
+        # a connection left open is closed when this object is collected
+        weakref.finalize(self, self._http.close)
+        self.pending: Optional[bytes] = None  # the body of the request awaiting its reply
+        self._failure: Optional[Exception] = None  # why sending it failed
+        self._reused = False  # whether it went out on a connection that carried a reply
+
+    def send(self, body: bytes) -> None:
+        """Put a request on the connection. A transport failure closes the
+        connection and is kept for receive() to raise."""
+        self.pending, self._failure = body, None
+        self._reused = self._http.sock is not None
+        try:
+            self._http.request("POST", self._target, body, _HEADERS)
+        except _TRANSPORT_ERRORS as exc:
+            self._http.close()
+            self._failure = exc
+
+    def _response(self) -> HTTPResponse:
+        if self._failure is not None:
+            raise self._failure
+        return self._http.getresponse()  # closes the connection if it raises ConnectionError
+
+    def receive(self) -> tuple[int, bytes]:
+        """The status and body of the reply to the pending request. A
+        transport failure closes the connection and raises; the request
+        stays pending."""
+        try:
+            try:
+                response = self._response()
+            except ConnectionError:
+                if not self._reused:
+                    raise
+                self.send(self.pending)  # fresh: _reused is now False
+                response = self._response()
+            reply = response.status, response.read()
+        except _TRANSPORT_ERRORS:
+            self._http.close()
+            raise
+        self.pending = None
+        return reply
+
+    def close(self) -> None:
+        self._http.close()
+        self.pending = None
 
 
 def _parse_scores(body: bytes, expected: int, url: str) -> list[float]:
@@ -80,61 +162,83 @@ def remote_score(
     *,
     timeout: float = DEFAULT_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    session: Optional[requests.Session] = None,
+    connection: Optional[Connection] = None,
 ) -> list[float]:
-    """Score one batch of texts, retrying transport failures up to max_retries."""
-    url = classify_url(endpoint)
-    body = encode_request(task, texts)
-    headers = {"content-type": "application/json", "x-client": CLIENT_HEADER}
-    post = session.post if session is not None else requests.post
+    """Score one batch of texts, retrying transport failures up to max_retries
+    times after a backoff (BACKOFF_BASE_S, doubling, at most BACKOFF_MAX_S).
 
-    attempts = max_retries + 1
-    last_error: Exception | None = None
-    for attempt in range(1, attempts + 1):
-        try:
-            response = post(url, data=body, headers=headers, timeout=timeout)
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            last_error = exc
-            logger.warning("transport failure on %s (attempt %d/%d): %s",
-                           url, attempt, attempts, exc)
-            continue
-        if response.status_code != 200:
-            raise RemoteStatusError(f"{url}: status {response.status_code}")
-        return _parse_scores(response.content, len(texts), url)
-    raise TransportError(
-        f"{url}: unreachable after {attempts} attempts "
-        f"(batch of {len(texts)}): {last_error}"
-    )
+    Over connection, it reads the reply to the request connection.send() put
+    there for these texts, or sends them first if no request is pending.
+    Without one, it opens a connection with timeout and closes it after.
+    """
+    url = classify_url(endpoint)
+    own = connection is None
+    if own:
+        connection = Connection(endpoint, timeout)
+    try:
+        if connection.pending is None:
+            connection.send(encode_request(task, texts))
+        attempts = max_retries + 1
+        delay = BACKOFF_BASE_S
+        for attempt in range(1, attempts + 1):
+            try:
+                status, body = connection.receive()
+            except _TRANSPORT_ERRORS as exc:
+                last_error = exc
+                logger.warning("transport failure on %s (attempt %d/%d): %s",
+                               url, attempt, attempts, exc)
+                if attempt < attempts:
+                    sleep(delay)
+                    delay = min(2 * delay, BACKOFF_MAX_S)
+                    connection.send(connection.pending)
+                continue
+            if status != 200:
+                raise RemoteStatusError(f"{url}: status {status}")
+            return _parse_scores(body, len(texts), url)
+        raise TransportError(
+            f"{url}: unreachable after {attempts} attempts "
+            f"(batch of {len(texts)}): {last_error}"
+        )
+    finally:
+        if own:
+            connection.close()
 
 
 @dataclass
 class RemoteBackend:
     """ClassifierBackend adapter over a remote inference endpoint.
 
-    Its batches go through one requests.Session, so they reuse one pooled
-    connection; close() releases it. A pooled connection the service has
-    dropped fails as a transport error, which remote_score retries.
+    Its batches go over one keep-alive Connection; close() closes it. send()
+    puts a batch's request on it and score_features() reads the reply, so
+    the cascade assembles the next batch while the service scores this one.
+    A connection the service dropped while idle is reopened, and the request
+    sent again, without spending a retry.
     """
 
     endpoint: str
     task: Tier
     timeout: float = DEFAULT_TIMEOUT
     max_retries: int = DEFAULT_MAX_RETRIES
-    session: requests.Session = field(default_factory=requests.Session, repr=False,
-                                      compare=False)
+    connection: Connection = field(init=False, repr=False, compare=False)
 
     # the service hashes, so a remote member's features are its texts
     feature_dim: ClassVar[None] = None
 
+    def __post_init__(self) -> None:
+        self.connection = Connection(self.endpoint, self.timeout)
+
     def featurize(self, inputs: Sequence[NormalizedInput]) -> list[str]:
         return [inp.text for inp in inputs]
 
+    def send(self, texts: Sequence[str]) -> None:
+        self.connection.send(encode_request(self.task, texts))
+
     def score_features(self, texts: Sequence[str]) -> list[float]:
         return remote_score(self.endpoint, self.task, texts, timeout=self.timeout,
-                            max_retries=self.max_retries, session=self.session)
+                            max_retries=self.max_retries, connection=self.connection)
 
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
         return self.score_features(self.featurize(inputs))
 
     def close(self) -> None:
-        self.session.close()
+        self.connection.close()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import metrics
 from .backend.base import ClassifierBackend, decide
@@ -138,14 +138,21 @@ def _score_batch(
 
 
 def _score_each_batch(reports: Sequence[PathologyReport], inputs: Sequence[dict], key: tuple,
-                      scorers: Sequence[tuple], batch_size: int) -> None:
+                      scorers: Sequence[tuple], batch_size: int,
+                      assemble: Callable[[int], None]) -> None:
     """Append each (member, backend, into) of scorers' probability of each
     report to its list into. The first backend featurizes each batch's inputs
-    under key, and every scorer scores those features."""
-    featurize = scorers[0][1].featurize
+    under key and sends the features; then, while it scores them,
+    assemble(n) makes inputs hold the next batch's, and every scorer scores
+    those features."""
+    first = scorers[0][1]
+    assemble(batch_size)
     for start in range(0, len(reports), batch_size):
         stop = start + batch_size
-        features = featurize([by_key[key] for by_key in inputs[start:stop]])
+        features = first.featurize([by_key[key] for by_key in inputs[start:stop]])
+        first.send(features)
+        # outside _score_batch: a report that fails to assemble is not the backend's fault
+        assemble(stop + batch_size)
         for member, backend, into in scorers:
             into += _score_batch(member, backend, reports[start:stop], features)
         # dropped now, not when the next batch's features replace them:
@@ -159,15 +166,19 @@ def run_tier(
     batch_size: int = DEFAULT_BATCH_SIZE,
     *,
     inputs: Sequence[dict],
+    assemble: Callable[[int], None] = lambda n: None,
     also: Sequence[Optional[tuple[MemberConfig, ClassifierBackend, list]]] = (None, None),
     given: Sequence[Optional[Sequence[float]]] = (None, None),
 ) -> list[EnsembleResult]:
     """Score every report with both members; order-preserving, all-or-nothing.
 
     inputs[i] maps each member's assembly key to its input for report i
-    (see _assemble). The first member scores all its batches, in report
-    order, before the second member scores any; the benchmark's remote check
-    matches the service's requests to members by this order.
+    (see _assemble). inputs may start short: assemble(n) makes it hold the
+    inputs of the first n reports, and the first member calls it for each
+    next batch while the current one is scored. The first member scores all
+    its batches, in report order, before the second member scores any; the
+    benchmark's remote check matches the service's requests to members by
+    this order.
 
     also[m], when given, is (member, backend, into): another tier's member
     that scores member m's features of each batch too, and appends its
@@ -180,7 +191,8 @@ def run_tier(
         if scores is None:
             scores = []
             scorers = [(member, backend, scores)] + ([] if rider is None else [rider])
-            _score_each_batch(reports, inputs, _assembly_key(member), scorers, batch_size)
+            _score_each_batch(reports, inputs, _assembly_key(member), scorers, batch_size,
+                              assemble)
         probabilities.append(scores)
     results = []
     for pair in zip(*probabilities):
@@ -207,10 +219,12 @@ def triage(
 
     Each report is assembled once per distinct assembly key (variant, token
     budget, fallback sections) of the members that score it, and its
-    sections are read once for both t1 keys. A tier-2 member whose key
-    equals a tier-1 member's reads the input that member scored; a t2 key
-    no t1 member shares is assembled after tier 1, for the reports tier 2
-    scores.
+    sections are read once for both t1 keys. Tier 1's first member has each
+    next batch assembled, for both t1 keys, while its current batch is
+    scored, so a remote service scores while the client assembles. A tier-2
+    member whose key equals a tier-1 member's reads the input that member
+    scored; a t2 key no t1 member shares is assembled after tier 1, for the
+    reports tier 2 scores.
 
     A tier-2 member whose key and feature_dim (not None) also equal a
     tier-1 member's scores that member's features of every report, one batch
@@ -230,8 +244,12 @@ def triage(
                     and t1_backend.feature_dim == t2_backend.feature_dim):
                 shared[j] = []
                 also[i] = (t2_member, t2_backend, shared[j])
-    inputs = [_assemble(r, t1_keys, {}) for r in reports]
-    t1_results = run_tier(reports, t1, batch_size, inputs=inputs, also=also)
+    inputs: list[dict] = []
+
+    def assemble(n: int) -> None:
+        inputs.extend(_assemble(r, t1_keys, {}) for r in reports[len(inputs):n])
+
+    t1_results = run_tier(reports, t1, batch_size, inputs=inputs, assemble=assemble, also=also)
 
     if t2_report_ids is None:
         selected = [i for i, res in enumerate(t1_results) if res.is_positive]

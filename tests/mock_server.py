@@ -4,6 +4,8 @@ Captures every request (path, headers, raw body) and answers with whatever
 the configured responder returns; a responder can also sleep to trigger
 client read timeouts. It speaks HTTP/1.1, so a client may keep a connection
 open across requests; `connections` counts the connections it accepted.
+With close_after_reply it closes each connection after its reply, without
+a `Connection: close` header, as a service that drops idle connections does.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ class MockClassifyServer:
     set sleep_s to stall before responding (for timeout tests).
     """
 
-    def __init__(self, responder=None, sleep_s: float = 0.0):
+    def __init__(self, responder=None, sleep_s: float = 0.0, close_after_reply: bool = False):
         self.requests: list[CapturedRequest] = []
         self.connections = 0
         self._connections_lock = threading.Lock()  # each connection has its own thread
         self.sleep_s = sleep_s
+        self.close_after_reply = close_after_reply
         self._responder = responder or self.echo_scores([0.5])
         outer = self
 
@@ -60,6 +63,7 @@ class MockClassifyServer:
                     self.wfile.write(body)
                 except (BrokenPipeError, ConnectionResetError):
                     pass  # client gave up (timeout test)
+                self.close_connection = self.close_connection or outer.close_after_reply
 
             def log_message(self, *args):
                 pass

@@ -1,9 +1,11 @@
 import json
 import random
+import time
 
 import numpy as np
 import pytest
 
+from reportable_triage import cascade
 from reportable_triage.backend.base import decide
 from reportable_triage.backend.baseline import (
     BaselineModel,
@@ -65,6 +67,9 @@ class InputBackend:
 
     def featurize(self, inputs):
         return list(inputs)
+
+    def send(self, inputs):
+        pass  # scored in-process, by score_features
 
 
 class KeywordBackend(InputBackend):
@@ -490,6 +495,47 @@ def test_remote_tier2_member_sends_the_texts_it_sent_before(monkeypatch):
                 for v in (A, B) for s in range(0, len(selected), 4)]
     assert [json.loads(req.body)["texts"] for req in server.requests] == expected
     assert sum(hashed) == 2 * len(reports)  # tier 1 only
+
+
+def test_tier1_assembles_the_next_batch_while_the_service_scores_this_one(monkeypatch):
+    # tier 1's first member sends batch k, assembles batch k + 1 for both t1
+    # keys, then reads batch k's scores
+    batch, n = 4, 16
+    reports = rescue_reports(n)
+    assembled = []  # one entry per assemble_input call
+    monkeypatch.setattr(cascade, "assemble_input",
+                        lambda *args: assembled.append(args[0]) or assemble_input(*args))
+
+    def through(k):
+        """assemble_input calls once batches 0..k are assembled for both keys."""
+        return 2 * min(n, (k + 1) * batch)
+
+    seen = []  # per request: calls made when it arrived, and when it was answered
+
+    def respond(captured):
+        arrived, deadline = len(assembled), time.monotonic() + 2.0
+        # a serial client assembles nothing while it waits: it fails this, not hangs
+        while len(assembled) < through(len(seen) + 1) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        seen.append((arrived, len(assembled)))
+        return 200, json.dumps({"scores": [0.7] * len(json.loads(captured.body)["texts"])}
+                               ).encode()
+
+    with MockClassifyServer(respond) as server:
+        t1, t2 = (TierConfig(task=task,
+                             members=(member(f"{task.value}-a", A), member(f"{task.value}-b", B)),
+                             backends=tuple(RemoteBackend(endpoint=server.endpoint, task=task,
+                                                          timeout=10) for _ in "ab"))
+                  for task in (Tier.T1, Tier.T2))
+        try:
+            triage(reports, t1, t2, batch_size=batch)
+        finally:
+            for backend in t1.backends + t2.backends:
+                backend.close()
+    assert len(seen) == 4 * n // batch  # every report is t1-positive at 0.7
+    assert seen[0][0] <= through(1)  # request 0 arrives before batch 2 is assembled
+    t1_a = seen[:n // batch]
+    assert [answered for _, answered in t1_a] == [through(k + 1) for k in range(n // batch)]
 
 
 def test_triage_rejects_swapped_tier_configs():

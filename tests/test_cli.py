@@ -374,6 +374,30 @@ def test_triage_unreachable_remote_exits_2(tmp_path, capsys):
     assert err.count("backend '") == 1
 
 
+def test_triage_empty_report_in_a_later_remote_batch_exits_1(tmp_path, capsys):
+    # report 550 fails to assemble while tier 1's request for reports 256..511
+    # is in flight: it is bad input (exit 1), not a failure of that batch's backend
+    corpus = synth_corpus(SynthSpec(n_reports=600), seed=2)
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    lines = (tmp_path / "corpus.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[550])
+    record["raw_text"] = ""
+    record.pop("sections", None)
+    lines[550] = json.dumps(record) + "\n"
+    (tmp_path / "corpus.jsonl").write_text("".join(lines))
+    with MockClassifyServer(MockClassifyServer.score_per_text(0.5)) as server:
+        config = write_config(tmp_path, remote_kind=True,
+                              remote={"timeout": 5, "max_retries": 0,
+                                      "endpoints": {"t1": server.endpoint,
+                                                    "t2": server.endpoint}})
+        code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: empty report {record['report_id']!r}"]
+    assert len(server.requests) >= 1  # reports 0..255 were scored first
+
+
 def scores_per_text(score: bytes):
     def respond(texts):
         return 200, b'{"scores": [' + b",".join([score] * len(texts)) + b"]}"

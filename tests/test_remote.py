@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from reportable_triage.backend import remote
 from reportable_triage.backend.remote import (
+    BACKOFF_BASE_S,
+    BACKOFF_MAX_S,
     CLIENT_HEADER,
     RemoteBackend,
     encode_request,
@@ -151,3 +154,38 @@ def test_remote_backend_sends_its_batches_over_one_connection():
         backend.close()
         assert len(server.requests) == 4
         assert server.connections == 1
+
+
+def test_transport_retries_back_off_exponentially_up_to_the_cap(monkeypatch):
+    delays = []
+    monkeypatch.setattr(remote, "sleep", delays.append)
+    with MockClassifyServer() as server:
+        endpoint = server.endpoint  # nothing listens once the context exits
+    for max_retries in (0, 1, 7):
+        delays.clear()
+        with pytest.raises(TransportError, match=f"after {max_retries + 1} attempts"):
+            remote_score(endpoint, Tier.T1, ["a"], timeout=0.5, max_retries=max_retries)
+        assert delays == [min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** i)
+                          for i in range(max_retries)]
+    assert delays[-1] == BACKOFF_MAX_S  # seven retries reach the cap
+
+
+def test_remote_backend_reconnects_to_a_service_that_drops_idle_connections(monkeypatch):
+    # the service closes each connection after its reply without saying so:
+    # the next request on it fails before its reply starts, and is sent again
+    # on a fresh connection without spending a retry or a backoff
+    def ni(text):
+        return NormalizedInput(text=text, approx_token_count=1, truncated=False,
+                               sections_used=("diagnosis",))
+
+    monkeypatch.setattr(remote, "sleep", lambda s: pytest.fail("backed off"))
+    with MockClassifyServer(MockClassifyServer.score_per_text(0.5),
+                            close_after_reply=True) as server:
+        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T1, timeout=5,
+                                max_retries=0)
+        for n in range(1, 6):
+            backend.send([f"text {i}" for i in range(n)])
+            assert backend.score_features([f"text {i}" for i in range(n)]) == [0.5] * n
+        backend.close()
+        assert [len(json.loads(r.body)["texts"]) for r in server.requests] == [1, 2, 3, 4, 5]
+        assert server.connections == 5
