@@ -76,8 +76,7 @@ class Connection:
     """
 
     def __init__(self, endpoint: str, timeout: float):
-        self.url = classify_url(endpoint)
-        parts = urlsplit(self.url)
+        parts = urlsplit(classify_url(endpoint))
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
         if parts.scheme == "https":
             self._http = HTTPSConnection(parts.hostname, parts.port or 443, timeout=timeout,
