@@ -24,11 +24,12 @@ from __future__ import annotations
 import logging
 import ssl
 import weakref
+from base64 import b64encode
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from time import sleep
 from typing import ClassVar, Optional, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from ..corpus import Tier
 from ..errors import (
@@ -78,6 +79,12 @@ class Connection:
     def __init__(self, endpoint: str, timeout: float):
         parts = urlsplit(classify_url(endpoint))
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+        self._headers = _HEADERS
+        if parts.password is not None and (parts.username or parts.password):
+            # as requests did: a user and password in the URL go as HTTP basic auth
+            user_pass = f"{unquote(parts.username)}:{unquote(parts.password)}"
+            self._headers = {**_HEADERS, "authorization":
+                             "Basic " + b64encode(user_pass.encode("latin-1")).decode("ascii")}
         if parts.scheme == "https":
             self._http = HTTPSConnection(parts.hostname, parts.port or 443, timeout=timeout,
                                          context=ssl.create_default_context())
@@ -95,7 +102,7 @@ class Connection:
         self.pending, self._failure = body, None
         self._reused = self._http.sock is not None
         try:
-            self._http.request("POST", self._target, body, _HEADERS)
+            self._http.request("POST", self._target, body, self._headers)
         except _TRANSPORT_ERRORS as exc:
             self._http.close()
             self._failure = exc

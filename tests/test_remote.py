@@ -39,6 +39,18 @@ def test_request_body_is_golden_bytes_and_path_and_headers():
     assert captured.headers.get("content-type") == "application/json"
 
 
+def test_credentials_in_the_endpoint_go_as_basic_auth():
+    with MockClassifyServer(MockClassifyServer.echo_scores([0.5])) as server:
+        host = server.endpoint.removeprefix("http://")
+        remote_score(f"http://user%40site:p%3Ass@{host}", Tier.T1, ["a"], timeout=5)
+        remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+        with_auth, without = ({k.lower(): v for k, v in r.headers.items()}
+                              for r in server.requests)
+    assert with_auth["authorization"] == "Basic dXNlckBzaXRlOnA6c3M="  # user@site:p:ss
+    assert with_auth["host"] == host
+    assert "authorization" not in without
+
+
 def test_encode_request_handles_unicode_compactly():
     body = encode_request(Tier.T1, ["naïve café"])
     assert body == '{"task":"t1","texts":["naïve café"]}'.encode("utf-8")
