@@ -81,7 +81,7 @@ class Connection:
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
         self._headers = _HEADERS
         if parts.password is not None and (parts.username or parts.password):
-            # as requests did: a user and password in the URL go as HTTP basic auth
+            # a user and password in the URL go as HTTP basic auth
             user_pass = f"{unquote(parts.username)}:{unquote(parts.password)}"
             self._headers = {**_HEADERS, "authorization":
                              "Basic " + b64encode(user_pass.encode("latin-1")).decode("ascii")}
@@ -240,8 +240,8 @@ class RemoteBackend:
         self.connection.send(encode_request(self.task, texts))
 
     def score_features(self, texts: Sequence[str]) -> list[float]:
-        return remote_score(self.endpoint, self.task, texts, timeout=self.timeout,
-                            max_retries=self.max_retries, connection=self.connection)
+        return remote_score(self.endpoint, self.task, texts, max_retries=self.max_retries,
+                            connection=self.connection)
 
     def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
         return self.score_features(self.featurize(inputs))

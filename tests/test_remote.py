@@ -186,10 +186,6 @@ def test_remote_backend_reconnects_to_a_service_that_drops_idle_connections(monk
     # the service closes each connection after its reply without saying so:
     # the next request on it fails before its reply starts, and is sent again
     # on a fresh connection without spending a retry or a backoff
-    def ni(text):
-        return NormalizedInput(text=text, approx_token_count=1, truncated=False,
-                               sections_used=("diagnosis",))
-
     monkeypatch.setattr(remote, "sleep", lambda s: pytest.fail("backed off"))
     with MockClassifyServer(MockClassifyServer.score_per_text(0.5),
                             close_after_reply=True) as server:
