@@ -5,7 +5,10 @@ tokens, hashed with CRC-32 into a fixed power-of-two dimension, so no
 vocabulary file exists and hashing is identical across runs and platforms.
 Training is plain per-example SGD on the L2-regularized logistic loss, with a
 seeded shuffle each epoch, so equal data + hyperparameters + seed reproduce
-the weight vector bit-for-bit.
+the weight vector bit-for-bit. The loss is evaluated once, after the last
+epoch. A step's scalar arithmetic runs on Python floats, which give the same
+IEEE double bits as numpy scalars for the same operations in the same order;
+its sigmoid keeps np.exp, because math.exp differs in the last bit.
 
 Each scoring or training call hashes its batch once into CSR arrays
 (`FeatureRows`), with numpy array operations rather than per-feature Python:
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -287,12 +290,12 @@ class FeatureRows:
 
 
 def _sequential_sum(values: np.ndarray) -> float:
-    return np.cumsum(values)[-1] if len(values) else 0.0
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 def _sigmoid(z: float) -> float:
     z = max(min(z, _MAX_LOGIT), -_MAX_LOGIT)
-    return 1.0 / (1.0 + np.exp(-z))
+    return 1.0 / (1.0 + float(np.exp(-z)))
 
 
 def check_feature_dim(feature_dim: int) -> None:
@@ -329,7 +332,6 @@ class BaselineModel:
     learning_rate: float
     l2: float
     final_loss: float
-    loss_history: list[float] = field(default_factory=list, compare=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BaselineModel):
@@ -357,9 +359,6 @@ class BaselineModel:
     def score_features(self, rows: FeatureRows) -> list[float]:
         return score_batch(self, rows)
 
-    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        return score_batch(self, inputs)
-
 
 def regularized_loss(
     weights: np.ndarray,
@@ -374,7 +373,7 @@ def regularized_loss(
     nll = np.logaddexp(0.0, z) - np.asarray(labels) * z
     # ||w||^2 without BLAS: np.dot splits the sum across BLAS threads, so its
     # last bits, and the model file's final_loss, would follow the thread count
-    return (float(_sequential_sum(nll)) / len(rows)
+    return (_sequential_sum(nll) / len(rows)
             + 0.5 * l2 * float(np.sum(weights * weights)))
 
 
@@ -421,9 +420,8 @@ def train_baseline(
     weights = np.zeros(hyper.feature_dim, dtype=np.float64)
     bias = 0.0
     lr = hyper.learning_rate
-    history: list[float] = []
     for _ in range(hyper.epochs):
-        for k in rng.permutation(len(examples)):
+        for k in rng.permutation(len(examples)).tolist():
             idx, val = examples[k]
             w = weights[idx]
             err = _sigmoid(bias + _sequential_sum(w * val)) - ys[k]
@@ -431,7 +429,6 @@ def train_baseline(
             # the indices of a row are unique, so one scattered write is exact
             weights[idx] = w - lr * (err * val + hyper.l2 * w)
             bias -= lr * err
-        history.append(regularized_loss(weights, bias, rows, ys, hyper.l2))
 
     return BaselineModel(
         feature_dim=hyper.feature_dim,
@@ -441,8 +438,7 @@ def train_baseline(
         epochs=hyper.epochs,
         learning_rate=lr,
         l2=hyper.l2,
-        final_loss=history[-1],
-        loss_history=history,
+        final_loss=regularized_loss(weights, bias, rows, ys, hyper.l2),
     )
 
 

@@ -243,8 +243,5 @@ class RemoteBackend:
         return remote_score(self.endpoint, self.task, texts, max_retries=self.max_retries,
                             connection=self.connection)
 
-    def score_batch(self, inputs: Sequence[NormalizedInput]) -> list[float]:
-        return self.score_features(self.featurize(inputs))
-
     def close(self) -> None:
         self.connection.close()

@@ -16,6 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import cascade, metrics, sampler
 from .backend.base import ClassifierBackend
 from .backend.baseline import load_baseline, save_baseline, train_baseline
@@ -210,7 +212,11 @@ def cmd_train_baseline(args) -> int:
                                f"{tier.value} training set (run build-dataset first)")
     corpus = _sectioned(load_corpus(train_path, strict=args.strict), cfg)
     pairs = _training_pairs(corpus, tier, member)
-    model = train_baseline(pairs, settings.train, settings.train_seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run is reported below
+        model = train_baseline(pairs, settings.train, settings.train_seed)
+    if not np.isfinite(model.final_loss):  # non-finite weights or bias give a non-finite loss
+        raise TriageError(f"member {member.backend_id!r}: training diverged "
+                          f"(final_loss={model.final_loss}); no model file written")
     model_path = cfg.model_file(member)
     save_baseline(model, model_path)
     print(f"trained {member.backend_id} on {len(pairs)} records "

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -198,7 +199,7 @@ def test_train_deterministic():
     m2 = train_baseline(data, TrainHyper(epochs=3), seed=9)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
-    assert m1.loss_history == m2.loss_history
+    assert m1.final_loss == m2.final_loss
     m3 = train_baseline(data, TrainHyper(epochs=3), seed=10)
     assert not np.array_equal(m1.weights, m3.weights)
 
@@ -211,14 +212,13 @@ def test_train_rejects_degenerate_sets():
         train_baseline([], TrainHyper(), seed=1)
 
 
-def test_train_records_finite_loss_history():
+def test_train_final_loss_is_finite_and_below_the_zero_model():
     data = separable_set(5)
     model = train_baseline(data, TrainHyper(epochs=4), seed=2)
-    assert len(model.loss_history) == 4
-    assert all(np.isfinite(v) for v in model.loss_history)
-    assert model.final_loss == model.loss_history[-1]
-    # loss should not blow up over epochs on separable data
-    assert model.loss_history[-1] <= model.loss_history[0]
+    assert np.isfinite(model.final_loss)
+    # training lowers the loss from that of the zero model, which scores every
+    # input 1/2 and so has loss ln 2
+    assert model.final_loss < math.log(2)
 
 
 def test_hyper_validation():
@@ -323,7 +323,36 @@ def test_train_equals_per_example_dict_sgd():
     weights, bias, history = reference_train(texts, labels, 16, 4, 0.3, 1e-3, 21)
     assert np.array_equal(model.weights, weights)
     assert model.bias == bias
-    assert model.loss_history == history
+    assert model.final_loss == history[-1]
+
+
+def test_train_equals_per_example_dict_sgd_at_the_step_edges(monkeypatch):
+    # a large learning rate drives logits past the clamp at +-35; repeated
+    # tokens give counts above 1, an empty text a row without features, and
+    # the random words rows of several hundred features, whose sums any
+    # other order of addition would change in the last bits
+    rng = np.random.default_rng(5)
+    words = [" ".join(f"w{i}" for i in rng.integers(0, 5000, size=n)) for n in (400, 250, 600)]
+    texts = ["carcinoma " * 300, "", "benign tissue " * 40, *words,
+             "invasive carcinoma grade 3", "benign margin"]
+    labels = [1, 0, 0, 1, 0, 1, 1, 0]
+    rows = FeatureRows.hash_texts(texts, 1024)
+    assert (rows.values > 1).any() and np.diff(rows.indptr).max() >= 300
+    logits = []
+
+    def sigmoid(z):
+        logits.append(z)
+        return clamped_sigmoid(z)
+
+    clamped_sigmoid = baseline._sigmoid
+    monkeypatch.setattr(baseline, "_sigmoid", sigmoid)
+    hyper = TrainHyper(epochs=3, learning_rate=1.0, feature_dim=1024, l2=1e-3)
+    model = train_baseline(list(zip(map(ni, texts), labels)), hyper, seed=4)
+    assert max(logits) > 35.0 and min(logits) < -35.0
+    weights, bias, history = reference_train(texts, labels, 1024, 3, 1.0, 1e-3, 4)
+    assert np.array_equal(model.weights, weights)
+    assert model.bias == bias
+    assert model.final_loss == history[-1]
 
 
 # --- gradient check ----------------------------------------------------------
@@ -449,6 +478,8 @@ def test_load_rejects_feature_dim_not_power_of_two(tmp_path):
 def test_baseline_model_is_a_backend():
     model = train_baseline(separable_set(4), TrainHyper(epochs=2), seed=8)
     inputs = [ni("carcinoma"), ni("benign")]
-    scores = model.score_batch(inputs)
+    rows = model.featurize(inputs)
+    assert model.send(rows) is None
+    scores = model.score_features(rows)
     assert scores == score_batch(model, inputs)
     assert len(scores) == 2 and scores[0] > 0.5 > scores[1]

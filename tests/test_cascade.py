@@ -449,9 +449,14 @@ def test_tier2_scores_from_tier1_rows_as_from_fresh_hashing(monkeypatch, t2_scop
     assert (True, False) in t1_calls and (False, True) in t1_calls  # A-only and B-only rescues
     selected = [(r, o) for r, o in zip(reports, outcomes) if o.t2 is not None]
     assert 0 < len(selected) < len(reports)
+    def fresh_score(model, inp):
+        rows = model.featurize([inp])
+        model.send(rows)
+        return model.score_features(rows)[0]
+
     for report, outcome in selected:
-        fresh = (t2_models[0].score_batch([assemble_input(report, A, budget_a)])[0],
-                 t2_models[1].score_batch([assemble_input(report, B, 3)])[0])
+        fresh = (fresh_score(t2_models[0], assemble_input(report, A, budget_a)),
+                 fresh_score(t2_models[1], assemble_input(report, B, 3)))
         assert outcome.t2.probabilities == fresh
 
     # a t2 member that shares its t1 counterpart's assembly key and

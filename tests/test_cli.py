@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -297,6 +298,23 @@ def test_train_missing_dataset_exits_1(tmp_path, capsys):
                  "--tier", "t1", "--variant", "a"])
     assert code == 1
     assert "train.jsonl" in capsys.readouterr().err
+
+
+def test_train_that_diverges_exits_2_and_writes_no_model(tmp_path, capsys):
+    write_corpus(synth_corpus(SynthSpec(n_reports=200), seed=3), tmp_path / "corpus.jsonl")
+    doc = config_doc()
+    doc["tiers"]["t1"]["train"]["learning_rate"] = 1e30
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would add lines
+        code = main(["--config", str(config), "train-baseline", "--tier", "t1", "--variant", "a"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: member 't1-baseline-a': training diverged "
+                                       "(final_loss=nan); no model file written\n")
+    assert not (tmp_path / "out" / "models").exists()
 
 
 def test_train_high_training_accuracy_on_separable_set(pipeline):

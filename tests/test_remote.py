@@ -143,15 +143,18 @@ def test_remote_backend_scores_inputs_and_raises_transport_errors():
 
     with MockClassifyServer(MockClassifyServer.score_per_text(0.8)) as server:
         backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T1, timeout=5)
-        scores = backend.score_batch([ni("one"), ni("two")])
-        assert scores == [0.8, 0.8]
+        texts = backend.featurize([ni("one"), ni("two")])
+        backend.send(texts)
+        assert backend.score_features(texts) == [0.8, 0.8]
         sent = json.loads(server.requests[0].body)
         assert sent == {"task": "t1", "texts": ["one", "two"]}
         endpoint = server.endpoint
 
     backend = RemoteBackend(endpoint=endpoint, task=Tier.T1, timeout=0.3, max_retries=0)
+    texts = backend.featurize([ni("one")])
+    backend.send(texts)  # keeps the failure for score_features to raise
     with pytest.raises(TransportError, match="unreachable"):
-        backend.score_batch([ni("one")])
+        backend.score_features(texts)
 
 
 def test_remote_backend_sends_its_batches_over_one_connection():
@@ -162,7 +165,9 @@ def test_remote_backend_sends_its_batches_over_one_connection():
     with MockClassifyServer(MockClassifyServer.score_per_text(0.25)) as server:
         backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T2, timeout=5)
         for n in (3, 1, 2, 4):
-            assert backend.score_batch([ni(f"text {i}") for i in range(n)]) == [0.25] * n
+            texts = backend.featurize([ni(f"text {i}") for i in range(n)])
+            backend.send(texts)
+            assert backend.score_features(texts) == [0.25] * n
         backend.close()
         assert len(server.requests) == 4
         assert server.connections == 1
