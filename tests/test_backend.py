@@ -339,12 +339,12 @@ def test_train_equals_per_example_dict_sgd_at_the_step_edges(monkeypatch):
     rows = FeatureRows.hash_texts(texts, 1024)
     assert (rows.values > 1).any() and np.diff(rows.indptr).max() >= 300
     logits = []
+    clamped_sigmoid = baseline._sigmoid
 
     def sigmoid(z):
         logits.append(z)
         return clamped_sigmoid(z)
 
-    clamped_sigmoid = baseline._sigmoid
     monkeypatch.setattr(baseline, "_sigmoid", sigmoid)
     hyper = TrainHyper(epochs=3, learning_rate=1.0, feature_dim=1024, l2=1e-3)
     model = train_baseline(list(zip(map(ni, texts), labels)), hyper, seed=4)

@@ -449,6 +449,7 @@ def test_tier2_scores_from_tier1_rows_as_from_fresh_hashing(monkeypatch, t2_scop
     assert (True, False) in t1_calls and (False, True) in t1_calls  # A-only and B-only rescues
     selected = [(r, o) for r, o in zip(reports, outcomes) if o.t2 is not None]
     assert 0 < len(selected) < len(reports)
+
     def fresh_score(model, inp):
         rows = model.featurize([inp])
         model.send(rows)
