@@ -442,12 +442,10 @@ def train_baseline(
     )
 
 
-def score_batch(model: BaselineModel,
-                batch: Sequence[NormalizedInput] | FeatureRows) -> list[float]:
-    """One probability per input, or per row of rows model.featurize made."""
-    if not len(batch):
+def score_batch(model: BaselineModel, rows: FeatureRows) -> list[float]:
+    """One probability per row of rows model.featurize made."""
+    if not len(rows):
         raise ValidationError("score_batch requires a non-empty input batch")
-    rows = batch if isinstance(batch, FeatureRows) else model.featurize(batch)
     z = np.array(rows.logits(model.weights, model.bias))
     # _sigmoid's clamp and formula, over the whole batch in one step
     return (1.0 / (1.0 + np.exp(-np.clip(z, -_MAX_LOGIT, _MAX_LOGIT)))).tolist()

@@ -5,11 +5,11 @@ Wire contract: POST {endpoint}/v1/classify with body
 "x-client: reportable-triage/1"; the service answers 200 with
 {"scores":[...]} of equal length, every score in [0, 1].
 
-A request goes out in two steps over a keep-alive Connection: send() puts
-it on the connection and remote_score reads its reply, so a caller can work
-while the service scores. The client is the standard library's http.client:
-it reads no proxy settings, and it verifies an https service's certificate
-against the system's trust store.
+A RemoteBackend is one member's client. A request goes out in two steps
+over its keep-alive connection: send() puts it there and remote_score reads
+its reply, so a caller can work while the service scores. The client is the
+standard library's http.client: it reads no proxy settings, and it verifies
+an https service's certificate against the system's trust store.
 
 Only transport failures (connection refused/reset, timeouts) are retried,
 after a bounded exponential backoff; the request is idempotent so a
@@ -25,10 +25,9 @@ import logging
 import ssl
 import weakref
 from base64 import b64encode
-from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from time import sleep
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
 from ..corpus import Tier
@@ -67,18 +66,27 @@ def encode_request(task: Tier, texts: Sequence[str]) -> bytes:
     return dumps_line(payload).encode("utf-8")
 
 
-class Connection:
-    """One keep-alive connection to an endpoint's classify URL. It opens when
-    a request is sent and reopens on the next one after a failure.
+class RemoteBackend:
+    """ClassifierBackend adapter over a remote inference endpoint.
 
-    send() puts a request on it; receive() reads the reply. A connection
-    the service dropped while it sat idle fails before the reply starts:
-    receive() then sends the request again, once, on a fresh connection.
+    Its batches go over one keep-alive connection to the endpoint's classify
+    URL, opened when a request is put on it and reopened on the next one
+    after a failure; close() closes it. send() puts a batch's request on it
+    and score_features() reads the reply, so the cascade assembles the next
+    batch while the service scores this one. A connection the service
+    dropped while idle fails before the reply starts: receive() then puts
+    the request again, once, on a fresh connection, without spending a retry.
     """
 
-    def __init__(self, endpoint: str, timeout: float):
-        parts = urlsplit(classify_url(endpoint))
-        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+    # the service hashes, so a remote member's features are its texts
+    feature_dim = None
+
+    def __init__(self, endpoint: str, task: Tier, timeout: float = DEFAULT_TIMEOUT,
+                 max_retries: int = DEFAULT_MAX_RETRIES):
+        self.task, self.max_retries = task, max_retries
+        self.url = classify_url(endpoint)
+        parts = urlsplit(self.url)
+        self._target = parts.path
         self._headers = _HEADERS
         if parts.password is not None and (parts.username or parts.password):
             # a user and password in the URL go as HTTP basic auth
@@ -96,7 +104,16 @@ class Connection:
         self._failure: Optional[Exception] = None  # why sending it failed
         self._reused = False  # whether it went out on a connection that carried a reply
 
-    def send(self, body: bytes) -> None:
+    def featurize(self, inputs: Sequence[NormalizedInput]) -> list[str]:
+        return [inp.text for inp in inputs]
+
+    def send(self, texts: Sequence[str]) -> None:
+        self.put(encode_request(self.task, texts))
+
+    def score_features(self, texts: Sequence[str]) -> list[float]:
+        return remote_score(self, texts)  # the module global, which the tracer wraps
+
+    def put(self, body: bytes) -> None:
         """Put a request on the connection. A transport failure closes the
         connection and is kept for receive() to raise."""
         self.pending, self._failure = body, None
@@ -122,7 +139,7 @@ class Connection:
             except ConnectionError:
                 if not self._reused:
                     raise
-                self.send(self.pending)  # fresh: _reused is now False
+                self.put(self.pending)  # fresh: _reused is now False
                 response = self._response()
             reply = response.status, response.read()
         except _TRANSPORT_ERRORS:
@@ -161,87 +178,31 @@ def _parse_scores(body: bytes, expected: int, url: str) -> list[float]:
     return out
 
 
-def remote_score(
-    endpoint: str,
-    task: Tier,
-    texts: Sequence[str],
-    *,
-    timeout: float = DEFAULT_TIMEOUT,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    connection: Optional[Connection] = None,
-) -> list[float]:
-    """Score one batch of texts, retrying transport failures up to max_retries
-    times after a backoff (BACKOFF_BASE_S, doubling, at most BACKOFF_MAX_S).
-
-    Over connection, it reads the reply to the request connection.send() put
-    there for these texts, or sends them first if no request is pending.
-    Without one, it opens a connection with timeout and closes it after.
+def remote_score(backend: RemoteBackend, texts: Sequence[str]) -> list[float]:
+    """The scores of texts, read from the reply to the request backend.send()
+    put on its connection for them. A transport failure is retried up to
+    backend.max_retries times, each after a backoff (BACKOFF_BASE_S,
+    doubling, at most BACKOFF_MAX_S) and by sending the request again.
     """
-    url = classify_url(endpoint)
-    own = connection is None
-    if own:
-        connection = Connection(endpoint, timeout)
-    try:
-        if connection.pending is None:
-            connection.send(encode_request(task, texts))
-        attempts = max_retries + 1
-        delay = BACKOFF_BASE_S
-        for attempt in range(1, attempts + 1):
-            try:
-                status, body = connection.receive()
-            except _TRANSPORT_ERRORS as exc:
-                last_error = exc
-                logger.warning("transport failure on %s (attempt %d/%d): %s",
-                               url, attempt, attempts, exc)
-                if attempt < attempts:
-                    sleep(delay)
-                    delay = min(2 * delay, BACKOFF_MAX_S)
-                    connection.send(connection.pending)
-                continue
-            if status != 200:
-                raise RemoteStatusError(f"{url}: status {status}")
-            return _parse_scores(body, len(texts), url)
-        raise TransportError(
-            f"{url}: unreachable after {attempts} attempts "
-            f"(batch of {len(texts)}): {last_error}"
-        )
-    finally:
-        if own:
-            connection.close()
-
-
-@dataclass
-class RemoteBackend:
-    """ClassifierBackend adapter over a remote inference endpoint.
-
-    Its batches go over one keep-alive Connection; close() closes it. send()
-    puts a batch's request on it and score_features() reads the reply, so
-    the cascade assembles the next batch while the service scores this one.
-    A connection the service dropped while idle is reopened, and the request
-    sent again, without spending a retry.
-    """
-
-    endpoint: str
-    task: Tier
-    timeout: float = DEFAULT_TIMEOUT
-    max_retries: int = DEFAULT_MAX_RETRIES
-    connection: Connection = field(init=False, repr=False, compare=False)
-
-    # the service hashes, so a remote member's features are its texts
-    feature_dim: ClassVar[None] = None
-
-    def __post_init__(self) -> None:
-        self.connection = Connection(self.endpoint, self.timeout)
-
-    def featurize(self, inputs: Sequence[NormalizedInput]) -> list[str]:
-        return [inp.text for inp in inputs]
-
-    def send(self, texts: Sequence[str]) -> None:
-        self.connection.send(encode_request(self.task, texts))
-
-    def score_features(self, texts: Sequence[str]) -> list[float]:
-        return remote_score(self.endpoint, self.task, texts, max_retries=self.max_retries,
-                            connection=self.connection)
-
-    def close(self) -> None:
-        self.connection.close()
+    url = backend.url
+    attempts = backend.max_retries + 1
+    delay = BACKOFF_BASE_S
+    for attempt in range(1, attempts + 1):
+        try:
+            status, body = backend.receive()
+        except _TRANSPORT_ERRORS as exc:
+            last_error = exc
+            logger.warning("transport failure on %s (attempt %d/%d): %s",
+                           url, attempt, attempts, exc)
+            if attempt < attempts:
+                sleep(delay)
+                delay = min(2 * delay, BACKOFF_MAX_S)
+                backend.put(backend.pending)
+            continue
+        if status != 200:
+            raise RemoteStatusError(f"{url}: status {status}")
+        return _parse_scores(body, len(texts), url)
+    raise TransportError(
+        f"{url}: unreachable after {attempts} attempts "
+        f"(batch of {len(texts)}): {last_error}"
+    )

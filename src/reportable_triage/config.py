@@ -91,7 +91,8 @@ class RemoteSettings:
 
 
 def check_endpoint(url: str, where: str) -> str:
-    """url, if it is an http or https URL with a host and a valid port.
+    """url, if it is an http or https URL with a host, a valid port, and no
+    query or fragment.
 
     Checked when the endpoint is read, so that a malformed one is a
     configuration error naming where it came from, not a failed request.
@@ -105,6 +106,10 @@ def check_endpoint(url: str, where: str) -> str:
             or port == 0):
         # named, not echoed: an endpoint can be megabytes long
         raise ValidationError(f"{where}: not an http(s) URL with a host")
+    if "?" in url or "#" in url:
+        # either starts a query or a fragment, even an empty one, and
+        # /v1/classify must follow the endpoint's path
+        raise ValidationError(f"{where}: has a query or a fragment")
     return url
 
 

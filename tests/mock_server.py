@@ -6,6 +6,7 @@ client read timeouts. It speaks HTTP/1.1, so a client may keep a connection
 open across requests; `connections` counts the connections it accepted.
 With close_after_reply it closes each connection after its reply, without
 a `Connection: close` header, as a service that drops idle connections does.
+score_once scores one batch as a remote member does, on a client of its own.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from reportable_triage.backend.remote import DEFAULT_MAX_RETRIES, RemoteBackend
+
+
+def score_once(endpoint, task, texts, *, timeout, max_retries=DEFAULT_MAX_RETRIES):
+    """texts' scores from one request, sent and read by a RemoteBackend that
+    is closed after."""
+    backend = RemoteBackend(endpoint, task, timeout=timeout, max_retries=max_retries)
+    try:
+        backend.send(texts)
+        return backend.score_features(texts)
+    finally:
+        backend.close()
 
 
 class CapturedRequest:

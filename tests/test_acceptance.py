@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from cli_util import write_config
-from mock_server import MockClassifyServer
+from mock_server import MockClassifyServer, score_once
 from oracles import naive_counts, naive_eval
 
 from reportable_triage.backend.base import decide
@@ -30,7 +30,6 @@ from reportable_triage.backend.baseline import (
     regularized_gradient,
     regularized_loss,
 )
-from reportable_triage.backend.remote import remote_score
 from reportable_triage.cascade import or_combine
 from reportable_triage.cli import main
 from reportable_triage.corpus import (
@@ -413,7 +412,7 @@ def test_criterion_7_gating_soundness(end_to_end):
 def test_criterion_8_wire_conformance(tmp_path):
     # golden request bytes
     with MockClassifyServer(MockClassifyServer.echo_scores([0.2, 0.4, 0.6])) as server:
-        remote_score(server.endpoint, Tier.T1, ["alpha", "beta", "gamma"], timeout=5)
+        score_once(server.endpoint, Tier.T1, ["alpha", "beta", "gamma"], timeout=5)
         body = server.requests[0].body
         headers = server.requests[0].headers
         path = server.requests[0].path
@@ -425,10 +424,10 @@ def test_criterion_8_wire_conformance(tmp_path):
     # count mismatch and out-of-range raise their designated error kinds
     with MockClassifyServer(MockClassifyServer.echo_scores([0.1, 0.2])) as server:
         with pytest.raises(RemoteProtocolError):
-            remote_score(server.endpoint, Tier.T1, ["a", "b", "c"], timeout=5)
+            score_once(server.endpoint, Tier.T1, ["a", "b", "c"], timeout=5)
     with MockClassifyServer(MockClassifyServer.echo_scores([1.5])) as server:
         with pytest.raises(ScoreRangeError):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+            score_once(server.endpoint, Tier.T1, ["a"], timeout=5)
 
     # a 3-text batch against a stalled endpoint: the client retries the
     # configured number of times, then the triage command exits 2

@@ -188,7 +188,7 @@ def test_logits_equal_a_sequential_sum_per_row():
 def test_train_separable_reaches_perfect_training_accuracy():
     data = separable_set(10)
     model = train_baseline(data, TrainHyper(epochs=5), seed=1)
-    scores = score_batch(model, [inp for inp, _ in data])
+    scores = score_batch(model, model.featurize([inp for inp, _ in data]))
     preds = [1 if s >= 0.5 else 0 for s in scores]
     assert preds == [y for _, y in data]
 
@@ -231,16 +231,16 @@ def test_hyper_validation():
 def test_all_zero_weights_scores_half():
     model = BaselineModel(feature_dim=16, weights=np.zeros(16), bias=0.0, seed=0,
                           epochs=0, learning_rate=0.1, l2=0.0, final_loss=0.0)
-    scores = score_batch(model, [ni("anything at all")])
+    scores = score_batch(model, model.featurize([ni("anything at all")]))
     assert scores[0] == 0.5
 
 
 def test_score_batch_requires_nonempty_and_preserves_order():
     model = train_baseline(separable_set(4), TrainHyper(epochs=2), seed=3)
     with pytest.raises(ValidationError):
-        score_batch(model, [])
+        score_batch(model, model.featurize([]))
     inputs = [ni("carcinoma"), ni("benign"), ni("carcinoma")]
-    scores = score_batch(model, inputs)
+    scores = score_batch(model, model.featurize(inputs))
     assert scores[0] == scores[2]
     assert scores[0] > scores[1]
 
@@ -248,10 +248,10 @@ def test_score_batch_requires_nonempty_and_preserves_order():
 def test_scoring_is_pure_and_thread_safe():
     model = train_baseline(separable_set(6), TrainHyper(epochs=2), seed=4)
     inputs = [ni(f"carcinoma doc{i}") for i in range(20)]
-    serial = score_batch(model, inputs)
+    serial = score_batch(model, model.featurize(inputs))
     before = model.weights.copy()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: score_batch(model, inputs),
+        results = list(pool.map(lambda _: score_batch(model, model.featurize(inputs)),
                                 range(8)))
     assert all(r == serial for r in results)
     assert np.array_equal(model.weights, before)
@@ -300,7 +300,7 @@ def test_score_batch_equals_dict_sum_scorer():
                               bias=-0.37, seed=0, epochs=0, learning_rate=0.1, l2=0.0,
                               final_loss=0.0)
         texts = exact_texts(13, 40) + [""]
-        scores = score_batch(model, [ni(t) for t in texts])
+        scores = score_batch(model, model.featurize([ni(t) for t in texts]))
         assert scores == [
             reference_score(model.weights, model.bias, t) for t in texts]
         # an empty input has no features and scores sigmoid(bias)
@@ -481,5 +481,5 @@ def test_baseline_model_is_a_backend():
     rows = model.featurize(inputs)
     assert model.send(rows) is None
     scores = model.score_features(rows)
-    assert scores == score_batch(model, inputs)
+    assert scores == score_batch(model, model.featurize(inputs))
     assert len(scores) == 2 and scores[0] > 0.5 > scores[1]

@@ -1,6 +1,6 @@
 """The traced benchmark wraps program functions by name; a rename must fail here,
-and so must a featurization, decision, corpus I/O or triage assembly path that
-bypasses the wrapped functions."""
+and so must a featurization, decision, corpus I/O, triage assembly or remote
+request path that bypasses the wrapped functions."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ from pathlib import Path
 import reportable_triage
 from reportable_triage.cli import main
 from cli_util import write_config
+from mock_server import MockClassifyServer
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
@@ -45,6 +46,20 @@ for name in ("baseline.hash", "baseline.loss_eval", "baseline.score", "preproces
 # training assembles through the wrapped function too; triage must as well
 assert tracer.counters.get((0, "preprocess.assemble_triage_calls"), 0) > 0, \
     "triage assembled no input through preprocess.assemble_input"
+
+# every request of a triage with remote members is read through remote.remote_score
+with MockClassifyServer(MockClassifyServer.score_per_text(0.7)) as server:
+    endpoints = {"t1": server.endpoint, "t2": server.endpoint}
+    remote_config = str(write_config(base, name="remote.json", remote_kind=True,
+                                     remote={"timeout": 5.0, "max_retries": 0,
+                                             "endpoints": endpoints}))
+    argv = ["--config", remote_config, "triage", "--corpus", corpus,
+            "--out", str(base / "remote_outcomes.jsonl")]
+    with contextlib.redirect_stdout(io.StringIO()), tracer.span("cli.triage"):
+        assert main(argv) == 0, argv
+requests = tracer.aggregates.get((0, "remote.request"), (0,))[0]
+assert requests == len(server.requests) > 0, \
+    f"remote.request recorded {requests} calls for {len(server.requests)} requests"
 """
 
 

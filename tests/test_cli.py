@@ -326,7 +326,7 @@ def test_train_high_training_accuracy_on_separable_set(pipeline):
     train = load_corpus(base / "out/t1/train.jsonl")
     inputs = [assemble_input(r.report, PipelineVariant.A_SYNOPTIC_FIRST, 256)
               for r in train]
-    scores = score_batch(model, inputs)
+    scores = score_batch(model, model.featurize(inputs))
     preds = [s >= 0.5 for s in scores]
     golds = [r.t1_label is T1Label.CANCER for r in train]
     accuracy = sum(p == g for p, g in zip(preds, golds)) / len(golds)
@@ -502,11 +502,19 @@ def test_triage_remote_setting_out_of_range_exits_1(tmp_path, capsys, key, value
     assert capsys.readouterr().err == f"error: remote: field '{key}': {reason}\n"
 
 
-@pytest.mark.parametrize("endpoint", [
+NOT_A_URL, HAS_QUERY = "not an http(s) URL with a host", "has a query or a fragment"
+# /v1/classify would go after the query or into the fragment, so these are refused too
+QUERY_OR_FRAGMENT = [("http://host/api?key=k", HAS_QUERY), ("http://host/api#frag", HAS_QUERY),
+                     ("http://host/?", HAS_QUERY)]
+CONFIG_ENDPOINTS = [(url, NOT_A_URL) for url in (
     "not-a-url", "localhost:8080", "ftp://example.org", "http://", "http://host:99999",
-    "http://host:port", "http://[::1", "",
-])
-def test_triage_malformed_config_endpoint_exits_1_naming_the_key(tmp_path, capsys, endpoint):
+    "http://host:port", "http://[::1", "")] + QUERY_OR_FRAGMENT
+
+
+@pytest.mark.parametrize("endpoint, reason", CONFIG_ENDPOINTS,
+                         ids=[url for url, _ in CONFIG_ENDPOINTS])
+def test_triage_malformed_config_endpoint_exits_1_naming_the_key(tmp_path, capsys, endpoint,
+                                                                 reason):
     write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
     good = "http://127.0.0.1:9"  # never contacted: the config is rejected on load
     config = write_config(tmp_path, remote_kind=True,
@@ -514,15 +522,19 @@ def test_triage_malformed_config_endpoint_exits_1_naming_the_key(tmp_path, capsy
                                   "endpoints": {"t1": good, "t2": endpoint}})
     code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
     assert code == 1
-    assert capsys.readouterr().err == (
-        "error: remote.endpoints: field 't2': not an http(s) URL with a host\n")
+    assert capsys.readouterr().err == f"error: remote.endpoints: field 't2': {reason}\n"
     # any command loads the config, so a bad endpoint fails it too
     assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
 
 
-@pytest.mark.parametrize("endpoint", ["not-a-url", "http://host:port", "mailto:registry@example.org"])
+ENVIRONMENT_ENDPOINTS = [(url, NOT_A_URL) for url in (
+    "not-a-url", "http://host:port", "mailto:registry@example.org")] + QUERY_OR_FRAGMENT[:1]
+
+
+@pytest.mark.parametrize("endpoint, reason", ENVIRONMENT_ENDPOINTS,
+                         ids=[url for url, _ in ENVIRONMENT_ENDPOINTS])
 def test_triage_malformed_environment_endpoint_exits_1_naming_the_variable(
-        tmp_path, capsys, monkeypatch, endpoint):
+        tmp_path, capsys, monkeypatch, endpoint, reason):
     write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
     with MockClassifyServer() as server:
         config = write_config(tmp_path, remote_kind=True,
@@ -534,8 +546,7 @@ def test_triage_malformed_environment_endpoint_exits_1_naming_the_variable(
         assert server.requests == []
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: environment variable TRIAGE_REMOTE_ENDPOINT_T1: "
-        "not an http(s) URL with a host\n")
+        f"error: environment variable TRIAGE_REMOTE_ENDPOINT_T1: {reason}\n")
 
 
 def test_triage_remote_backend_roundtrip(tmp_path):
@@ -1173,7 +1184,7 @@ def test_training_and_triage_read_the_same_member_settings(tmp_path):
     assert inputs != defaults  # the member's settings change what it reads
     outcomes = [json.loads(line) for line in out.read_text().splitlines()]
     assert [o["t1"]["members"][0]["probability"] for o in outcomes] == \
-        score_batch(model, inputs)
+        score_batch(model, model.featurize(inputs))
 
 
 def test_triage_worker_count_does_not_change_output(pipeline, tmp_path):

@@ -9,7 +9,6 @@ from reportable_triage.backend.remote import (
     CLIENT_HEADER,
     RemoteBackend,
     encode_request,
-    remote_score,
 )
 from reportable_triage.corpus import Tier
 from reportable_triage.errors import (
@@ -20,18 +19,18 @@ from reportable_triage.errors import (
 )
 from reportable_triage.preprocess import NormalizedInput
 
-from mock_server import MockClassifyServer
+from mock_server import MockClassifyServer, score_once
 
 
 def test_echo_contract_single_text():
     with MockClassifyServer(MockClassifyServer.echo_scores([0.9])) as server:
-        scores = remote_score(server.endpoint, Tier.T1, ["a text"], timeout=5)
+        scores = score_once(server.endpoint, Tier.T1, ["a text"], timeout=5)
     assert scores == [0.9]
 
 
 def test_request_body_is_golden_bytes_and_path_and_headers():
     with MockClassifyServer(MockClassifyServer.echo_scores([0.1, 0.2])) as server:
-        remote_score(server.endpoint, Tier.T2, ["lesion one", "lesion two"], timeout=5)
+        score_once(server.endpoint, Tier.T2, ["lesion one", "lesion two"], timeout=5)
         captured = server.requests[0]
     assert captured.path == "/v1/classify"
     assert captured.body == b'{"task":"t2","texts":["lesion one","lesion two"]}'
@@ -42,8 +41,8 @@ def test_request_body_is_golden_bytes_and_path_and_headers():
 def test_credentials_in_the_endpoint_go_as_basic_auth():
     with MockClassifyServer(MockClassifyServer.echo_scores([0.5])) as server:
         host = server.endpoint.removeprefix("http://")
-        remote_score(f"http://user%40site:p%3Ass@{host}", Tier.T1, ["a"], timeout=5)
-        remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+        score_once(f"http://user%40site:p%3Ass@{host}", Tier.T1, ["a"], timeout=5)
+        score_once(server.endpoint, Tier.T1, ["a"], timeout=5)
         with_auth, without = ({k.lower(): v for k, v in r.headers.items()}
                               for r in server.requests)
     assert with_auth["authorization"] == "Basic dXNlckBzaXRlOnA6c3M="  # user@site:p:ss
@@ -59,7 +58,7 @@ def test_encode_request_handles_unicode_compactly():
 def test_count_mismatch_is_protocol_error():
     with MockClassifyServer(MockClassifyServer.echo_scores([0.1, 0.2])) as server:
         with pytest.raises(RemoteProtocolError, match="count mismatch"):
-            remote_score(server.endpoint, Tier.T1, ["a", "b", "c"], timeout=5)
+            score_once(server.endpoint, Tier.T1, ["a", "b", "c"], timeout=5)
 
 
 def test_out_of_range_score_is_range_error():
@@ -70,7 +69,7 @@ def test_out_of_range_score_is_range_error():
         body = ('{"scores": [0.5, ' + score + "]}").encode()
         with MockClassifyServer(lambda c, body=body: (200, body)) as server:
             with pytest.raises(ScoreRangeError) as exc:
-                remote_score(server.endpoint, Tier.T1, ["a", "b"], timeout=5)
+                score_once(server.endpoint, Tier.T1, ["a", "b"], timeout=5)
         message = str(exc.value)
         assert message == (f"{server.endpoint}/v1/classify: "
                            f"scores[1] out of range [0, 1]: {shown}")
@@ -83,7 +82,7 @@ def test_nan_score_is_range_error():
     for body in (b'{"scores": [NaN]}', b'{"scores": [' + b"9" * 400 + b"]}"):
         with MockClassifyServer(lambda c, body=body: (200, body)) as server:
             with pytest.raises(ScoreRangeError, match="out of range"):
-                remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+                score_once(server.endpoint, Tier.T1, ["a"], timeout=5)
 
 
 def test_non_numeric_score_is_protocol_error():
@@ -94,7 +93,7 @@ def test_non_numeric_score_is_protocol_error():
         body = ('{"scores": [0.5, ' + score + "]}").encode()
         with MockClassifyServer(lambda c, body=body: (200, body)) as server:
             with pytest.raises(RemoteProtocolError) as exc:
-                remote_score(server.endpoint, Tier.T1, ["a", "b"], timeout=5)
+                score_once(server.endpoint, Tier.T1, ["a", "b"], timeout=5)
         assert str(exc.value) == (f"{server.endpoint}/v1/classify: "
                                   f"scores[1] is not a number, got {kind}")
 
@@ -104,28 +103,30 @@ def test_malformed_body_is_protocol_error():
                  b"[" * 100_000):
         with MockClassifyServer(lambda c, body=body: (200, body)) as server:
             with pytest.raises(RemoteProtocolError, match="malformed"):
-                remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+                score_once(server.endpoint, Tier.T1, ["a"], timeout=5)
 
 
 def test_missing_scores_key_is_protocol_error():
     with MockClassifyServer(lambda c: (200, b'{"result": []}')) as server:
         with pytest.raises(RemoteProtocolError, match="scores"):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5)
+            score_once(server.endpoint, Tier.T1, ["a"], timeout=5)
 
 
 def test_non_success_status_is_status_error_and_not_retried():
     with MockClassifyServer(lambda c: (503, b"busy")) as server:
         with pytest.raises(RemoteStatusError, match="503"):
-            remote_score(server.endpoint, Tier.T1, ["a"], timeout=5, max_retries=3)
+            score_once(server.endpoint, Tier.T1, ["a"], timeout=5, max_retries=3)
         assert len(server.requests) == 1
 
 
 def test_timeout_retries_configured_times_then_transport_error():
     with MockClassifyServer(MockClassifyServer.echo_scores([0.5]), sleep_s=2.0) as server:
         with pytest.raises(TransportError, match="after 3 attempts"):
-            remote_score(server.endpoint, Tier.T1, ["a", "b", "c"],
-                         timeout=0.2, max_retries=2)
+            score_once(server.endpoint, Tier.T1, ["a", "b", "c"],
+                       timeout=0.2, max_retries=2)
         assert len(server.requests) == 3  # 1 initial + 2 retries
+        # each retry sends the request again as it was
+        assert len({(r.path, r.body) for r in server.requests}) == 1
 
 
 def test_connection_refused_is_transport_error():
@@ -133,7 +134,7 @@ def test_connection_refused_is_transport_error():
     with MockClassifyServer() as server:
         endpoint = server.endpoint
     with pytest.raises(TransportError):
-        remote_score(endpoint, Tier.T1, ["a"], timeout=0.5, max_retries=0)
+        score_once(endpoint, Tier.T1, ["a"], timeout=0.5, max_retries=0)
 
 
 def test_remote_backend_scores_inputs_and_raises_transport_errors():
@@ -181,7 +182,7 @@ def test_transport_retries_back_off_exponentially_up_to_the_cap(monkeypatch):
     for max_retries in (0, 1, 7):
         delays.clear()
         with pytest.raises(TransportError, match=f"after {max_retries + 1} attempts"):
-            remote_score(endpoint, Tier.T1, ["a"], timeout=0.5, max_retries=max_retries)
+            score_once(endpoint, Tier.T1, ["a"], timeout=0.5, max_retries=max_retries)
         assert delays == [min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** i)
                           for i in range(max_retries)]
     assert delays[-1] == BACKOFF_MAX_S  # seven retries reach the cap
