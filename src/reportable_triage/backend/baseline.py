@@ -3,12 +3,15 @@
 Features are unigrams and bigrams of the (already normalized) whitespace
 tokens, hashed with CRC-32 into a fixed power-of-two dimension, so no
 vocabulary file exists and hashing is identical across runs and platforms.
-Training is plain per-example SGD on the L2-regularized logistic loss, with a
-seeded shuffle each epoch, so equal data + hyperparameters + seed reproduce
-the weight vector bit-for-bit. The loss is evaluated once, after the last
-epoch. A step's scalar arithmetic runs on Python floats, which give the same
-IEEE double bits as numpy scalars for the same operations in the same order;
-its sigmoid keeps np.exp, because math.exp differs in the last bit.
+Training is per-example SGD (`sgd_step`) with a seeded shuffle each epoch, so
+equal data + hyperparameters + seed reproduce the weight vector bit-for-bit.
+A step descends its example's logistic loss plus L2 on that example's active
+coordinates only (lazy L2). The model's final_loss is regularized_loss, with
+L2 over every coordinate, evaluated once after the last epoch; the steps do
+not descend it exactly. A step's scalar arithmetic runs on Python floats,
+which give the same IEEE double bits as numpy scalars for the same operations
+in the same order; its sigmoid keeps np.exp, because math.exp differs in the
+last bit.
 
 Each scoring or training call hashes its batch once into CSR arrays
 (`FeatureRows`), with numpy array operations rather than per-feature Python:
@@ -322,7 +325,7 @@ class TrainHyper:
         check_feature_dim(self.feature_dim)
 
 
-@dataclass
+@dataclass(eq=False)
 class BaselineModel:
     feature_dim: int
     weights: np.ndarray
@@ -332,20 +335,6 @@ class BaselineModel:
     learning_rate: float
     l2: float
     final_loss: float
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BaselineModel):
-            return NotImplemented
-        return (
-            self.feature_dim == other.feature_dim
-            and np.array_equal(self.weights, other.weights)
-            and self.bias == other.bias
-            and self.seed == other.seed
-            and self.epochs == other.epochs
-            and self.learning_rate == other.learning_rate
-            and self.l2 == other.l2
-            and self.final_loss == other.final_loss
-        )
 
     # The ClassifierBackend contract: a loaded model is a triage member's backend.
 
@@ -377,21 +366,18 @@ def regularized_loss(
             + 0.5 * l2 * float(np.sum(weights * weights)))
 
 
-def regularized_gradient(
-    weights: np.ndarray,
-    bias: float,
-    rows: FeatureRows,
-    labels: Sequence[int],
-    l2: float,
-) -> tuple[np.ndarray, float]:
-    grad_w = l2 * weights.copy()
-    grad_b = 0.0
-    n = len(rows)
-    for (idx, val), z, y in zip(rows.row_slices(), rows.logits(weights, bias), labels):
-        err = _sigmoid(z) - y
-        grad_w[idx] += err * val / n
-        grad_b += err / n
-    return grad_w, grad_b
+def sgd_step(weights: np.ndarray, bias: float, idx: np.ndarray, val: np.ndarray,
+             y: int, lr: float, l2: float) -> float:
+    """One SGD step on an example (unique indices idx, counts val, label y):
+    updates weights[idx] in place and returns the new bias. It descends
+    softplus(z) - y*z + (l2/2)*||w[idx]||^2, z = bias + w[idx] . val summed
+    left to right: L2 lazily, on the active coordinates only, none on the bias.
+    """
+    w = weights[idx]
+    err = _sigmoid(bias + _sequential_sum(w * val)) - y
+    # the indices of a row are unique, so one scattered write is exact
+    weights[idx] = w - lr * (err * val + l2 * w)
+    return bias - lr * err
 
 
 def train_baseline(
@@ -423,12 +409,7 @@ def train_baseline(
     for _ in range(hyper.epochs):
         for k in rng.permutation(len(examples)).tolist():
             idx, val = examples[k]
-            w = weights[idx]
-            err = _sigmoid(bias + _sequential_sum(w * val)) - ys[k]
-            # l2 applied lazily to the active coordinates of this example;
-            # the indices of a row are unique, so one scattered write is exact
-            weights[idx] = w - lr * (err * val + hyper.l2 * w)
-            bias -= lr * err
+            bias = sgd_step(weights, bias, idx, val, ys[k], lr, hyper.l2)
 
     return BaselineModel(
         feature_dim=hyper.feature_dim,

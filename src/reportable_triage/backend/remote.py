@@ -36,6 +36,7 @@ from ..errors import (
     RemoteStatusError,
     ScoreRangeError,
     TransportError,
+    TriageError,
     ValidationError,
 )
 from ..preprocess import NormalizedInput
@@ -183,8 +184,12 @@ def remote_score(backend: RemoteBackend, texts: Sequence[str]) -> list[float]:
     put on its connection for them. A transport failure is retried up to
     backend.max_retries times, each after a backoff (BACKOFF_BASE_S,
     doubling, at most BACKOFF_MAX_S) and by sending the request again.
+    Without a pending request there is no reply to read: that is a caller's
+    error, raised before any I/O.
     """
     url = backend.url
+    if backend.pending is None:
+        raise TriageError(f"{url}: no request pending (send() it first)")
     attempts = backend.max_retries + 1
     delay = BACKOFF_BASE_S
     for attempt in range(1, attempts + 1):

@@ -143,6 +143,35 @@ class RunConfig:
         return self.out_dir / task.value
 
 
+# an unknown key longer than this is named by its length, not echoed
+MAX_SHOWN_KEY = 64
+
+
+class _Keys(dict):
+    """A config object that records the keys its parser reads, by read_field,
+    _present or `in`: the keys an object accepts are the keys its parser
+    reads, so there is no second list of them to keep."""
+
+    def __init__(self, obj: dict):
+        super().__init__(obj)
+        self.read: set = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def check(self, where: str) -> None:
+        """Once the object is parsed, the first key nothing read is an error."""
+        for key in self:
+            if key not in self.read:
+                shown = repr(key) if len(key) <= MAX_SHOWN_KEY else f"of {len(key)} characters"
+                raise ValidationError(f"{where}: unknown key {shown}")
+
+
 def _present(obj: dict, where: str, **kinds: type) -> dict:
     """Each key of kinds that obj holds, read as its kind by read_field.
 
@@ -178,6 +207,7 @@ def check_members(members: Sequence[MemberConfig], where: str) -> None:
 def _parse_member(obj: dict, where: str) -> MemberConfig:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: member must be an object")
+    obj = _Keys(obj)
     kind = read_field(obj, "kind", str, where)
     if kind not in ("native_baseline", "remote"):
         # named like a read_field error, without echoing the value
@@ -204,17 +234,20 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
     )
     if member.token_budget <= 0:
         raise ValidationError(f"{where}: token_budget must be positive")
+    obj.check(where)
     return member
 
 
 def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
+    obj = _Keys(obj)
     split_where = f"{where}.split"
-    split_obj = read_field(obj, "split", dict, where)
+    split_obj = _Keys(read_field(obj, "split", dict, where))
     split = _build(SplitSpec, split_where, seed=read_field(split_obj, "seed", int, split_where),
                    **_present(split_obj, split_where, train_fraction=float, stratified=bool))
+    split_obj.check(split_where)
 
     under_where = f"{where}.undersample"
-    under_obj = read_field(obj, "undersample", dict, where)
+    under_obj = _Keys(read_field(obj, "undersample", dict, where))
     under_seed = read_field(under_obj, "seed", int, under_where)
     base_policy = default_policy(task, under_seed)
     classes = {key: task.parse_label(read_field(under_obj, key, str, under_where,
@@ -228,21 +261,24 @@ def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
         ratio=read_field(under_obj, "ratio", float, under_where, base_policy.ratio),
         seed=under_seed,
     )
+    under_obj.check(under_where)
 
     train_where = f"{where}.train"
-    train_obj = read_field(obj, "train", dict, where)
+    train_obj = _Keys(read_field(obj, "train", dict, where))
     hyper = _build(TrainHyper, train_where,
                    **_present(train_obj, train_where, epochs=int, learning_rate=float,
                               feature_dim=int, l2=float))
     train_seed = read_field(train_obj, "seed", int, train_where)
     if not 0 <= train_seed < 1 << 63:  # the model file stores it as a signed 64-bit integer
         raise ValidationError(f"{train_where}: seed must be in [0, 2^63)")
+    train_obj.check(train_where)
 
     members = tuple(
         _parse_member(m, f"{where}.members[{i}]")
         for i, m in enumerate(read_field(obj, "members", list, where))
     )
     check_members(members, where)
+    obj.check(where)
     return TierSettings(task=task, split=split, policy=policy, train=hyper,
                         train_seed=train_seed, members=members)  # type: ignore[arg-type]
 
@@ -265,6 +301,8 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     base_dir = path.resolve().parent
     where = str(path)
+    obj = _Keys(obj)
+    obj.get("workers")  # read, so accepted, and ignored: older configs set it
 
     def resolve(raw: Optional[str]) -> Optional[Path]:
         if raw is None:
@@ -274,29 +312,33 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     out_dir = resolve(read_field(obj, "out_dir", str, where))
     corpus_path = resolve(read_field(obj, "corpus", str, where, None))
+    synonyms_path = resolve(read_field(obj, "section_synonyms", str, where, None))
 
-    tiers_obj = read_field(obj, "tiers", dict, where)
+    tiers_obj = _Keys(read_field(obj, "tiers", dict, where))
     tiers: dict[Tier, TierSettings] = {}
     for tier in (Tier.T1, Tier.T2):
         if tier.value in tiers_obj:
             tiers[tier] = _parse_tier(tier, read_field(tiers_obj, tier.value, dict, "tiers"),
                                       f"tiers.{tier.value}")
+    tiers_obj.check("tiers")
     if not tiers:
         raise ValidationError(f"{path}: config defines no tiers")
 
-    remote_obj = read_field(obj, "remote", dict, where, {})
-    endpoints = read_field(remote_obj, "endpoints", dict, "remote", {})
-    for name in endpoints:
-        url = read_field(endpoints, name, str, "remote.endpoints", None)
+    remote_obj = _Keys(read_field(obj, "remote", dict, where, {}))
+    endpoints = _Keys(read_field(remote_obj, "endpoints", dict, "remote", {}))
+    for tier in (Tier.T1, Tier.T2):
+        url = read_field(endpoints, tier.value, str, "remote.endpoints", None)
         if url is not None:
-            check_endpoint(url, f"remote.endpoints: field {name!r}")
+            check_endpoint(url, f"remote.endpoints: field {tier.value!r}")
+    endpoints.check("remote.endpoints")
     remote = RemoteSettings(endpoints=dict(endpoints),
                             **_present(remote_obj, "remote", timeout=float, max_retries=int))
+    remote_obj.check("remote")
     if remote.timeout <= 0:
         raise ValidationError("remote: field 'timeout': must be positive")
     if remote.max_retries < 0:
         raise ValidationError("remote: field 'max_retries': must not be negative")
 
+    obj.check(where)
     return RunConfig(out_dir=out_dir, corpus_path=corpus_path, tiers=tiers, remote=remote,
-                     section_synonyms_path=resolve(
-                         read_field(obj, "section_synonyms", str, where, None)))
+                     section_synonyms_path=synonyms_path)

@@ -194,6 +194,15 @@ def _reference_loss(weights, bias, features, labels, l2):
     return total / len(features) + 0.5 * l2 * float(np.sum(weights * weights))
 
 
+def reference_example_objective(weights, bias, feats, y, l2):
+    """The objective one SGD step on an example descends: its logistic loss,
+    softplus(z) - y*z, plus (l2/2) * the squared weights of its features only
+    (lazy L2). feats maps each feature index to its count."""
+    z = bias + sum(weights[i] * v for i, v in feats.items())
+    return (float(np.logaddexp(0.0, z)) - y * z
+            + 0.5 * l2 * sum(weights[i] * weights[i] for i in feats))
+
+
 def reference_train(texts, labels, feature_dim, epochs, learning_rate, l2, seed):
     """Seeded per-example SGD over dict rows: (weights, bias, loss_history)."""
     features = [reference_hash(t.split(), feature_dim) for t in texts]

@@ -22,14 +22,10 @@ import pytest
 
 from cli_util import write_config
 from mock_server import MockClassifyServer, score_once
-from oracles import naive_counts, naive_eval
+from oracles import naive_counts, naive_eval, reference_example_objective
 
 from reportable_triage.backend.base import decide
-from reportable_triage.backend.baseline import (
-    FeatureRows,
-    regularized_gradient,
-    regularized_loss,
-)
+from reportable_triage.backend.baseline import FeatureRows, sgd_step
 from reportable_triage.cascade import or_combine
 from reportable_triage.cli import main
 from reportable_triage.corpus import (
@@ -306,39 +302,49 @@ def test_criterion_4_metric_oracle_equivalence():
 # --- criterion 5: baseline gradient check ----------------------------------------
 
 def test_criterion_5_gradient_check():
+    """sgd_step, the trainer's step, moves each coordinate of an example and
+    the bias by lr times the central finite difference of the objective it
+    descends (oracles.reference_example_objective), and no other coordinate."""
     rng = np.random.default_rng(1405)
     dim = 1 << 10
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     texts = [" ".join(rng.choice(vocab, size=int(rng.integers(3, 9))))
              for _ in range(10)]
-    features = FeatureRows.hash_texts(texts, dim)
+    rows = FeatureRows.hash_texts(texts, dim)
+    assert rows.values.max() > 1  # a step that drops the counts must show
     labels = [int(rng.integers(0, 2)) for _ in range(10)]
-    if len(set(labels)) == 1:
-        labels[0] = 1 - labels[0]
-    weights = rng.normal(scale=0.4, size=dim)
-    bias = -0.2
-    l2 = 1e-3
+    lr, l2, h = 0.5, 1e-3, 1e-6
 
-    grad_w, grad_b = regularized_gradient(weights, bias, features, labels, l2)
-    active = sorted(set(features.indices.tolist()))
-    coords = list(rng.choice(active, size=min(16, len(active)), replace=False))
-    h = 1e-6
-    worst = 0.0
-    for i in coords:
-        w_hi, w_lo = weights.copy(), weights.copy()
-        w_hi[i] += h
-        w_lo[i] -= h
-        fd = (regularized_loss(w_hi, bias, features, labels, l2)
-              - regularized_loss(w_lo, bias, features, labels, l2)) / (2 * h)
-        rel = abs(grad_w[i] - fd) / max(abs(fd), abs(grad_w[i]), 1e-8)
-        worst = max(worst, rel)
-        assert rel < 1e-5, (int(i), rel)
-    fd_b = (regularized_loss(weights, bias + h, features, labels, l2)
-            - regularized_loss(weights, bias - h, features, labels, l2)) / (2 * h)
-    rel_b = abs(grad_b - fd_b) / max(abs(fd_b), abs(grad_b), 1e-8)
-    assert rel_b < 1e-5
+    def rel_err(step_grad, fd):
+        return abs(step_grad - fd) / max(abs(fd), abs(step_grad), 1e-8)
+
+    worst, n_coords = 0.0, 0
+    for (idx, val), y in zip(rows.row_slices(), labels):
+        weights = rng.normal(scale=0.4, size=dim)
+        bias = float(rng.normal(scale=0.5))
+        feats = dict(zip(idx.tolist(), val.tolist()))
+        stepped = weights.copy()
+        new_bias = sgd_step(stepped, bias, idx, val, y, lr, l2)
+        others = np.ones(dim, dtype=bool)
+        others[idx] = False
+        assert np.array_equal(stepped[others], weights[others])
+        for i in feats:
+            w_hi, w_lo = weights.copy(), weights.copy()
+            w_hi[i] += h
+            w_lo[i] -= h
+            fd = (reference_example_objective(w_hi, bias, feats, y, l2)
+                  - reference_example_objective(w_lo, bias, feats, y, l2)) / (2 * h)
+            rel = rel_err((weights[i] - stepped[i]) / lr, fd)
+            worst = max(worst, rel)
+            assert rel < 1e-5, (i, rel)
+        fd_b = (reference_example_objective(weights, bias + h, feats, y, l2)
+                - reference_example_objective(weights, bias - h, feats, y, l2)) / (2 * h)
+        rel_b = rel_err((bias - new_bias) / lr, fd_b)
+        worst = max(worst, rel_b)
+        assert rel_b < 1e-5, rel_b
+        n_coords += len(feats)
     report_line(5, "baseline gradient check", True,
-                f"{len(coords)} coords + bias, max rel err {max(worst, rel_b):.2e}")
+                f"{n_coords} coords + bias over {len(texts)} steps, max rel err {worst:.2e}")
 
 
 # --- criteria 6 and 7: end-to-end run and gating soundness -----------------------

@@ -20,16 +20,21 @@ from reportable_triage.backend.baseline import (
     TrainHyper,
     crc_shift,
     load_baseline,
-    regularized_gradient,
-    regularized_loss,
     save_baseline,
     score_batch,
+    sgd_step,
     train_baseline,
 )
 from reportable_triage.errors import ValidationError
 from reportable_triage.preprocess import NormalizedInput
 
-from oracles import reference_hash, reference_rows, reference_score, reference_train
+from oracles import (
+    reference_example_objective,
+    reference_hash,
+    reference_rows,
+    reference_score,
+    reference_train,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -358,35 +363,42 @@ def test_train_equals_per_example_dict_sgd_at_the_step_edges(monkeypatch):
 # --- gradient check ----------------------------------------------------------
 
 def test_gradient_matches_central_finite_differences():
+    # steps in sequence from random weights, on rows typed as the trainer types
+    # them: each moves its example's coordinates and the bias by lr times the
+    # gradient of the example's objective, and nothing else
     rng = np.random.default_rng(7)
     dim = 1 << 8
     texts = [" ".join(rng.choice(["alpha", "beta", "gamma", "delta", "eps"],
                                  size=rng.integers(3, 8)))
              for _ in range(10)]
-    features = FeatureRows.hash_texts(texts, dim)
+    rows = FeatureRows.hash_texts(texts, dim)
     labels = [int(rng.integers(0, 2)) for _ in range(10)]
     weights = rng.normal(scale=0.5, size=dim)
     bias = 0.3
-    l2 = 1e-3
+    lr, l2, h = 0.2, 1e-3, 1e-6
 
-    grad_w, grad_b = regularized_gradient(weights, bias, features, labels, l2)
-
-    active = sorted(set(features.indices.tolist()))
-    sampled = list(rng.choice(active, size=min(12, len(active)), replace=False))
-    sampled += [int(rng.integers(0, dim))]  # an (almost surely) inactive coordinate
-    h = 1e-6
-    for i in sampled:
-        w_plus, w_minus = weights.copy(), weights.copy()
-        w_plus[i] += h
-        w_minus[i] -= h
-        fd = (regularized_loss(w_plus, bias, features, labels, l2)
-              - regularized_loss(w_minus, bias, features, labels, l2)) / (2 * h)
-        denom = max(abs(fd), abs(grad_w[i]), 1e-8)
-        assert abs(grad_w[i] - fd) / denom < 1e-5
-
-    fd_b = (regularized_loss(weights, bias + h, features, labels, l2)
-            - regularized_loss(weights, bias - h, features, labels, l2)) / (2 * h)
-    assert abs(grad_b - fd_b) / max(abs(fd_b), abs(grad_b), 1e-8) < 1e-5
+    for (idx, val), y in zip(rows.row_slices(), labels):
+        idx, val = idx.astype(np.int64), val.astype(np.float64)
+        feats = dict(zip(idx.tolist(), val.tolist()))
+        before = weights.copy()
+        new_bias = sgd_step(weights, bias, idx, val, y, lr, l2)
+        for i in feats:
+            w_plus, w_minus = before.copy(), before.copy()
+            w_plus[i] += h
+            w_minus[i] -= h
+            fd = (reference_example_objective(w_plus, bias, feats, y, l2)
+                  - reference_example_objective(w_minus, bias, feats, y, l2)) / (2 * h)
+            step = (before[i] - weights[i]) / lr
+            assert abs(step - fd) / max(abs(fd), abs(step), 1e-8) < 1e-5
+        fd_b = (reference_example_objective(before, bias + h, feats, y, l2)
+                - reference_example_objective(before, bias - h, feats, y, l2)) / (2 * h)
+        step_b = (bias - new_bias) / lr
+        assert abs(step_b - fd_b) / max(abs(fd_b), abs(step_b), 1e-8) < 1e-5
+        bias = new_bias
+        # the coordinates the example does not hold are unchanged by the step
+        others = np.ones(dim, dtype=bool)
+        others[idx] = False
+        assert np.array_equal(weights[others], before[others])
 
 
 # --- persistence -------------------------------------------------------------
@@ -396,7 +408,9 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.bin"
     save_baseline(model, path)
     loaded = load_baseline(path)
-    assert loaded == model
+    save_baseline(loaded, tmp_path / "again.bin")
+    # every field the file holds, compared as the bytes it holds them in
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.seed == 5 and loaded.epochs == 3
 

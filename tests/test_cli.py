@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from reportable_triage.backend.baseline import (
     TrainHyper,
     load_baseline,
+    save_baseline,
     score_batch,
     train_baseline,
 )
@@ -196,6 +197,36 @@ def test_config_value_breaking_a_rule_names_its_key_path(tmp_path, capsys, key_p
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("key_path, key, where", [
+    ((), "remot", None),
+    (("tiers",), "t3", "tiers"),
+    (("tiers", "t1"), "workers", "tiers.t1"),
+    (("tiers", "t2", "split"), "stratify", "tiers.t2.split"),
+    (("tiers", "t1", "undersample"), "ratoi", "tiers.t1.undersample"),
+    (("tiers", "t1", "train"), "learning_rte", "tiers.t1.train"),
+    (("tiers", "t2", "members", 1), "threshhold", "tiers.t2.members[1]"),
+    (("remote",), "max_retry", "remote"),
+    (("remote", "endpoints"), "t3", "remote.endpoints"),
+    (("tiers", "t1", "members", 0), "k" * 100_000, "tiers.t1.members[0]"),
+], ids=["top-level", "tiers", "tier", "split", "undersample", "train", "member", "remote",
+        "endpoints", "long-key"])
+def test_config_unknown_key_exits_1_naming_its_key_path(tmp_path, capsys, key_path, key,
+                                                        where):
+    # a key nothing reads is a typo or a setting this version lacks; only the
+    # top-level workers, which older configs set, is accepted and ignored
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["workers"] = 2
+    parent = doc
+    for step in key_path:
+        parent = parent[step]
+    parent[key] = "http://127.0.0.1:9"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    shown = repr(key) if len(key) < 100 else f"of {len(key)} characters"
+    assert capsys.readouterr().err == f"error: {where or config}: unknown key {shown}\n"
 
 
 @pytest.mark.parametrize("key", ["kept_class", "sampled_class"])
@@ -1177,7 +1208,10 @@ def test_training_and_triage_read_the_same_member_settings(tmp_path):
     model = load_baseline(tmp_path / "out/models/t1_a.bin")
     train = load_corpus(tmp_path / "out/t1/train.jsonl")
     pairs = [(member_input(r.report), int(r.t1_label is T1Label.CANCER)) for r in train]
-    assert train_baseline(pairs, TrainHyper(epochs=2, feature_dim=1 << 12), seed=13) == model
+    save_baseline(train_baseline(pairs, TrainHyper(epochs=2, feature_dim=1 << 12), seed=13),
+                  tmp_path / "retrained.bin")
+    assert (tmp_path / "retrained.bin").read_bytes() == \
+        (tmp_path / "out/models/t1_a.bin").read_bytes()
 
     inputs = [member_input(r.report) for r in corpus]
     defaults = [assemble_input(r.report, PipelineVariant.A_SYNOPTIC_FIRST) for r in corpus]

@@ -1,4 +1,6 @@
 import json
+import ssl
+from http.client import HTTPSConnection
 
 import pytest
 
@@ -8,6 +10,7 @@ from reportable_triage.backend.remote import (
     BACKOFF_MAX_S,
     CLIENT_HEADER,
     RemoteBackend,
+    classify_url,
     encode_request,
 )
 from reportable_triage.corpus import Tier
@@ -16,6 +19,7 @@ from reportable_triage.errors import (
     RemoteStatusError,
     ScoreRangeError,
     TransportError,
+    TriageError,
 )
 from reportable_triage.preprocess import NormalizedInput
 
@@ -203,3 +207,31 @@ def test_remote_backend_reconnects_to_a_service_that_drops_idle_connections(monk
         backend.close()
         assert [len(json.loads(r.body)["texts"]) for r in server.requests] == [1, 2, 3, 4, 5]
         assert server.connections == 5
+
+
+def test_scoring_with_no_request_pending_fails_before_any_io():
+    with MockClassifyServer() as server:
+        backend = RemoteBackend(endpoint=server.endpoint, task=Tier.T1, timeout=5,
+                                max_retries=1)
+        with pytest.raises(TriageError, match="no request pending") as caught:
+            backend.score_features(["a"])
+        backend.close()
+        assert caught.type is TriageError  # a caller's error, not a transport failure
+        assert str(caught.value).startswith(classify_url(server.endpoint))
+        assert server.requests == [] and server.connections == 0
+
+
+def test_an_https_endpoint_verifies_the_service_certificate():
+    # a plain-HTTP service behind an https:// endpoint fails the TLS handshake:
+    # every attempt is a transport failure, and no request reaches the service
+    with MockClassifyServer() as server:
+        endpoint = server.endpoint.replace("http://", "https://", 1)
+        backend = RemoteBackend(endpoint=endpoint, task=Tier.T1, timeout=5, max_retries=1)
+        assert isinstance(backend._http, HTTPSConnection)
+        context = backend._http._context
+        assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+        backend.send(["a"])
+        with pytest.raises(TransportError, match="after 2 attempts"):
+            backend.score_features(["a"])
+        backend.close()
+        assert server.requests == []
