@@ -20,9 +20,10 @@ that member's features of every report while tier 1 runs, one batch at a
 time, so tier 2 featurizes nothing for it and no features outlive their
 batch.
 
-read_outcomes validates an outcomes file completely as it loads it, the OR
-rule and the final-label rule included; evaluate_outcomes joins it to gold
-labels without I/O.
+triage returns each outcome as the dict an outcomes line holds, which
+dumps_outcome writes. read_outcomes reads a file back into equal dicts keyed
+by report_id, validating it completely, the OR rule and the final-label rule
+included; evaluate_outcomes joins it to gold labels without I/O.
 
 Member failure, a score that is not a number in [0, 1] included, fails the
 whole batch: silently degrading to a single-model "ensemble" would misstate
@@ -52,6 +53,18 @@ class FinalLabel(str, Enum):
     CANCER_REPORTABLE = "cancer_reportable"
 
 
+# per tier, its label values indexed by whether a label is positive
+_LABELS = {task: (task.negative.value, task.positive.value) for task in Tier}
+# per tier, label value -> whether it is the tier's positive label
+_POSITIVE = {task: {label.value: label is task.positive for label in task.label_type}
+             for task in Tier}
+
+
+def _positive(block: dict, task: Tier) -> bool:
+    """Whether a tier block of a valid outcome is positive."""
+    return _POSITIVE[task][block["combined"]]
+
+
 @dataclass(frozen=True)
 class TierConfig:
     """A tier's two members, each scored by the backend at the same index."""
@@ -64,24 +77,6 @@ class TierConfig:
         check_members(self.members, f"{self.task.value} tier")
         if len(self.backends) != len(self.members):
             raise ValidationError(f"{self.task.value} tier: one backend per member")
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Per member, in the tier's member order, its probability and whether it
-    called the report positive; is_positive is their OR."""
-
-    probabilities: tuple[float, float]
-    member_positive: tuple[bool, bool]
-    is_positive: bool
-
-
-@dataclass(frozen=True)
-class TriageOutcome:
-    report_id: str
-    t1: EnsembleResult
-    t2: Optional[EnsembleResult]
-    final: FinalLabel
 
 
 def final_label(t1_positive: bool, t2_positive: Optional[bool]) -> FinalLabel:
@@ -169,8 +164,8 @@ def run_tier(
     assemble: Callable[[int], None] = lambda n: None,
     also: Sequence[Optional[tuple[MemberConfig, ClassifierBackend, list]]] = (None, None),
     given: Sequence[Optional[Sequence[float]]] = (None, None),
-) -> list[EnsembleResult]:
-    """Score every report with both members; order-preserving, all-or-nothing.
+) -> list[dict]:
+    """Each report's tier block, as an outcomes line holds it; order-preserving, all-or-nothing.
 
     inputs[i] maps each member's assembly key to its input for report i
     (see _assemble). inputs may start short: assemble(n) makes it hold the
@@ -194,11 +189,18 @@ def run_tier(
             _score_each_batch(reports, inputs, _assembly_key(member), scorers, batch_size,
                               assemble)
         probabilities.append(scores)
-    results = []
+    labels = _LABELS[config.task]
+    blocks = []
     for pair in zip(*probabilities):
-        positive = tuple(decide(p, m.threshold) for p, m in zip(pair, config.members))
-        results.append(EnsembleResult(pair, positive, or_combine(positive)))
-    return results
+        positive = [decide(p, m.threshold) for p, m in zip(pair, config.members)]
+        blocks.append({
+            "combined": labels[or_combine(positive)],
+            "combined_by": "or",
+            "members": [{"backend_id": m.backend_id, "label": labels[is_positive],
+                         "probability": p, "threshold": m.threshold}
+                        for m, p, is_positive in zip(config.members, pair, positive)],
+        })
+    return blocks
 
 
 def triage(
@@ -208,8 +210,9 @@ def triage(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     t2_report_ids: Optional[set[str]] = None,
-) -> list[TriageOutcome]:
-    """Run the cascade over reports, preserving input order.
+) -> list[dict]:
+    """Each report's outcome, in input order, as an outcomes line holds it;
+    t2 is None where tier 2 did not score the report.
 
     With t2_report_ids=None (production mode) tier 2 runs exactly on the
     reports tier 1 called cancer. Passing an explicit id set scores tier 2
@@ -249,74 +252,45 @@ def triage(
     def assemble(n: int) -> None:
         inputs.extend(_assemble(r, t1_keys, {}) for r in reports[len(inputs):n])
 
-    t1_results = run_tier(reports, t1, batch_size, inputs=inputs, assemble=assemble, also=also)
+    t1_blocks = run_tier(reports, t1, batch_size, inputs=inputs, assemble=assemble, also=also)
 
     if t2_report_ids is None:
-        selected = [i for i, res in enumerate(t1_results) if res.is_positive]
+        selected = [i for i, block in enumerate(t1_blocks) if _positive(block, Tier.T1)]
     else:
         selected = [i for i, r in enumerate(reports) if r.report_id in t2_report_ids]
-    t2_results = run_tier([reports[i] for i in selected], t2, batch_size,
-                          inputs=[_assemble(reports[i], t2_keys, inputs[i]) for i in selected],
-                          given=[None if s is None else [s[i] for i in selected] for s in shared])
-    t2_by_index = dict(zip(selected, t2_results))
+    t2_blocks = run_tier([reports[i] for i in selected], t2, batch_size,
+                         inputs=[_assemble(reports[i], t2_keys, inputs[i]) for i in selected],
+                         given=[None if s is None else [s[i] for i in selected] for s in shared])
+    t2_by_index = dict(zip(selected, t2_blocks))
 
-    outcomes: list[TriageOutcome] = []
-    for i, (report, t1_res) in enumerate(zip(reports, t1_results)):
-        t2_res = t2_by_index.get(i)
-        final = final_label(t1_res.is_positive, t2_res is not None and t2_res.is_positive)
-        outcomes.append(
-            TriageOutcome(report_id=report.report_id, t1=t1_res, t2=t2_res, final=final)
-        )
+    outcomes = []
+    for i, (report, t1_block) in enumerate(zip(reports, t1_blocks)):
+        t2_block = t2_by_index.get(i)
+        final = final_label(_positive(t1_block, Tier.T1),
+                            t2_block is not None and _positive(t2_block, Tier.T2))
+        outcomes.append({"report_id": report.report_id, "final": final.value,
+                         "t1": t1_block, "t2": t2_block})
     return outcomes
 
 
-def check_gating_soundness(outcomes: Iterable[TriageOutcome]) -> None:
+def check_gating_soundness(outcomes: Iterable[dict]) -> None:
     """Assert the production invariant: t2 present iff t1 combined positive."""
     for outcome in outcomes:
-        has_t2 = outcome.t2 is not None
-        if has_t2 != outcome.t1.is_positive:
+        has_t2 = outcome["t2"] is not None
+        t1_positive = _positive(outcome["t1"], Tier.T1)
+        if has_t2 != t1_positive:
             raise ValidationError(
-                f"outcome {outcome.report_id!r}: t2 "
+                f"outcome {outcome['report_id']!r}: t2 "
                 f"{'present' if has_t2 else 'absent'} with t1 "
-                f"{'positive' if outcome.t1.is_positive else 'negative'}"
+                f"{'positive' if t1_positive else 'negative'}"
             )
 
 
 # --- outcome file serialization ---------------------------------------------
 
-# per tier, its label values indexed by whether a label is positive
-_LABELS = {task: (task.negative.value, task.positive.value) for task in Tier}
-
-
-def _block_to_dict(res: EnsembleResult, config: TierConfig) -> dict:
-    labels = _LABELS[config.task]
-    return {
-        "combined": labels[res.is_positive],
-        "combined_by": "or",
-        "members": [
-            {"backend_id": member.backend_id, "label": labels[positive],
-             "probability": probability, "threshold": member.threshold}
-            for member, probability, positive
-            in zip(config.members, res.probabilities, res.member_positive)
-        ],
-    }
-
-
-def dumps_outcome(outcome: TriageOutcome, t1: TierConfig, t2: TierConfig) -> str:
-    """One outcomes file line, without its newline, for an outcome triage
-    produced with these tier configs."""
-    doc = {
-        "report_id": outcome.report_id,
-        "final": outcome.final.value,
-        "t1": _block_to_dict(outcome.t1, t1),
-        "t2": _block_to_dict(outcome.t2, t2) if outcome.t2 is not None else None,
-    }
-    return dumps_line(doc)
-
-
-# per tier, label value -> whether it is the tier's positive label
-_POSITIVE = {task: {label.value: label is task.positive for label in task.label_type}
-             for task in Tier}
+def dumps_outcome(outcome: dict) -> str:
+    """One outcomes file line, without its newline, for an outcome triage returned."""
+    return dumps_line(outcome)
 
 
 def _read_member(member: dict, task: Tier, where: str) -> bool:

@@ -26,7 +26,7 @@ from .config import MemberConfig, RunConfig, load_run_config
 from .corpus import Corpus, SynthSpec, Tier, load_corpus, synth_corpus, write_corpus
 from .errors import TriageError, ValidationError
 from .preprocess import assemble_input
-from .sectioner import ensure_sections
+from .sectioner import SectionSynonymTable, ensure_sections
 from .util import atomic_write_text
 
 logger = logging.getLogger(__name__)
@@ -127,16 +127,6 @@ def _make_backend(cfg: RunConfig, tier: Tier, member: MemberConfig) -> Classifie
                          max_retries=cfg.remote.max_retries)
 
 
-def _sectioned(corpus: Corpus, cfg: RunConfig) -> Corpus:
-    """Parse sections for any record that arrived with raw text only."""
-    table = cfg.synonym_table()
-    records = []
-    for rec in corpus.records:
-        report = ensure_sections(rec.report, table)
-        records.append(rec if report is rec.report else replace(rec, report=report))
-    return Corpus(records=records)
-
-
 # --- commands ----------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -181,15 +171,17 @@ def cmd_build_dataset(args) -> int:
     return EXIT_OK
 
 
-def _training_pairs(corpus: Corpus, tier: Tier, member: MemberConfig):
+def _training_pairs(corpus: Corpus, tier: Tier, member: MemberConfig,
+                    table: SectionSynonymTable):
+    """(input, 1 if positive) per record, sectioned with table if it arrived raw only."""
     positive = tier.positive
     pairs = []
     for record in corpus:
         label = record.label_for(tier)
         if label is None:
             raise ValidationError(f"record {record.report_id!r} has no {tier.value} label")
-        inp = assemble_input(record.report, member.variant, member.token_budget,
-                             member.fallback_sections)
+        inp = assemble_input(ensure_sections(record.report, table), member.variant,
+                             member.token_budget, member.fallback_sections)
         pairs.append((inp, 1 if label == positive else 0))
     return pairs
 
@@ -210,8 +202,8 @@ def cmd_train_baseline(args) -> int:
         )
     train_path = _require_file(cfg.dataset_dir(tier) / "train.jsonl",
                                f"{tier.value} training set (run build-dataset first)")
-    corpus = _sectioned(load_corpus(train_path, strict=args.strict), cfg)
-    pairs = _training_pairs(corpus, tier, member)
+    corpus = load_corpus(train_path, strict=args.strict)
+    pairs = _training_pairs(corpus, tier, member, cfg.synonym_table())
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run is reported below
         model = train_baseline(pairs, settings.train, settings.train_seed)
     if not np.isfinite(model.final_loss):  # non-finite weights or bias give a non-finite loss
@@ -233,7 +225,7 @@ def cmd_triage(args) -> int:
         for s in (cfg.tier(Tier.T1), cfg.tier(Tier.T2))
     )
     corpus_path = _require_file(_resolve_corpus(args, cfg), "corpus file")
-    corpus = _sectioned(load_corpus(corpus_path, strict=args.strict), cfg)
+    corpus = load_corpus(corpus_path, strict=args.strict)
 
     t2_ids: Optional[set] = None
     if args.t2_scope == "gold":
@@ -243,7 +235,8 @@ def cmd_triage(args) -> int:
                 "--t2-scope gold requires t2 labels in the input corpus"
             )
 
-    reports = [r.report for r in corpus]
+    table = cfg.synonym_table()
+    reports = [ensure_sections(r.report, table) for r in corpus]
     try:
         outcomes = cascade.triage(reports, t1, t2, t2_report_ids=t2_ids)
     finally:
@@ -254,9 +247,9 @@ def cmd_triage(args) -> int:
         cascade.check_gating_soundness(outcomes)
 
     out_path = Path(args.out) if args.out else cfg.out_dir / "outcomes.jsonl"
-    body = "".join(cascade.dumps_outcome(o, t1, t2) + "\n" for o in outcomes)
+    body = "".join(cascade.dumps_outcome(o) + "\n" for o in outcomes)
     atomic_write_text(out_path, body)
-    summary = Counter(o.final.value for o in outcomes)
+    summary = Counter(o["final"] for o in outcomes)
     print(f"triaged {len(outcomes)} reports -> {out_path}")
     for label in cascade.FinalLabel:
         print(f"  {label.value}: {summary.get(label.value, 0)}")

@@ -16,7 +16,7 @@ accuracy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .corpus import T1Label, T2Label, Tier
@@ -53,15 +53,6 @@ class ClassMetrics:
     specificity: Optional[float]
     f1: Optional[float]
     accuracy: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "recall": self.recall,
-            "precision": self.precision,
-            "specificity": self.specificity,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
 
 
 def _ratio(num: int, den: int) -> Optional[float]:
@@ -115,16 +106,6 @@ class EvalReport:
 
     def metrics_for(self, label: "T1Label | T2Label") -> ClassMetrics:
         return self.per_class[label.value]
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task.value,
-            "n_evaluated": self.n_evaluated,
-            "per_class": {k: v.to_dict() for k, v in self.per_class.items()},
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "missed_positive_count": self.missed_positive_count,
-        }
 
 
 def eval_report(preds: Sequence, golds: Sequence, task: Tier) -> EvalReport:
@@ -205,6 +186,7 @@ def dumps_eval(named_reports: Sequence[tuple[str, EvalReport]], task: Tier,
     doc = {
         "task": task.value,
         **(extra or {}),
-        "models": [{"model": name, **report.to_dict()} for name, report in named_reports],
+        # Tier is a str enum, so a report's task is written as its value
+        "models": [{"model": name, **asdict(report)} for name, report in named_reports],
     }
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"

@@ -83,7 +83,10 @@ class MockClassifyServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll: at the default 0.5 s,
+        # every server's exit cost up to half a second
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
 
     @staticmethod
     def echo_scores(scores):

@@ -151,6 +151,24 @@ def scored(reports, config, batch_size=DEFAULT_BATCH_SIZE):
                     inputs=[_assemble(r, keys, {}) for r in reports])
 
 
+def probabilities(block):
+    """A tier block's member probabilities, in member order."""
+    return tuple(m["probability"] for m in block["members"])
+
+
+_CANCER = {"cancer": True, "non_cancer": False}
+
+
+def member_positive(block):
+    """Per member of a t1 block, in member order, whether it called the report cancer."""
+    return tuple(_CANCER[m["label"]] for m in block["members"])
+
+
+def is_positive(block):
+    """Whether a t1 block called the report cancer."""
+    return _CANCER[block["combined"]]
+
+
 def test_run_tier_empty():
     assert scored([], keyword_tier(Tier.T1)) == []
 
@@ -163,16 +181,16 @@ def test_run_tier_signal_only_in_synoptic_fires_member_a():
     config = tier_of(Tier.T1, {"kw-a": KeywordBackend("carcinoma"),
                                "kw-b": KeywordBackend("carcinoma")}, token_budget=2)
     [result] = scored([report], config)
-    assert result.probabilities == (0.9, 0.1)
-    assert result.member_positive == (True, False)
-    assert result.is_positive
+    assert probabilities(result) == (0.9, 0.1)
+    assert member_positive(result) == (True, False)
+    assert is_positive(result)
 
 
 def test_run_tier_identical_decisions_combined_equal():
     raw = "SYNOPTIC REPORT:\nbenign\nDIAGNOSIS:\nbenign\n"
     [result] = scored([report_from_raw("R1", raw)], keyword_tier(Tier.T1))
-    assert result.member_positive == (False, False)
-    assert not result.is_positive
+    assert member_positive(result) == (False, False)
+    assert not is_positive(result)
 
 
 def test_run_tier_order_preserving_and_batched():
@@ -184,7 +202,7 @@ def test_run_tier_order_preserving_and_batched():
     ]
     results = scored(reports, keyword_tier(Tier.T1), batch_size=3)
     for i, res in enumerate(results):
-        assert res.is_positive == (i % 3 == 0)
+        assert is_positive(res) == (i % 3 == 0)
 
 
 def test_run_tier_member_a_scores_every_batch_in_order_before_member_b():
@@ -246,7 +264,7 @@ def test_run_tier_rejects_scores_outside_0_1():
     for edge in (0.0, 1.0, 0, 1):
         config = tier_of(Tier.T1, {"kw-a": KeywordBackend("x"), "edge": FixedBackend(edge)})
         results = scored(reports, config, batch_size=2)
-        assert [r.probabilities[1] for r in results] == [0.5, edge, 0.5, edge]
+        assert [probabilities(r)[1] for r in results] == [0.5, edge, 0.5, edge]
 
 
 # --- triage --------------------------------------------------------------------
@@ -274,11 +292,11 @@ def test_triage_gating_and_final_labels():
     ]
     t1, t2 = full_cascade()
     outcomes = triage(reports, t1, t2)
-    assert [o.report_id for o in outcomes] == ["neg", "pos-rep", "pos-nonrep"]
-    assert outcomes[0].final is FinalLabel.NON_CANCER
-    assert outcomes[0].t2 is None
-    assert outcomes[1].final is FinalLabel.CANCER_REPORTABLE
-    assert outcomes[2].final is FinalLabel.CANCER_NON_REPORTABLE
+    assert [o["report_id"] for o in outcomes] == ["neg", "pos-rep", "pos-nonrep"]
+    assert outcomes[0]["final"] == FinalLabel.NON_CANCER.value
+    assert outcomes[0]["t2"] is None
+    assert outcomes[1]["final"] == FinalLabel.CANCER_REPORTABLE.value
+    assert outcomes[2]["final"] == FinalLabel.CANCER_NON_REPORTABLE.value
     check_gating_soundness(outcomes)
 
 
@@ -294,9 +312,9 @@ def test_triage_t2_invocation_count_matches_t1_positives():
             reports.append(report_from_raw(f"R{i}", BENIGN_RAW))
     t1, t2 = full_cascade()
     outcomes = triage(reports, t1, t2)
-    scored_t2 = sum(1 for o in outcomes if o.t2 is not None)
+    scored_t2 = sum(1 for o in outcomes if o["t2"] is not None)
     assert scored_t2 == n_pos
-    t1_pos = sum(1 for o in outcomes if o.t1.is_positive)
+    t1_pos = sum(1 for o in outcomes if is_positive(o["t1"]))
     assert t1_pos == n_pos
 
 
@@ -305,8 +323,9 @@ def test_triage_explicit_t2_scope():
                report_from_raw("pos", cancer_raw())]
     t1, t2 = full_cascade()
     outcomes = triage(reports, t1, t2, t2_report_ids={"neg", "pos"})
-    assert outcomes[0].t2 is not None  # scored even though t1-negative
-    assert outcomes[0].final is FinalLabel.NON_CANCER  # final keeps production semantics
+    assert outcomes[0]["t2"] is not None  # scored even though t1-negative
+    # final keeps production semantics
+    assert outcomes[0]["final"] == FinalLabel.NON_CANCER.value
     with pytest.raises(ValidationError):
         check_gating_soundness(outcomes)
 
@@ -338,11 +357,11 @@ def test_triage_t2_reads_the_inputs_t1_assembled(monkeypatch, t2_scope, t2_budge
     ids = {r.report_id for r in reports[::3]} if t2_scope == "gold" else None
     outcomes = triage(reports, t1, t2, batch_size=3, t2_report_ids=ids)
 
-    selected = [r for r, o in zip(reports, outcomes) if o.t2 is not None]
+    selected = [r for r, o in zip(reports, outcomes) if o["t2"] is not None]
     assert 0 < len(selected) < len(reports)
     assert [r.report_id for r in selected] == [
         r.report_id for r, o in zip(reports, outcomes)
-        if (o.t1.is_positive if ids is None else r.report_id in ids)]
+        if (is_positive(o["t1"]) if ids is None else r.report_id in ids)]
     assert t2_a.texts == [assemble_input(r, A, 256).text for r in selected]
     assert t2_b.texts == [assemble_input(r, B, t2_budget_b).text for r in selected]
     # tier 2 assembles only for the member whose settings no t1 member shares
@@ -373,7 +392,7 @@ def test_triage_normalizes_each_section_of_a_report_once(monkeypatch):
     monkeypatch.setattr(preprocess, "normalize_text", counting_normalize)
     outcomes = triage(reports, t1, t2, batch_size=5)
 
-    assert all(o.t2 is not None for o in outcomes)
+    assert all(o["t2"] is not None for o in outcomes)
     assert all(len(r.sections) == 4 for r in reports)
     assert sum(normalized) == sum(len(s.text) for r in reports for s in r.sections)
 
@@ -445,9 +464,9 @@ def test_tier2_scores_from_tier1_rows_as_from_fresh_hashing(monkeypatch, t2_scop
     outcomes = triage(reports, t1, t2, batch_size=4, t2_report_ids=ids)
     n_hashed = sum(hashed)
 
-    t1_calls = [o.t1.member_positive for o in outcomes]
+    t1_calls = [member_positive(o["t1"]) for o in outcomes]
     assert (True, False) in t1_calls and (False, True) in t1_calls  # A-only and B-only rescues
-    selected = [(r, o) for r, o in zip(reports, outcomes) if o.t2 is not None]
+    selected = [(r, o) for r, o in zip(reports, outcomes) if o["t2"] is not None]
     assert 0 < len(selected) < len(reports)
 
     def fresh_score(model, inp):
@@ -458,7 +477,7 @@ def test_tier2_scores_from_tier1_rows_as_from_fresh_hashing(monkeypatch, t2_scop
     for report, outcome in selected:
         fresh = (fresh_score(t2_models[0], assemble_input(report, A, budget_a)),
                  fresh_score(t2_models[1], assemble_input(report, B, 3)))
-        assert outcome.t2.probabilities == fresh
+        assert probabilities(outcome["t2"]) == fresh
 
     # a t2 member that shares its t1 counterpart's assembly key and
     # feature_dim scores that member's rows and hashes nothing; one that does
@@ -496,7 +515,7 @@ def test_remote_tier2_member_sends_the_texts_it_sent_before(monkeypatch):
         outcomes = triage(reports, t1, t2, batch_size=4)
         for backend in t2.backends:
             backend.close()
-    selected = [r for r, o in zip(reports, outcomes) if o.t2 is not None]
+    selected = [r for r, o in zip(reports, outcomes) if o["t2"] is not None]
     expected = [[assemble_input(r, v, 3).text for r in selected[s:s + 4]]
                 for v in (A, B) for s in range(0, len(selected), 4)]
     assert [json.loads(req.body)["texts"] for req in server.requests] == expected
@@ -587,18 +606,23 @@ def test_ensemble_recall_at_least_max_member_recall():
 def test_outcome_round_trip(tmp_path):
     reports = [report_from_raw("pos", cancer_raw()), report_from_raw("neg", BENIGN_RAW)]
     t1, t2 = full_cascade()
-    outcomes = triage(reports, t1, t2)
-    path = tmp_path / "outcomes.jsonl"
-    path.write_text("".join(dumps_outcome(o, t1, t2) + "\n" for o in outcomes),
-                    encoding="utf-8")
-    loaded = read_outcomes(path)
-    assert list(loaded) == ["pos", "neg"]
-    assert loaded["pos"]["final"] == "cancer_reportable"
-    assert loaded["pos"]["t1"]["combined_by"] == "or"
-    assert len(loaded["pos"]["t1"]["members"]) == 2
-    assert loaded["neg"]["t2"] is None
-    member = loaded["pos"]["t1"]["members"][0]
-    assert set(member) == {"backend_id", "label", "probability", "threshold"}
+    # gold scope gives the t1-negative report a t2 block
+    for t2_ids in (None, {"pos", "neg"}):
+        outcomes = triage(reports, t1, t2, t2_report_ids=t2_ids)
+        path = tmp_path / "outcomes.jsonl"
+        body = "".join(dumps_outcome(o) + "\n" for o in outcomes)
+        path.write_text(body, encoding="utf-8")
+        loaded = read_outcomes(path)
+        assert loaded == {o["report_id"]: o for o in outcomes}
+        assert "".join(dumps_outcome(o) + "\n" for o in loaded.values()) == body
+        assert list(loaded) == ["pos", "neg"]
+        assert loaded["pos"]["final"] == "cancer_reportable"
+        assert loaded["pos"]["t1"]["combined_by"] == "or"
+        assert len(loaded["pos"]["t1"]["members"]) == 2
+        assert (loaded["neg"]["t2"] is None) is (t2_ids is None)
+        assert loaded["neg"]["final"] == "non_cancer"
+        member = loaded["pos"]["t1"]["members"][0]
+        assert set(member) == {"backend_id", "label", "probability", "threshold"}
 
 
 def test_read_outcomes_validates(tmp_path):
@@ -645,9 +669,9 @@ def test_end_to_end_with_trained_baselines_on_synth():
     outcomes = triage([r.report for r in corpus], tier_config(Tier.T1),
                       tier_config(Tier.T2))
     check_gating_soundness(outcomes)
-    by_id = {o.report_id: o for o in outcomes}
+    by_id = {o["report_id"]: o for o in outcomes}
     correct_t1 = sum(
         1 for rec in corpus
-        if by_id[rec.report_id].t1.is_positive == (rec.t1_label is T1Label.CANCER)
+        if is_positive(by_id[rec.report_id]["t1"]) == (rec.t1_label is T1Label.CANCER)
     )
     assert correct_t1 / len(corpus) > 0.95

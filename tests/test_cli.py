@@ -1367,18 +1367,3 @@ def test_strict_mode_rejects_unknown_corpus_fields(tmp_path, capsys):
     code = main(["--strict", "--config", str(config), "build-dataset", "--tier", "t1"])
     assert code == 1
     assert "surprise" in capsys.readouterr().err
-
-
-def test_sectioned_keeps_records_that_arrive_with_sections(tmp_path):
-    from reportable_triage.cli import _sectioned
-    from reportable_triage.config import load_run_config
-
-    sectioned = synth_corpus(SynthSpec(n_reports=4), seed=1).records
-    raw = LabeledReport(PathologyReport("RAW", 2023, "DIAGNOSIS:\nbenign tissue\n"))
-    empty = LabeledReport(PathologyReport("EMPTY", 2023, ""))
-    out = _sectioned(Corpus(records=[*sectioned, raw, empty]),
-                     load_run_config(write_config(tmp_path))).records
-    assert all(a is b for a, b in zip(out, sectioned))
-    assert out[5] is empty
-    assert out[4].report == replace(raw.report, sections=(
-        Section("diagnosis", "benign tissue\n", "DIAGNOSIS:\n"),))

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -157,5 +158,5 @@ def test_format_metric_rounding_half_up():
 
 def test_class_metrics_dataclass_dict():
     m = ClassMetrics(recall=1.0, precision=0.5, specificity=None, f1=2 / 3, accuracy=0.5)
-    d = m.to_dict()
+    d = asdict(m)
     assert d["specificity"] is None and close(d["f1"], 2 / 3)
