@@ -16,7 +16,8 @@ after a bounded exponential backoff; the request is idempotent so a
 duplicate delivery is harmless. Status, protocol, and score-range
 violations fail immediately with distinct error kinds so callers can tell a
 flaky network from a broken service; all four are runtime failures (exit
-2). No message echoes a value that can be long.
+2). No message echoes a value that can be long, nor the endpoint's user and
+password.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class RemoteBackend:
     def __init__(self, endpoint: str, task: Tier, timeout: float = DEFAULT_TIMEOUT,
                  max_retries: int = DEFAULT_MAX_RETRIES):
         self.task, self.max_retries = task, max_retries
-        self.url = classify_url(endpoint)
-        parts = urlsplit(self.url)
+        parts = urlsplit(classify_url(endpoint))
+        # what messages name: the URL without the user and password of its netloc
+        self.url = parts._replace(netloc=parts.netloc.rpartition("@")[2]).geturl()
         self._target = parts.path
         self._headers = _HEADERS
         if parts.password is not None and (parts.username or parts.password):

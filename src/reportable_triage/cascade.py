@@ -15,10 +15,10 @@ triage assembles each report's inputs in one place, one per distinct
 assembly key of its members, and reads each of the report's sections once
 for all of them. Both tiers look their members' inputs up by key, so tier 2
 reuses what tier 1 assembled and no report is assembled twice for the same
-settings. A tier-2 member that featurizes as a tier-1 member does scores
-that member's features of every report while tier 1 runs, one batch at a
-time, so tier 2 featurizes nothing for it and no features outlive their
-batch.
+settings. run_tier scores one batch at a time and assembles the next while
+a service scores it. A tier-2 member that featurizes as a tier-1 member does
+scores that member's features of each batch while tier 1 runs, so tier 2
+featurizes nothing for it and no features outlive their batch.
 
 triage returns each outcome as the dict an outcomes line holds, which
 dumps_outcome writes. read_outcomes reads a file back into equal dicts keyed
@@ -132,29 +132,6 @@ def _score_batch(
     return scores
 
 
-def _score_each_batch(reports: Sequence[PathologyReport], inputs: Sequence[dict], key: tuple,
-                      scorers: Sequence[tuple], batch_size: int,
-                      assemble: Callable[[int], None]) -> None:
-    """Append each (member, backend, into) of scorers' probability of each
-    report to its list into. The first backend featurizes each batch's inputs
-    under key and sends the features; then, while it scores them,
-    assemble(n) makes inputs hold the next batch's, and every scorer scores
-    those features."""
-    first = scorers[0][1]
-    assemble(batch_size)
-    for start in range(0, len(reports), batch_size):
-        stop = start + batch_size
-        features = first.featurize([by_key[key] for by_key in inputs[start:stop]])
-        first.send(features)
-        # outside _score_batch: a report that fails to assemble is not the backend's fault
-        assemble(stop + batch_size)
-        for member, backend, into in scorers:
-            into += _score_batch(member, backend, reports[start:stop], features)
-        # dropped now, not when the next batch's features replace them:
-        # two batches' rows alive at once would raise peak RSS
-        del features
-
-
 def run_tier(
     reports: Sequence[PathologyReport],
     config: TierConfig,
@@ -169,11 +146,12 @@ def run_tier(
 
     inputs[i] maps each member's assembly key to its input for report i
     (see _assemble). inputs may start short: assemble(n) makes it hold the
-    inputs of the first n reports, and the first member calls it for each
-    next batch while the current one is scored. The first member scores all
-    its batches, in report order, before the second member scores any; the
-    benchmark's remote check matches the service's requests to members by
-    this order.
+    inputs of the first n reports. Per batch, a member's backend featurizes
+    and sends the batch's inputs, assemble readies the next batch's while
+    they are scored, and the features are dropped once scored. The first
+    member scores all its batches, in report order, before the second
+    member scores any; the benchmark's remote check matches the service's
+    requests to members by this order.
 
     also[m], when given, is (member, backend, into): another tier's member
     that scores member m's features of each batch too, and appends its
@@ -186,8 +164,19 @@ def run_tier(
         if scores is None:
             scores = []
             scorers = [(member, backend, scores)] + ([] if rider is None else [rider])
-            _score_each_batch(reports, inputs, _assembly_key(member), scorers, batch_size,
-                              assemble)
+            key = _assembly_key(member)
+            assemble(batch_size)
+            for start in range(0, len(reports), batch_size):
+                stop = start + batch_size
+                features = backend.featurize([by_key[key] for by_key in inputs[start:stop]])
+                backend.send(features)
+                # outside _score_batch: a report that fails to assemble is not the backend's fault
+                assemble(stop + batch_size)
+                for scorer, scorer_backend, into in scorers:
+                    into += _score_batch(scorer, scorer_backend, reports[start:stop], features)
+                # dropped now, not when the next batch's features replace them:
+                # two batches' rows alive at once would raise peak RSS
+                del features
         probabilities.append(scores)
     labels = _LABELS[config.task]
     blocks = []

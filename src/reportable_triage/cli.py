@@ -154,19 +154,21 @@ def cmd_build_dataset(args) -> int:
     corpus_path = _require_file(_resolve_corpus(args, cfg), "corpus file")
     corpus = load_corpus(corpus_path, strict=args.strict)
 
-    built = sampler.build_dataset(corpus, tier, settings.split, settings.policy)
+    train, test, manifest = sampler.build_dataset(corpus, tier, settings.split,
+                                                  settings.policy)
 
     dataset_dir = cfg.dataset_dir(tier)
     train_path = dataset_dir / "train.jsonl"
     test_path = dataset_dir / "test.jsonl"
-    write_corpus(built.train, train_path)
-    write_corpus(built.test, test_path)
-    manifest = built.manifest(train_path.name, test_path.name)
+    write_corpus(train, train_path)
+    write_corpus(test, test_path)
+    manifest["outputs"] = {"train": train_path.name, "test": test_path.name}
     atomic_write_text(dataset_dir / "manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"{tier.value}: train={len(built.train)} test={len(built.test)} "
-          f"(before undersample: {built.train_counts_before}; "
-          f"after: {built.train_counts})")
+    counts = manifest["counts"]
+    print(f"{tier.value}: train={len(train)} test={len(test)} "
+          f"(before undersample: {counts['train_before_undersample']}; "
+          f"after: {counts['train']})")
     print(f"wrote {train_path}, {test_path}, {dataset_dir / 'manifest.json'}")
     return EXIT_OK
 
@@ -193,9 +195,8 @@ def cmd_train_baseline(args) -> int:
     from .preprocess import PipelineVariant
 
     variant = PipelineVariant.parse(args.variant)
-    member = next((m for m in settings.members if m.variant is variant), None)
-    if member is None:
-        raise ValidationError(f"no {tier.value} member uses variant {args.variant!r}")
+    # check_members made each tier's members variants a and b
+    member = next(m for m in settings.members if m.variant is variant)
     if member.kind != "native_baseline":
         raise ValidationError(
             f"member {member.backend_id!r} is {member.kind}, not native_baseline"

@@ -7,10 +7,10 @@ carried as None and rendered as an em-dash style marker "—", never as 0: an
 all-positive test set genuinely has no negative-class recall.
 
 Per-class F1 follows the harmonic-mean definition and is undefined whenever
-precision or recall is undefined or both are zero. Micro-F1 uses the pooled
-integer counts 2*TP / (2*TP + FP + FN) over both orientations, which for a
-single-label binary task reduces exactly (in float arithmetic too) to
-accuracy.
+precision or recall is undefined or both are zero. Micro-F1 is the pooled
+2*TP / (2*TP + FP + FN) over both orientations, which for a single-label
+binary task reduces exactly (in float arithmetic too) to accuracy, so it is
+computed as accuracy.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ def eval_report(preds: Sequence, golds: Sequence, task: Tier) -> EvalReport:
     metrics_pos = class_metrics(cm_pos)
     metrics_neg = class_metrics(cm_neg)
 
-    pooled_tp = cm_pos.tp + cm_neg.tp
-    pooled_fp = cm_pos.fp + cm_neg.fp
-    pooled_fn = cm_pos.fn + cm_neg.fn
-    micro_den = 2 * pooled_tp + pooled_fp + pooled_fn
-    micro_f1 = 2 * pooled_tp / micro_den if micro_den else None
-
     if metrics_pos.f1 is None or metrics_neg.f1 is None:
         macro_f1 = None
     else:
@@ -134,7 +128,7 @@ def eval_report(preds: Sequence, golds: Sequence, task: Tier) -> EvalReport:
             positive.value: metrics_pos,
             task.negative.value: metrics_neg,
         },
-        micro_f1=micro_f1,
+        micro_f1=metrics_pos.accuracy,  # see the module docstring
         macro_f1=macro_f1,
         missed_positive_count=cm_pos.fn,
     )

@@ -91,16 +91,16 @@ def split(corpus: Corpus, spec: SplitSpec, task: Tier) -> tuple[Corpus, Corpus]:
     corpora preserve the input record order.
     """
     labels = [_require_label(record, task) for record in corpus]
+    if spec.stratified:
+        strata = [[i for i, lab in enumerate(labels) if lab is label]
+                  for label in sorted(task.label_type, key=lambda m: m.value)]
+    else:  # one stratum holding every record
+        strata = [range(len(labels))]
     rng = random.Random(spec.seed)
     train_indices: set[int] = set()
-    if spec.stratified:
-        for label in sorted(task.label_type, key=lambda m: m.value):
-            stratum = [i for i, lab in enumerate(labels) if lab is label]
-            k = ratio_round_half_up(spec.train_fraction, len(stratum))
-            train_indices.update(rng.sample(stratum, k))
-    else:
-        k = ratio_round_half_up(spec.train_fraction, len(corpus.records))
-        train_indices.update(rng.sample(range(len(corpus.records)), k))
+    for stratum in strata:
+        k = ratio_round_half_up(spec.train_fraction, len(stratum))
+        train_indices.update(rng.sample(stratum, k))
 
     train = [r for i, r in enumerate(corpus.records) if i in train_indices]
     test = [r for i, r in enumerate(corpus.records) if i not in train_indices]
@@ -134,51 +134,13 @@ def undersample_target(policy: UndersamplePolicy, n_kept: int, n_sampled: int) -
     return min(ratio_floor(policy.ratio, n_kept), n_sampled)
 
 
-@dataclass(frozen=True)
-class BuiltDataset:
-    """Result of the split-then-undersample pipeline for one tier."""
+def build_dataset(corpus: Corpus, task: Tier, split_spec: SplitSpec,
+                  policy: UndersamplePolicy) -> tuple[Corpus, Corpus, dict]:
+    """Filter to task-labeled records, split, then undersample the train side.
 
-    task: Tier
-    split_spec: SplitSpec
-    policy: UndersamplePolicy
-    train: Corpus
-    test: Corpus
-    input_counts: dict[str, int]
-    train_counts_before: dict[str, int]
-    train_counts: dict[str, int]
-    test_counts: dict[str, int]
-
-    def manifest(self, train_path: str, test_path: str) -> dict:
-        return {
-            "task": self.task.value,
-            "split": {
-                "train_fraction": self.split_spec.train_fraction,
-                "seed": self.split_spec.seed,
-                "stratified": self.split_spec.stratified,
-            },
-            "undersample": {
-                "kept_class": self.policy.kept_class.value,
-                "sampled_class": self.policy.sampled_class.value,
-                "ratio": self.policy.ratio,
-                "seed": self.policy.seed,
-            },
-            "counts": {
-                "input": self.input_counts,
-                "train_before_undersample": self.train_counts_before,
-                "train": self.train_counts,
-                "test": self.test_counts,
-            },
-            "outputs": {"train": train_path, "test": test_path},
-        }
-
-
-def build_dataset(
-    corpus: Corpus,
-    task: Tier,
-    split_spec: SplitSpec,
-    policy: UndersamplePolicy,
-) -> BuiltDataset:
-    """Filter to task-labeled records, split, then undersample the train side."""
+    Returns (train, test, manifest): manifest is the document manifest.json
+    holds, but for the "outputs" that name the files train and test go to.
+    """
     labeled = with_label(corpus, task)
     if not labeled.records:
         raise ValidationError(f"no records carry a {task.value} label")
@@ -186,14 +148,14 @@ def build_dataset(
     train_full, test = split(labeled, split_spec, task)
     before = class_counts(train_full, task)
     train = undersample(train_full, policy)
-    return BuiltDataset(
-        task=task,
-        split_spec=split_spec,
-        policy=policy,
-        train=train,
-        test=test,
-        input_counts=input_counts,
-        train_counts_before=before,
-        train_counts=class_counts(train, task),
-        test_counts=class_counts(test, task),
-    )
+    manifest = {
+        "task": task.value,
+        "split": {"train_fraction": split_spec.train_fraction, "seed": split_spec.seed,
+                  "stratified": split_spec.stratified},
+        "undersample": {"kept_class": policy.kept_class.value,
+                        "sampled_class": policy.sampled_class.value,
+                        "ratio": policy.ratio, "seed": policy.seed},
+        "counts": {"input": input_counts, "train_before_undersample": before,
+                   "train": class_counts(train, task), "test": class_counts(test, task)},
+    }
+    return train, test, manifest

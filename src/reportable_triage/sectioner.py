@@ -129,7 +129,7 @@ def load_synonym_table(path: str | Path) -> SectionSynonymTable:
         raise ValidationError(f"section synonyms file not found: {path}") from None
     except IsADirectoryError:
         raise ValidationError(f"section synonyms path is a directory: {path}") from None
-    for lineno, line in enumerate(data.decode("utf-8", "surrogateescape").splitlines(), 1):
+    for lineno, line in enumerate(data.decode("utf-8-sig", "surrogateescape").splitlines(), 1):
         at = lone_surrogate(line)
         if at >= 0:  # a byte that is not UTF-8
             raise ValidationError(

@@ -128,6 +128,27 @@ def test_build_dataset_manifest_eq2(pipeline):
     assert manifest["undersample"]["ratio"] == 1.2
 
 
+def test_build_dataset_manifest_is_the_whole_document(tmp_path):
+    # 10 cancer and 40 non-cancer records: stratified 80/20, then 0.8 x 8 non-cancers kept
+    write_corpus(synth_corpus(SynthSpec(n_reports=50, cancer_fraction=0.2), seed=5),
+                 tmp_path / "corpus.jsonl")
+    config = write_config(tmp_path)
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 0
+    assert json.loads((tmp_path / "out/t1/manifest.json").read_text()) == {
+        "task": "t1",
+        "split": {"train_fraction": 0.8, "seed": 11, "stratified": True},
+        "undersample": {"kept_class": "cancer", "sampled_class": "non_cancer",
+                        "ratio": 0.8, "seed": 12},
+        "counts": {
+            "input": {"cancer": 10, "non_cancer": 40},
+            "train_before_undersample": {"cancer": 8, "non_cancer": 32},
+            "train": {"cancer": 8, "non_cancer": 6},
+            "test": {"cancer": 2, "non_cancer": 8},
+        },
+        "outputs": {"train": "train.jsonl", "test": "test.jsonl"},
+    }
+
+
 def test_build_dataset_rerun_is_byte_identical(pipeline, tmp_path):
     base, config, _ = pipeline
     rerun = tmp_path / "rerun"
@@ -421,6 +442,22 @@ def test_triage_unreachable_remote_exits_2(tmp_path, capsys):
     # the cascade names the failing member; the backend adds no second name
     assert err.count("backend 't1-baseline-a'") == 1
     assert err.count("backend '") == 1
+
+
+def test_triage_messages_name_the_endpoint_without_its_credentials(tmp_path, capsys, caplog):
+    with MockClassifyServer() as server:
+        dead = server.endpoint.replace("http://", "http://alice:s3cret@")
+        url = f"{server.endpoint}/v1/classify"
+    write_corpus(synth_corpus(SynthSpec(n_reports=5), seed=2), tmp_path / "corpus.jsonl")
+    config = write_config(tmp_path, remote_kind=True,
+                          remote={"timeout": 0.3, "max_retries": 1,
+                                  "endpoints": {"t1": dead, "t2": dead}})
+    code = main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{url}: unreachable after 2 attempts" in err
+    assert f"transport failure on {url} (attempt 1/2)" in caplog.text
+    assert "s3cret" not in err + caplog.text
 
 
 def test_triage_empty_report_in_a_later_remote_batch_exits_1(tmp_path, capsys):

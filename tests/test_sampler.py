@@ -242,22 +242,24 @@ def test_composition_reproduces_pipeline_scale():
 
 def test_build_dataset_t1_manifest_arithmetic():
     corpus = synth_corpus(SynthSpec(n_reports=10400, cancer_fraction=0.21), seed=13)
-    built = build_dataset(corpus, Tier.T1, SplitSpec(seed=21),
-                          default_policy(Tier.T1, seed=22))
-    assert built.train_counts_before == {"cancer": 1747, "non_cancer": 6573}
-    assert built.train_counts == {"cancer": 1747, "non_cancer": math.floor(0.8 * 1747)}
-    assert built.test_counts == {"cancer": 2184 - 1747, "non_cancer": 8216 - 6573}
+    _, _, manifest = build_dataset(corpus, Tier.T1, SplitSpec(seed=21),
+                                   default_policy(Tier.T1, seed=22))
+    counts = manifest["counts"]
+    assert counts["train_before_undersample"] == {"cancer": 1747, "non_cancer": 6573}
+    assert counts["train"] == {"cancer": 1747, "non_cancer": math.floor(0.8 * 1747)}
+    assert counts["test"] == {"cancer": 2184 - 1747, "non_cancer": 8216 - 6573}
 
 
 def test_build_dataset_t2_filters_to_labeled_subset():
     corpus = synth_corpus(SynthSpec(n_reports=2000, cancer_fraction=0.5,
                                     reportable_fraction_within_cancer=0.8), seed=31)
-    built = build_dataset(corpus, Tier.T2, SplitSpec(seed=41),
-                          default_policy(Tier.T2, seed=42))
+    _, _, manifest = build_dataset(corpus, Tier.T2, SplitSpec(seed=41),
+                                   default_policy(Tier.T2, seed=42))
+    counts = manifest["counts"]
     n_t2 = sum(1 for r in corpus if r.t2_label is not None)
-    assert sum(built.input_counts.values()) == n_t2 == 1000
-    before = built.train_counts_before
-    assert built.train_counts["reportable"] == min(
+    assert sum(counts["input"].values()) == n_t2 == 1000
+    before = counts["train_before_undersample"]
+    assert counts["train"]["reportable"] == min(
         math.floor(1.2 * before["non_reportable"]), before["reportable"])
 
 

@@ -146,6 +146,16 @@ def test_synonym_table_from_file(tmp_path):
     assert table.lookup("final diagnosis") == "diagnosis"  # defaults kept
 
 
+def test_synonym_table_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "sections.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfCAP CANCER SUMMARY = synoptic\n\xff = other\n")
+    # the mark is skipped, not read into the first header; a bad byte is still named
+    with pytest.raises(ValidationError, match="line 2: not UTF-8: byte 0xff"):
+        load_synonym_table(cfg)
+    cfg.write_bytes(b"\xef\xbb\xbfCAP CANCER SUMMARY = synoptic\n")
+    assert load_synonym_table(cfg).lookup("CAP CANCER SUMMARY") == "synoptic"
+
+
 def test_synonym_table_validates_values():
     with pytest.raises(ValidationError):
         SectionSynonymTable({"x": "Not Normalized", "synoptic": "synoptic",
