@@ -302,9 +302,9 @@ def _read_member(member: dict, task: Tier, where: str) -> bool:
 
 def _read_block(block: dict, task: Tier, where: str) -> bool:
     """Whether a tier block is positive. ValidationError unless it holds exactly
-    two members with distinct backend_ids, each valid for _read_member, and a
+    two members with distinct backend_ids, each valid for _read_member, a
     combined label that is the OR of theirs, which FN(combined) = FN(A) ∩ FN(B)
-    needs."""
+    needs, and combined_by "or"."""
     positive = _POSITIVE[task]
     members = block.get("members")
     if (type(members) is not list or len(members) != 2
@@ -334,6 +334,8 @@ def _read_block(block: dict, task: Tier, where: str) -> bool:
         is_positive = task.parse_label(combined, where, "combined") is task.positive
     if is_positive is not any_positive:
         raise ValidationError(f"{where}: field 'combined': not the OR of its members' labels")
+    if block.get("combined_by") != "or":  # named, not echoed, like every field
+        raise ValidationError(f"{where}: field 'combined_by': expected \"or\"")
     return is_positive
 
 

@@ -23,10 +23,10 @@ from .backend.base import ClassifierBackend
 from .backend.baseline import load_baseline, save_baseline, train_baseline
 from .backend.remote import RemoteBackend
 from .config import MemberConfig, RunConfig, load_run_config
-from .corpus import Corpus, SynthSpec, Tier, load_corpus, synth_corpus, write_corpus
+from .corpus import SynthSpec, Tier, load_corpus, synth_corpus, write_corpus
 from .errors import TriageError, ValidationError
-from .preprocess import assemble_input
-from .sectioner import SectionSynonymTable, ensure_sections
+from .preprocess import PipelineVariant, assemble_input
+from .sectioner import ensure_sections
 from .util import atomic_write_text
 
 logger = logging.getLogger(__name__)
@@ -173,27 +173,10 @@ def cmd_build_dataset(args) -> int:
     return EXIT_OK
 
 
-def _training_pairs(corpus: Corpus, tier: Tier, member: MemberConfig,
-                    table: SectionSynonymTable):
-    """(input, 1 if positive) per record, sectioned with table if it arrived raw only."""
-    positive = tier.positive
-    pairs = []
-    for record in corpus:
-        label = record.label_for(tier)
-        if label is None:
-            raise ValidationError(f"record {record.report_id!r} has no {tier.value} label")
-        inp = assemble_input(ensure_sections(record.report, table), member.variant,
-                             member.token_budget, member.fallback_sections)
-        pairs.append((inp, 1 if label == positive else 0))
-    return pairs
-
-
 def cmd_train_baseline(args) -> int:
     cfg = _load_config(args)
     tier = Tier(args.tier)
     settings = cfg.tier(tier)
-    from .preprocess import PipelineVariant
-
     variant = PipelineVariant.parse(args.variant)
     # check_members made each tier's members variants a and b
     member = next(m for m in settings.members if m.variant is variant)
@@ -204,7 +187,14 @@ def cmd_train_baseline(args) -> int:
     train_path = _require_file(cfg.dataset_dir(tier) / "train.jsonl",
                                f"{tier.value} training set (run build-dataset first)")
     corpus = load_corpus(train_path, strict=args.strict)
-    pairs = _training_pairs(corpus, tier, member, cfg.synonym_table())
+    table = cfg.synonym_table()
+    positive = tier.positive
+    pairs = []  # (input, 1 if positive) per record, sectioned if it arrived raw only
+    for record in corpus:
+        label = sampler.require_label(record, tier)
+        inp = assemble_input(ensure_sections(record.report, table), member.variant,
+                             member.token_budget, member.fallback_sections)
+        pairs.append((inp, 1 if label is positive else 0))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run is reported below
         model = train_baseline(pairs, settings.train, settings.train_seed)
     if not np.isfinite(model.final_loss):  # non-finite weights or bias give a non-finite loss

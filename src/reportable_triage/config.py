@@ -192,10 +192,13 @@ def _build(make, where: str, **kwargs):
 
 def check_members(members: Sequence[MemberConfig], where: str) -> None:
     """A tier has exactly two members, variants A and B, with distinct
-    backend_ids, and each member's threshold is in (0, 1)."""
+    backend_ids, and each member's threshold is in (0, 1). No member is named
+    'combined': evaluate names the ensemble so, beside its members."""
     for i, member in enumerate(members):
         if not 0.0 < member.threshold < 1.0:
             raise ValidationError(f"{where}.members[{i}]: threshold must be in (0, 1)")
+        if member.backend_id == "combined":
+            raise ValidationError(f"{where}.members[{i}]: backend_id must not be 'combined'")
     if len(members) != 2:
         raise ValidationError(f"{where}: exactly two members are required per tier")
     if {m.variant for m in members} != set(PipelineVariant):

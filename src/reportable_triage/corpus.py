@@ -180,24 +180,6 @@ _LABEL_FIELDS = tuple((f"{tier.value}_label", tier, {m.value: m for m in tier.la
                       for tier in Tier)
 
 
-def record_to_dict(rec: LabeledReport) -> dict:
-    r = rec.report
-    out: dict = {"report_id": r.report_id, "diagnosis_year": r.diagnosis_year}
-    if r.source_site is not None:
-        out["source_site"] = r.source_site
-    out["raw_text"] = r.raw_text
-    if r.sections:
-        out["sections"] = [
-            {"name": s.name, "text": s.text, **({"header": s.header} if s.header else {})}
-            for s in r.sections
-        ]
-    if rec.t1_label is not None:
-        out["t1_label"] = rec.t1_label.value
-    if rec.t2_label is not None:
-        out["t2_label"] = rec.t2_label.value
-    return out
-
-
 def _unknown_fields(obj: dict, known: tuple[str, ...], strict: bool, where: str) -> None:
     """Reject (strict) or log the keys of obj that are not known fields."""
     unknown = [k for k in obj if k not in known]
@@ -304,7 +286,21 @@ def load_corpus(path: str | Path, *, strict: bool = False) -> Corpus:
 
 
 def dumps_record(rec: LabeledReport) -> str:
-    return dumps_line(record_to_dict(rec))
+    r = rec.report
+    out: dict = {"report_id": r.report_id, "diagnosis_year": r.diagnosis_year}
+    if r.source_site is not None:
+        out["source_site"] = r.source_site
+    out["raw_text"] = r.raw_text
+    if r.sections:
+        out["sections"] = [
+            {"name": s.name, "text": s.text, **({"header": s.header} if s.header else {})}
+            for s in r.sections
+        ]
+    if rec.t1_label is not None:
+        out["t1_label"] = rec.t1_label.value
+    if rec.t2_label is not None:
+        out["t2_label"] = rec.t2_label.value
+    return dumps_line(out)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

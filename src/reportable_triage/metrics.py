@@ -175,11 +175,10 @@ def render_eval_table(named_reports: Sequence[tuple[str, EvalReport]], task: Tie
     return "\n".join(lines) + "\n"
 
 
-def dumps_eval(named_reports: Sequence[tuple[str, EvalReport]], task: Tier,
-               extra: Optional[dict] = None) -> str:
+def dumps_eval(named_reports: Sequence[tuple[str, EvalReport]], task: Tier, extra: dict) -> str:
     doc = {
         "task": task.value,
-        **(extra or {}),
+        **extra,
         # Tier is a str enum, so a report's task is written as its value
         "models": [{"model": name, **asdict(report)} for name, report in named_reports],
     }

@@ -61,12 +61,11 @@ def default_policy(task: Tier, seed: int) -> UndersamplePolicy:
                              sampled_class=T2Label.REPORTABLE, ratio=1.2, seed=seed)
 
 
-def _require_label(record: LabeledReport, task: Tier) -> T1Label | T2Label:
+def require_label(record: LabeledReport, task: Tier) -> T1Label | T2Label:
+    """The record's label for task; ValidationError if it has none."""
     label = record.label_for(task)
     if label is None:
-        raise ValidationError(
-            f"record {record.report_id!r} has no {task.value} label"
-        )
+        raise ValidationError(f"record {record.report_id!r} has no {task.value} label")
     return label
 
 
@@ -74,7 +73,7 @@ def class_counts(corpus: Corpus, task: Tier) -> dict[str, int]:
     """Records per label value of task, every label listed, in label order."""
     counts = {member.value: 0 for member in task.label_type}
     for record in corpus:
-        counts[_require_label(record, task).value] += 1
+        counts[require_label(record, task).value] += 1
     return counts
 
 
@@ -90,7 +89,7 @@ def split(corpus: Corpus, spec: SplitSpec, task: Tier) -> tuple[Corpus, Corpus]:
     per-class train fraction within one record of train_fraction. Output
     corpora preserve the input record order.
     """
-    labels = [_require_label(record, task) for record in corpus]
+    labels = [require_label(record, task) for record in corpus]
     if spec.stratified:
         strata = [[i for i, lab in enumerate(labels) if lab is label]
                   for label in sorted(task.label_type, key=lambda m: m.value)]
@@ -113,7 +112,7 @@ def undersample(train: Corpus, policy: UndersamplePolicy) -> Corpus:
     kept_idx: list[int] = []
     sampled_idx: list[int] = []
     for i, record in enumerate(train.records):
-        label = _require_label(record, policy.task)
+        label = require_label(record, policy.task)
         if label == policy.kept_class:
             kept_idx.append(i)
         elif label == policy.sampled_class:

@@ -153,39 +153,25 @@ def load_synonym_table(path: str | Path) -> SectionSynonymTable:
 def parse_sections(raw_text: str, table: Optional[SectionSynonymTable] = None) -> list[Section]:
     if table is None:
         table = default_synonym_table()
-    if raw_text == "":
-        return []
-
-    sections: list[Section] = []
-    # (name, header_slice, body_parts)
-    current_name = PREAMBLE
-    current_header = ""
-    body_parts: list[str] = []
-
-    def flush() -> None:
-        if current_name == PREAMBLE and not current_header and not body_parts:
-            return
-        sections.append(
-            Section(name=current_name, text="".join(body_parts), header=current_header)
-        )
-
+    # (name, header line, body lines) of each section in turn, the preamble first
+    body: list[str] = []
+    parts = [(PREAMBLE, "", body)]
     for line in raw_text.splitlines(keepends=True):
         cut = header_end(line) if ":" in line else None
         if cut is None:
-            body_parts.append(line)
+            body.append(line)
             continue
-        flush()
         rest = line[cut:]
         if rest.strip():
             # same-line body content after the colon stays in the section text
-            header_slice, body_parts = line[:cut], [rest]
+            header, body = line[:cut], [rest]
         else:
-            header_slice, body_parts = line, []
-        name = table.lookup(line[:cut - 1])  # header content without the colon
-        current_name = name if name is not None else OTHER
-        current_header = header_slice
-    flush()
-    return sections
+            header, body = line, []
+        # header content without the colon; normalized names are never empty
+        parts.append((table.lookup(line[:cut - 1]) or OTHER, header, body))
+    # a header section always has its header line; the preamble is kept if it has text
+    return [Section(name=name, text="".join(body), header=header)
+            for name, header, body in parts if header or body]
 
 
 def reassemble(sections: Iterable[Section]) -> str:

@@ -171,6 +171,43 @@ def reference_header_end(line):
     return m.end()
 
 
+def _reference_header_key(raw):
+    """A raw header's synonym-table key: lowercase, punctuation dropped, one
+    space between words."""
+    kept = "".join(c for c in raw.lower() if not unicodedata.category(c).startswith("P"))
+    return " ".join(kept.split())
+
+
+def reference_parse_sections(raw_text, entries):
+    """sectioner.parse_sections stated line by line, for the synonym table
+    built from entries (raw header -> section name).
+
+    A line the header rule accepts starts a section; every other line joins
+    the section being read. A header line with text after its colon keeps
+    that text in the section body. The section's name is the table's name
+    for the header content before the colon, else "other". Text before the
+    first header is the "preamble", kept only if there is any.
+    """
+    synonyms = {_reference_header_key(raw): name for raw, name in entries.items()}
+    sections = []
+    name, header, body = "preamble", "", ""
+    for line in raw_text.splitlines(keepends=True):
+        cut = reference_header_end(line)
+        if cut is None:
+            body += line
+            continue
+        if header or body:
+            sections.append(Section(name=name, text=body, header=header))
+        name = synonyms.get(_reference_header_key(line[:cut - 1]), "other")
+        if line[cut:].strip():
+            header, body = line[:cut], line[cut:]
+        else:
+            header, body = line, ""
+    if header or body:
+        sections.append(Section(name=name, text=body, header=header))
+    return sections
+
+
 def _reference_sigmoid(z):
     z = max(min(z, _MAX_LOGIT), -_MAX_LOGIT)
     return 1.0 / (1.0 + np.exp(-z))
@@ -270,3 +307,59 @@ def reference_record_from_dict(obj, *, strict=False, where="record"):
         return LabeledReport(report, *labels)
     except ValidationError:
         raise ValidationError(f"{where}: field 't2_label': requires t1_label cancer") from None
+
+
+# --- reference cascade --------------------------------------------------------
+
+# per variant, the two primary sections in the order it reads them
+_REFERENCE_PRIMARY = {"a_synoptic_first": ("synoptic", "diagnosis"),
+                      "b_diagnosis_first": ("diagnosis", "synoptic")}
+# per tier, its negative label, then its positive label
+_REFERENCE_LABELS = {"t1": ("non_cancer", "cancer"), "t2": ("non_reportable", "reportable")}
+
+
+def _reference_block(report, tier):
+    """A tier's block for one report: each member scores its own input."""
+    labels = _REFERENCE_LABELS[tier.task.value]
+    members = []
+    for member, model in zip(tier.members, tier.backends):
+        if report.sections:
+            names = _REFERENCE_PRIMARY[member.variant.value] + tuple(member.fallback_sections)
+            chunks = reference_ordered_chunks(report.sections, names)
+        else:
+            chunks = [("raw_text", report.raw_text)]
+        text = reference_assemble(chunks, member.token_budget)[0]
+        probability = reference_score(model.weights, model.bias, text)
+        members.append({"backend_id": member.backend_id,
+                        "label": labels[probability >= member.threshold],
+                        "probability": probability, "threshold": member.threshold})
+    positive = any(m["label"] == labels[1] for m in members)
+    return {"combined": labels[positive], "combined_by": "or", "members": members}
+
+
+def reference_triage(reports, t1, t2, t2_report_ids=None):
+    """cascade.triage stated one report at a time: every member assembles
+    and scores its own input, a tier ORs its members' thresholded calls,
+    tier 2 scores the reports tier 1 calls cancer (or those of
+    t2_report_ids), and the final label follows tier 1, then tier 2.
+
+    t1 and t2 hold members and, at the same index, baseline models
+    (weights and bias), as a cascade.TierConfig of local members does."""
+    outcomes = []
+    for report in reports:
+        t1_block = _reference_block(report, t1)
+        t1_positive = t1_block["combined"] == "cancer"
+        if t2_report_ids is None:
+            scored = t1_positive
+        else:
+            scored = report.report_id in t2_report_ids
+        t2_block = _reference_block(report, t2) if scored else None
+        if not t1_positive:
+            final = "non_cancer"
+        elif t2_block is not None and t2_block["combined"] == "reportable":
+            final = "cancer_reportable"
+        else:
+            final = "cancer_non_reportable"
+        outcomes.append({"report_id": report.report_id, "final": final,
+                         "t1": t1_block, "t2": t2_block})
+    return outcomes

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from reportable_triage.errors import TriageError, ValidationError
 from reportable_triage.preprocess import PipelineVariant, assemble_input, normalize_text
 
 from mock_server import MockClassifyServer
+from oracles import reference_triage
 
 A, B = PipelineVariant.A_SYNOPTIC_FIRST, PipelineVariant.B_DIAGNOSIS_FIRST
 
@@ -136,6 +139,9 @@ def test_tier_config_needs_two_distinct_variants():
          r"members\[0\]: threshold must be in \(0, 1\)"),
         ((member("x", A), member("y", B, threshold=1.0)), (x, y),
          r"members\[1\]: threshold must be in \(0, 1\)"),
+        # evaluate names the ensemble "combined", beside its members
+        ((member("x", A), member("combined", B)), (x, y),
+         r"members\[1\]: backend_id must not be 'combined'"),
     ]
     for members, backends, reason in rejected:
         with pytest.raises(ValidationError, match=r"^t1 tier\b.*" + reason):
@@ -563,11 +569,101 @@ def test_tier1_assembles_the_next_batch_while_the_service_scores_this_one(monkey
     assert [answered for _, answered in t1_a] == [through(k + 1) for k in range(n // batch)]
 
 
+def test_backend_returning_the_wrong_number_of_scores_fails_the_batch():
+    class Short(KeywordBackend):
+        def score_features(self, inputs):
+            return super().score_features(inputs)[1:]
+
+    reports = [report_from_raw(f"R{i}", cancer_raw()) for i in range(3)]
+    t1 = tier_of(Tier.T1, {"kw-a": KeywordBackend("carcinoma"), "short": Short("carcinoma")})
+    with pytest.raises(TriageError) as exc:
+        triage(reports, t1, keyword_tier(Tier.T2), batch_size=2)
+    assert not isinstance(exc.value, ValidationError)  # a runtime failure: exit 2
+    assert str(exc.value) == "backend 'short' returned 1 scores for 2 reports"
+
+
 def test_triage_rejects_swapped_tier_configs():
     t1, t2 = full_cascade()
     with pytest.raises(ValidationError) as exc:
         triage([], t2, t1)
     assert str(exc.value) == "triage needs a t1 config and a t2 config, in that order"
+
+
+# --- one statement of what triage computes --------------------------------------
+
+_FALLBACKS = [(), ("specimen",), ("other", "preamble"), ("specimen", "diagnosis")]
+
+
+def reference_setup(i, rng):
+    """Set-up i of the reference-cascade test: (reports, t1, t2, t2_report_ids,
+    batch_size), every tier of random local models. i cycles the batch size
+    (1, 7, more than the corpus), the t2 scope and raw-only against
+    sectioned reports, and set-up 1 has no reports; rng draws the rest."""
+    corpus = synth_corpus(SynthSpec(n_reports=0 if i == 1 else rng.randrange(1, 121),
+                                    vocabulary_signal_strength=rng.random()),
+                          seed=rng.randrange(1 << 16))
+    reports = [r.report for r in corpus]
+    if i // 2 % 2:  # raw only: triage assembles each whole raw text
+        reports = [replace(r, sections=()) for r in reports]
+    dims = {key: rng.choice([64, 1024]) for key in ("t1", "t2")}
+
+    def tier(task, shared_with=None):
+        members, models = [], []
+        for variant in (A, B):
+            settings = {"threshold": rng.choice([0.1, 0.5, 0.9]),
+                        "token_budget": rng.choice([3, 8, 512]),
+                        "fallback_sections": rng.choice(_FALLBACKS)}
+            dim = dims[task.value]
+            if shared_with is not None and rng.random() < 0.5:
+                # the t1 member of the same variant's key and feature_dim: the rider runs
+                t1_member = next(m for m in shared_with.members if m.variant is variant)
+                settings["token_budget"] = t1_member.token_budget
+                settings["fallback_sections"] = t1_member.fallback_sections
+                dim = dims["t1"]
+            members.append(member(f"{task.value}-{variant.value}", variant, **settings))
+            models.append(random_model(rng.randrange(1 << 30), dim))
+        return TierConfig(task=task, members=tuple(members), backends=tuple(models))
+
+    t1 = tier(Tier.T1)
+    t2 = tier(Tier.T2, shared_with=t1)
+    ids = None if i % 2 else {r.report_id for r in reports if rng.random() < 0.5}
+    batch_size = [1, 7, len(reports) + 1][i % 3]
+    return reports, t1, t2, ids, batch_size
+
+
+def test_triage_equals_the_reference_cascade():
+    rng = random.Random(26)
+    for i in range(36):
+        reports, t1, t2, ids, batch_size = reference_setup(i, rng)
+        assert (triage(reports, t1, t2, batch_size=batch_size, t2_report_ids=ids)
+                == reference_triage(reports, t1, t2, ids)), f"set-up {i}"
+
+
+def serve_model(model):
+    """A mock service responder that scores each text with model."""
+    def responder(captured):
+        texts = json.loads(captured.body)["texts"]
+        scores = model.score_features(FeatureRows.hash_texts(texts, model.feature_dim))
+        return 200, json.dumps({"scores": scores}).encode()
+    return responder
+
+
+def test_triage_with_remote_members_equals_the_reference_cascade():
+    reports, t1, t2, ids, _ = reference_setup(0, random.Random(3))
+    assert reports and ids
+    with contextlib.ExitStack() as stack:
+        servers = [stack.enter_context(MockClassifyServer(serve_model(model)))
+                   for model in t1.backends + t2.backends]
+        remote = [RemoteBackend(endpoint=server.endpoint, task=task, timeout=5)
+                  for server, task in zip(servers, (Tier.T1, Tier.T1, Tier.T2, Tier.T2))]
+        for backend in remote:
+            stack.callback(backend.close)
+        remote_t1 = TierConfig(task=Tier.T1, members=t1.members, backends=tuple(remote[:2]))
+        remote_t2 = TierConfig(task=Tier.T2, members=t2.members, backends=tuple(remote[2:]))
+        for scope in (None, ids):
+            assert (triage(reports, remote_t1, remote_t2, batch_size=7, t2_report_ids=scope)
+                    == reference_triage(reports, t1, t2, scope))
+    assert all(server.requests for server in servers)
 
 
 # --- FN-subset property --------------------------------------------------------
@@ -641,7 +737,7 @@ def test_read_outcomes_accepts_non_ascii_ids(tmp_path):
                {"backend_id": "modèle-b", "label": "non_cancer", "probability": 0,
                 "threshold": 0.5}]
     line = {"report_id": "rapport-é1", "final": "non_cancer",
-            "t1": {"combined": "non_cancer", "members": members}}
+            "t1": {"combined": "non_cancer", "combined_by": "or", "members": members}}
     path = tmp_path / "o.jsonl"
     path.write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
     assert read_outcomes(path) == {"rapport-é1": line}

@@ -205,8 +205,12 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
      "tiers.t2.undersample: kept_class and sampled_class must differ"),
     (("tiers", "t1", "members", 0, "variant"), "z",
      "tiers.t1.members[0]: field 'variant': expected one of: a, b"),
+    (("tiers", "t1", "members", 0), "t1-baseline-a",
+     "tiers.t1.members[0]: member must be an object"),
+    (("tiers", "t2", "members", 1, "token_budget"), 0,
+     "tiers.t2.members[1]: token_budget must be positive"),
 ], ids=["epochs-0", "feature-dim-3", "train-fraction-1.5", "ratio-negative",
-        "kept-equals-sampled", "variant-unknown"])
+        "kept-equals-sampled", "variant-unknown", "member-not-an-object", "token-budget-0"])
 def test_config_value_breaking_a_rule_names_its_key_path(tmp_path, capsys, key_path, value,
                                                           line):
     config = write_config(tmp_path)
@@ -820,6 +824,11 @@ MALFORMED_BLOCKS = {
     "label of the other tier": {"combined": "cancer",
                                 "members": [{"backend_id": "model-a", "label": "reportable"},
                                             MEMBER_B]},
+    "three members": {"combined": "cancer",
+                      "members": [{"backend_id": "model-a"}, MEMBER_B, MEMBER_B]},
+    "member not an object": {"combined": "cancer", "members": ["model-a", MEMBER_B]},
+    "same backend_id": {"combined": "cancer", "combined_by": "or",
+                        "members": [{**MEMBER_B, "probability": 0.9, "threshold": 0.5}] * 2},
 }
 
 
@@ -837,6 +846,9 @@ MALFORMED_REASONS = {
         "line 2: t1: members[0]: field 'backend_id': expected a string, got an array",
     "label of the other tier":
         "line 2: t1: members[0]: field 'label': expected one of: cancer, non_cancer",
+    "three members": "line 2: t1: field 'members': needs exactly two member objects",
+    "member not an object": "line 2: t1: field 'members': needs exactly two member objects",
+    "same backend_id": "line 2: t1: field 'members': backend_ids are not distinct",
 }
 
 
@@ -1404,3 +1416,258 @@ def test_strict_mode_rejects_unknown_corpus_fields(tmp_path, capsys):
     code = main(["--strict", "--config", str(config), "build-dataset", "--tier", "t1"])
     assert code == 1
     assert "surprise" in capsys.readouterr().err
+
+
+# --- error paths each named in one line -------------------------------------------
+
+def error_line(capsys):
+    """The one line a failed command wrote to stderr; there is no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def edited_config_file(tmp_path, edit, **settings):
+    """config_doc(**settings) after edit(doc), written to tmp_path/config.json."""
+    doc = config_doc(**settings)
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_member_named_combined_exits_1_naming_it(pipeline, tmp_path, capsys, index):
+    # evaluate names the ensemble "combined": a member of that name would
+    # triage, and its outcomes could never be evaluated
+    base, _, _ = pipeline
+
+    def edit(doc):
+        doc["out_dir"] = str(base / "out")
+        doc["tiers"]["t1"]["members"][index]["backend_id"] = "combined"
+
+    config = edited_config_file(tmp_path, edit, corpus=str(base / "out/t1/test.jsonl"))
+    assert main(["--config", str(config), "triage", "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert error_line(capsys) == \
+        f"error: tiers.t1.members[{index}]: backend_id must not be 'combined'"
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("combined_by", ["and", "absent", None, ["or"]],
+                         ids=["and", "absent", "null", "list"])
+def test_evaluate_combined_by_other_than_or_exits_1(tmp_path, capsys, combined_by):
+    outcome = json.loads(synthetic_outcome_line("E1", True, False))
+    if combined_by == "absent":
+        del outcome["t1"]["combined_by"]
+    else:
+        outcome["t1"]["combined_by"] = combined_by
+    assert evaluate_one_outcome_line(tmp_path, json.dumps(outcome)) == 1
+    line = error_line(capsys)
+    assert line.endswith("line 2: t1: field 'combined_by': expected \"or\"")
+    assert "and" not in line.split("line 2:")[1]  # the value is not echoed
+
+
+def evaluate_t2_fixture(tmp_path, edit_lines, gating):
+    """evaluate --tier t2 of the engineered t2 fixture after edit_lines(lines).
+    synthetic_outcome_line(rid, False, False) is a predicted-scope line of a
+    report tier 1 calls non_cancer: it has no t2 block."""
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2, miss_a=set(),
+                                        miss_b=set(), tier="t2")
+    lines = edit_lines(outcomes.read_text().splitlines())
+    outcomes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t2", "--gating", gating, "--out", str(tmp_path)])
+
+
+def test_evaluate_gold_gating_on_a_predicted_scope_file_exits_1(tmp_path, capsys):
+    assert evaluate_t2_fixture(
+        tmp_path, lambda lines: [synthetic_outcome_line("E0", False, False)] + lines[1:],
+        "gold") == 1
+    assert error_line(capsys) == (
+        "error: unjoinable report_ids (gold t2 records without t2 results, "
+        "was triage run with --t2-scope gold?): E0")
+
+
+def test_evaluate_no_t2_results_under_predicted_gating_exits_1(tmp_path, capsys):
+    assert evaluate_t2_fixture(tmp_path,
+                               lambda lines: [synthetic_outcome_line(f"E{i}", False, False)
+                                              for i in range(5)],
+                               "predicted") == 1
+    assert error_line(capsys) == "error: no evaluable records remain under predicted gating"
+
+
+def test_evaluate_t2_of_a_gold_corpus_without_t2_labels_exits_1(tmp_path, capsys):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2, miss_a=set(), miss_b=set())
+    assert main(["evaluate", "--outcomes", str(outcomes), "--gold", str(gold),
+                 "--tier", "t2", "--out", str(tmp_path)]) == 1
+    assert error_line(capsys) == "error: gold corpus has no t2 labels"
+
+
+@pytest.mark.parametrize("backend_id, reason", [
+    ("combined", "outcome 'E1': a member's backend_id is 'combined'"),
+    ("model-x", "outcomes file is inconsistent: model 'model-a' appears in 4 of 5 "
+                "evaluated records"),
+], ids=["combined", "renamed"])
+def test_evaluate_member_names_that_do_not_hold_exits_1(tmp_path, capsys, backend_id, reason):
+    # a file triage did not write: a member named as the ensemble, or one
+    # line whose first member has another name than the other lines'
+    line = edited_outcome("E1", True, True,
+                          lambda o: o["t1"]["members"][0].update(backend_id=backend_id))
+    assert evaluate_one_outcome_line(tmp_path, line) == 1
+    assert error_line(capsys) == f"error: {reason}"
+
+
+def test_build_dataset_without_a_corpus_exits_1(tmp_path, capsys):
+    config = edited_config_file(tmp_path, lambda doc: doc.pop("corpus"))
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    assert error_line(capsys) == \
+        "error: no corpus given: pass --corpus or set 'corpus' in the config"
+
+
+def test_triage_remote_member_without_an_endpoint_exits_1(tmp_path, capsys, monkeypatch):
+    for variable in ("TRIAGE_REMOTE_ENDPOINT_T1", "TRIAGE_REMOTE_ENDPOINT_T2"):
+        monkeypatch.delenv(variable, raising=False)
+    config = write_config(tmp_path, remote_kind=True)
+    assert main(["--config", str(config), "triage"]) == 1
+    assert error_line(capsys) == (
+        "error: member 't1-baseline-a' is remote but no endpoint is configured for t1 "
+        "(config remote.endpoints or TRIAGE_REMOTE_ENDPOINT_*)")
+
+
+def test_train_baseline_of_a_remote_member_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path, remote_kind=True)
+    assert main(["--config", str(config), "train-baseline", "--tier", "t2",
+                 "--variant", "b"]) == 1
+    assert error_line(capsys) == "error: member 't2-baseline-b' is remote, not native_baseline"
+
+
+def test_triage_gold_scope_without_t2_labels_exits_1(pipeline, tmp_path, capsys):
+    base, config, corpus = pipeline
+    unlabeled = tmp_path / "no_t2.jsonl"
+    write_corpus(Corpus(records=[replace(r, t2_label=None) for r in corpus]), unlabeled)
+    assert main(["--config", str(config), "triage", "--corpus", str(unlabeled),
+                 "--t2-scope", "gold", "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert error_line(capsys) == "error: --t2-scope gold requires t2 labels in the input corpus"
+
+
+def test_train_baseline_on_an_unlabeled_record_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path)
+    records = [LabeledReport(PathologyReport(f"L{i}", 2023, "DIAGNOSIS:\nx\n"),
+                             T1Label.CANCER if i else T1Label.NON_CANCER) for i in range(3)]
+    records.insert(2, LabeledReport(PathologyReport("U1", 2023, "DIAGNOSIS:\ny\n")))
+    write_corpus(Corpus(records=records), tmp_path / "out/t1/train.jsonl")
+    assert main(["--config", str(config), "train-baseline", "--tier", "t1",
+                 "--variant", "a"]) == 1
+    assert error_line(capsys) == "error: record 'U1' has no t1 label"
+    assert not (tmp_path / "out/models").exists()
+
+
+def test_evaluate_writes_to_the_config_out_dir_else_the_working_directory(
+        tmp_path, capsys, monkeypatch):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2, miss_a=set(), miss_b=set())
+    evaluate = ["evaluate", "--outcomes", str(outcomes), "--gold", str(gold), "--tier", "t1"]
+    config = write_config(tmp_path)
+    assert main(["--config", str(config), *evaluate]) == 0
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    assert written == {"eval_t1.json", "eval_t1.txt"}
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(evaluate) == 0
+    assert {p.name for p in cwd.iterdir()} == written
+    assert (cwd / "eval_t1.json").read_bytes() == (tmp_path / "out/eval_t1.json").read_bytes()
+
+
+def test_config_file_missing_not_an_object_or_without_tiers_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for doc, reason in ((None, f"config file not found: {config}"),
+                        ([config_doc()], f"{config}: config must be a JSON object"),
+                        ({**config_doc(), "tiers": {}}, f"{config}: config defines no tiers")):
+        if doc is not None:
+            config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+        assert error_line(capsys) == f"error: {reason}"
+
+
+def test_triage_with_a_config_of_tier_1_only_exits_1(pipeline, tmp_path, capsys):
+    base, _, _ = pipeline
+    config = edited_config_file(tmp_path, lambda doc: doc["tiers"].pop("t2"),
+                                corpus=str(base / "out/t1/test.jsonl"))
+    assert main(["--config", str(config), "--out-dir", str(base / "out"), "triage",
+                 "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert error_line(capsys) == "error: config has no settings for tier 't2'"
+
+
+def test_triage_model_file_shorter_than_its_header_exits_1(pipeline, tmp_path, capsys):
+    base, config, _ = pipeline
+    out_dir = tmp_path / "out"
+    shutil.copytree(base / "out/models", out_dir / "models")
+    model = out_dir / "models/t2_b.bin"
+    model.write_bytes(model.read_bytes()[:10])
+    assert main(["--config", str(config), "--out-dir", str(out_dir), "triage",
+                 "--corpus", str(base / "out/t1/test.jsonl"),
+                 "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert error_line(capsys) == f"error: {model}: truncated model file"
+
+
+def test_failed_replace_exits_2_and_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def failing_replace(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    out_dir = tmp_path / "data"
+    out_dir.mkdir()
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["synth", "--n", "5", "--seed", "1", "--out", str(out_dir / "c.jsonl")]) == 2
+    assert error_line(capsys) == f"error: [Errno 13] Permission denied: '{out_dir / 'c.jsonl'}'"
+    assert list(out_dir.iterdir()) == []
+
+
+# --- reruns in separate processes ---------------------------------------------------
+
+# synth, both datasets, the four members, triage in both scopes, then both
+# evaluations, each through cli.main, in one process; paths are relative
+PIPELINE_SCRIPT = """
+import sys
+from reportable_triage.cli import main
+
+config = ["--config", "config.json"]
+commands = [
+    ["synth", "--n", "300", "--seed", "4", "--signal", "0.5", "--out", "corpus.jsonl"],
+    *([*config, "build-dataset", "--tier", t] for t in ("t1", "t2")),
+    *([*config, "train-baseline", "--tier", t, "--variant", v] for t in ("t1", "t2")
+      for v in ("a", "b")),
+    [*config, "triage", "--corpus", "out/t1/test.jsonl", "--out", "out/predicted.jsonl"],
+    [*config, "triage", "--corpus", "out/t2/test.jsonl", "--t2-scope", "gold",
+     "--out", "out/gold.jsonl"],
+    [*config, "evaluate", "--outcomes", "out/predicted.jsonl", "--gold", "out/t1/test.jsonl",
+     "--tier", "t1", "--out", "out/eval_predicted"],
+    [*config, "evaluate", "--outcomes", "out/gold.jsonl", "--gold", "out/t2/test.jsonl",
+     "--tier", "t2", "--gating", "gold", "--out", "out/eval_gold"],
+]
+for argv in commands:
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+"""
+
+
+def test_reruns_in_processes_of_other_hash_seeds_write_the_same_bytes(tmp_path):
+    runs = []
+    for hash_seed in ("0", "1"):
+        work = tmp_path / f"hash_seed_{hash_seed}"
+        work.mkdir()
+        write_config(work, epochs=2, feature_dim=1 << 14)
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", PIPELINE_SCRIPT], env=env, cwd=work,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        files = {p.relative_to(work): p.read_bytes() for p in sorted(work.rglob("*"))
+                 if p.is_file()}
+        runs.append((done.stdout.replace(str(work), "<work>"), files))  # out_dir is absolute
+    (stdout_0, files_0), (stdout_1, files_1) = runs
+    assert len(files_0) == 18  # config, corpus, 2 x 3 dataset files, 4 models, 2 outcomes, 4 evals
+    assert files_0.keys() == files_1.keys()
+    assert [name for name in files_0 if files_0[name] != files_1[name]] == []
+    assert stdout_0 == stdout_1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from reportable_triage.corpus import PathologyReport
 from reportable_triage.errors import ValidationError
 from reportable_triage.sectioner import (
+    _DEFAULT_ENTRIES,
     SectionSynonymTable,
     default_synonym_table,
     ensure_sections,
@@ -17,7 +18,7 @@ from reportable_triage.sectioner import (
     reassemble,
 )
 
-from oracles import reference_header_end
+from oracles import reference_header_end, reference_parse_sections
 
 TABLE = default_synonym_table()
 
@@ -222,3 +223,35 @@ def test_header_scan_agrees_with_reference_line_by_line(text):
     for line in (text, *text.splitlines(keepends=True)):
         assert header_end(line) == reference_header_end(line)
         assert (header_end(line) if ":" in line else None) == reference_header_end(line)
+
+
+# a table whose headers also map to the names parse_sections gives text
+# before the first header and headers it does not know
+_EDGE_ENTRIES = {**_DEFAULT_ENTRIES, "PREFACE": "preamble", "NOTES": "other",
+                 "CLINICAL HISTORY": "history"}
+# whole lines: headers of both tables, spelled several ways, checklist lines
+# the uppercase test rejects, same-line bodies, and line ends of every kind
+_REPORT_LINES = st.sampled_from([
+    "FINAL DIAGNOSIS:", "Final Diagnosis:", "SYNOPTIC REPORT:", "SPECIMEN(S) RECEIVED:",
+    "GROSS DESCRIPTION:", "PREFACE:", "NOTES:", "CLINICAL HISTORY:", "MICROSCOPIC:",
+    "  DIAGNOSIS :", "DIAGNOSIS: invasive carcinoma", "SYNOPTIC: pT2 N0", "NOTES:   ",
+    "Tumour size: 2 cm", "Margins: clear", "benign skin", "", " ", "carcinoma, grade 2",
+    "12: x", "A & B/C-D:", "ÉTAT:",
+])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "", "\x0b", "\u2028"])
+
+
+@given(st.lists(st.tuples(_REPORT_LINES, _LINE_ENDS), max_size=16),
+       st.sampled_from(["default", "edge"]))
+@example([], "default")
+@example([("", "\n")], "default")
+@example([("PREFACE:", "\n"), ("text", "")], "edge")
+@example([("NOTES: x", "\r\n")], "edge")
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_parse_sections_equals_reference(lines, table):
+    raw = "".join(line + end for line, end in lines)
+    entries = _DEFAULT_ENTRIES if table == "default" else _EDGE_ENTRIES
+    expected = reference_parse_sections(raw, entries)
+    assert parse_sections(raw, SectionSynonymTable(entries)) == expected
+    if table == "default":
+        assert parse_sections(raw) == expected
