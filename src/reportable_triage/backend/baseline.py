@@ -17,17 +17,21 @@ Each scoring or training call hashes its batch once into CSR arrays
 (`FeatureRows`), with numpy array operations rather than per-feature Python:
 
 - Ids. The only per-text Python step splits the text. A block's tokens
-  are mapped to ids of a vocabulary that lives for one call in one step,
-  and their strings die with the block. Each distinct token is encoded and
-  CRC'd once: its unigram CRC, the CRC state after b"b\\x00" + token +
-  b"\\x1f", and the CRC of its bytes alone.
+  are mapped to ids in one pass through a vocabulary that lives for one
+  call, a defaultdict that gives a token new to it the next id, so ids
+  follow first occurrence; the block's token strings die with it. Each
+  distinct token is encoded and CRC'd once: its unigram CRC, the CRC state
+  after b"b\\x00" + token + b"\\x1f", and the CRC of its bytes alone.
 - Shift tables. CRC-32 is affine in its starting state: crc32(d, s) ==
   crc32(d) ^ A^len(d)(s), where A is the linear map one zero byte applies
   to the register (the identity behind zlib's crc32_combine). So a bigram
   hashes as crc32(right) ^ A^len(right)(state of left), for all bigrams of
-  a batch at once. A^n is composed from 32 tables of A^(2^j), each a
-  (4, 256) uint32 table gathered one byte of the state at a time; each
-  table squares the one before.
+  a batch at once. A^n is a (4, 256) uint32 table gathered one byte of the
+  state at a time. The tables of A^n for n = 0..63 are built at import,
+  each A applied to the one before; a call composes the table of each
+  longer token length it meets from the 32 tables of A^(2^j). Each
+  vocabulary token keeps its length's table offset, so the bigrams of a
+  block are four gathers from one flat array.
 - First-seen dedupe. A row's elements are its unigrams left to right, then
   its bigrams. One sort of (row, index, position) keys groups equal
   (row, index) pairs, first occurrence first; that gives each pair's count,
@@ -38,9 +42,11 @@ Each scoring or training call hashes its batch once into CSR arrays
 
 A row's logit is the bias plus a left-to-right sum of weight * count over
 the row, in the order hashing first saw each index, so it is the same float
-as a sum over the row's dict. Sums stay sequential, one vectorized step per
-column position across the batch: `np.sum`, `np.add.reduceat` and `np.dot`
-add in other orders and would move the last bits.
+as a sum over the row's dict. Sums stay sequential: a batch with fewer rows
+than its widest row sums each row with one `np.cumsum`, and any other batch
+takes one vectorized step per column position across its rows. Both add in
+the same order; `np.sum`, `np.add.reduceat` and `np.dot` add in other
+orders and would move the last bits.
 
 Model files are little-endian binary: a fixed header (magic, format version,
 feature_dim, seed, epochs, learning_rate, l2, bias, final_loss) followed by
@@ -51,7 +57,9 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -105,31 +113,72 @@ def _shift_tables() -> np.ndarray:
 _SHIFT_TABLES = _shift_tables()
 
 
+def _length_tables() -> np.ndarray:
+    """Tables of A^n, n = 0..63, each A applied to the one before; A^0 maps
+    each byte to itself in its place."""
+    table = np.array([[byte << 8 * k for byte in range(256)] for k in range(4)],
+                     dtype=np.uint32)
+    tables = [table]
+    for _ in range(63):
+        table = _apply(_SHIFT_TABLES[0], table)
+        tables.append(table)
+    return np.stack(tables)
+
+
+# 256 KB: a table for every byte count of a token up to 63
+_LENGTH_TABLES = _length_tables()
+
+
+def _tables_for(nbytes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A flat array of (4, 256) tables and, for each byte count n, the offset
+    of A^n's table in it, as int64.
+
+    Counts of 64 or more get tables composed for this call from the
+    power-of-two tables of their higher set bits, after the constant ones.
+    """
+    n_fixed = len(_LENGTH_TABLES)
+    offsets = nbytes.astype(np.int64)
+    is_long = offsets >= n_fixed
+    if not is_long.any():
+        return _LENGTH_TABLES.reshape(-1), offsets << 10
+    counts, which = np.unique(offsets[is_long], return_inverse=True)
+    composed = []
+    for n in counts.tolist():
+        table = _LENGTH_TABLES[n % n_fixed]
+        for j in range(n_fixed.bit_length() - 1, n.bit_length()):
+            if n >> j & 1:
+                table = _apply(_SHIFT_TABLES[j], table)
+        composed.append(table)
+    offsets[is_long] = n_fixed + which
+    return np.concatenate((_LENGTH_TABLES, np.stack(composed))).reshape(-1), offsets << 10
+
+
+def _shift(tables: np.ndarray, offsets: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """_apply for each state with its own table, at its offset in the flat tables."""
+    return (tables[offsets + (states & 0xFF)] ^ tables[offsets + 256 + ((states >> 8) & 0xFF)]
+            ^ tables[offsets + 512 + ((states >> 16) & 0xFF)]
+            ^ tables[offsets + 768 + (states >> 24)])
+
+
 def crc_shift(states: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
-    """A^n(s) for each uint32 state s and byte count n, composed from the
-    power-of-two tables of n's set bits: crc32(d, s) == crc32(d) ^ crc_shift(s, len(d))."""
-    states = states.copy()
-    for j in range(int(nbytes.max(initial=0)).bit_length()):
-        sel = np.flatnonzero((nbytes >> j) & 1)
-        states[sel] = _apply(_SHIFT_TABLES[j], states[sel])
-    return states
+    """A^n(s) for each uint32 state s and byte count n, one table per count:
+    crc32(d, s) == crc32(d) ^ crc_shift(s, len(d))."""
+    return _shift(*_tables_for(nbytes), states)
 
 
-def hash_token_features(tokens: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+def hash_token_features(tokens: Sequence[str], codes: defaultdict[str, int]) -> np.ndarray:
     """The vocabulary ids of a block's tokens, in order, as int64.
 
-    Tokens new to `codes`, the batch's vocabulary, get the next ids in the
-    order they first occur. `FeatureRows.hash_texts` calls this once per
-    block, with the block's texts' tokens one after another; it is the step
-    the benchmark's tracer times and counts as `baseline.hash`.
+    `codes`, the batch's vocabulary, gives a token new to it the next id, so
+    ids follow the order tokens first occur. `FeatureRows.hash_texts` calls
+    this once per block, with the block's texts' tokens one after another;
+    it is the step the benchmark's tracer times and counts as `baseline.hash`.
     """
-    new = [tok for tok in dict.fromkeys(tokens) if tok not in codes]
-    codes.update(zip(new, range(len(codes), len(codes) + len(new))))
     return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
 
 
 def _token_id_blocks(texts: Iterable[str],
-                     codes: dict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                     codes: defaultdict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per block of consecutive texts, its token ids and its texts' token
     counts, as int64.
 
@@ -154,12 +203,14 @@ def _token_id_blocks(texts: Iterable[str],
 @dataclass(frozen=True)
 class _TokenCodes:
     """Per vocabulary id: unigram CRC, CRC state after b"b\\x00" + token +
-    b"\\x1f", CRC of the token's bytes alone, and their number."""
+    b"\\x1f", CRC of the token's bytes alone, and the offset in `tables` of
+    the shift table for its number of bytes."""
 
     unigram: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    nbytes: np.ndarray
+    offset: np.ndarray
+    tables: np.ndarray
 
     @classmethod
     def of(cls, vocabulary: Iterable[str]) -> "_TokenCodes":
@@ -168,10 +219,10 @@ class _TokenCodes:
         def column(values, dtype=np.uint32):
             return np.fromiter(values, dtype, len(raw))
 
+        tables, offset = _tables_for(column(map(len, raw), np.int64))
         return cls(column(zlib.crc32(r, _UNIGRAM_STATE) for r in raw),
                    column(zlib.crc32(b"\x1f", zlib.crc32(r, _BIGRAM_STATE)) for r in raw),
-                   column(map(zlib.crc32, raw)),
-                   column(map(len, raw), np.int64))
+                   column(map(zlib.crc32, raw)), offset, tables)
 
     def hash_block(self, ids: np.ndarray, lengths: np.ndarray,
                    feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,12 +250,13 @@ class _TokenCodes:
 
         hashes = np.empty(eptr[-1], dtype=np.uint32)
         hashes[unigram_at] = self.unigram[ids]
-        hashes[bigram_at[left]] = (crc_shift(self.left[left_ids], self.nbytes[right_ids])
-                                   ^ self.right[right_ids])
+        hashes[bigram_at[left]] = (_shift(self.tables, self.offset[right_ids],
+                                          self.left[left_ids]) ^ self.right[right_ids])
         hashes &= np.uint32(feature_dim - 1)
 
         # (row, index, position) keys, built in place to keep one array of them
-        pos_bits = np.uint64(len(hashes).bit_length())
+        n_bits = len(hashes).bit_length()
+        pos_bits, pos_mask = np.uint64(n_bits), np.uint64((1 << n_bits) - 1)
         keys = np.repeat(np.arange(n_rows, dtype=np.uint64) * np.uint64(feature_dim),
                          n_elements)
         keys += hashes
@@ -216,7 +268,7 @@ class _TokenCodes:
         is_start[1:] = pair[1:] != pair[:-1]
         starts = np.flatnonzero(is_start)
         counts = np.zeros(len(hashes), dtype=np.uint32)
-        counts[keys[starts] - (pair[starts] << pos_bits)] = np.diff(starts, append=len(keys))
+        counts[keys[starts] & pos_mask] = np.diff(starts, append=len(keys))
         first = np.flatnonzero(counts)
         return hashes[first], counts[first], np.diff(np.searchsorted(first, eptr))
 
@@ -246,7 +298,7 @@ class FeatureRows:
         """
         # one vocabulary per batch: it dies with the call, so it is never
         # shared and never outgrows the batch
-        codes: dict[str, int] = {}
+        codes: defaultdict[str, int] = defaultdict(count().__next__)
         blocks = list(_token_id_blocks(texts, codes))
         token_codes = _TokenCodes.of(codes)
 
@@ -271,12 +323,18 @@ class FeatureRows:
     def logits(self, weights: np.ndarray, bias: float) -> list[float]:
         """bias + each row's weight * count products summed left to right.
 
-        Rows are visited widest first, so the rows that have a j-th product
-        are a prefix of that order, and column j is added to all of them in
-        one step: each row's sum is still ((p0 + p1) + p2) + ...
+        A batch with fewer rows than its widest row sums each row with one
+        cumsum. Otherwise rows are visited widest first, so the rows that
+        have a j-th product are a prefix of that order, and column j is added
+        to all of them in one step: each row's sum is still
+        ((p0 + p1) + p2) + ...
         """
         products = weights[self.indices] * self.values
         lengths = np.diff(self.indptr)
+        if len(lengths) < lengths.max(initial=0):
+            bounds = self.indptr.tolist()
+            sums = np.array([_sequential_sum(products[a:b]) for a, b in zip(bounds, bounds[1:])])
+            return (bias + sums).tolist()
         order = np.argsort(-lengths, kind="stable")
         starts = self.indptr[:-1][order]
         # active[j]: how many rows have more than j products

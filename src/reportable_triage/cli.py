@@ -210,13 +210,14 @@ def cmd_train_baseline(args) -> int:
 
 def cmd_triage(args) -> int:
     cfg = _load_config(args)
+    # before any model loads, so that a config without a corpus says so
+    corpus_path = _resolve_corpus(args, cfg)
     t1, t2 = (
         cascade.TierConfig(task=s.task, members=s.members,
                            backends=tuple(_make_backend(cfg, s.task, m) for m in s.members))
         for s in (cfg.tier(Tier.T1), cfg.tier(Tier.T2))
     )
-    corpus_path = _require_file(_resolve_corpus(args, cfg), "corpus file")
-    corpus = load_corpus(corpus_path, strict=args.strict)
+    corpus = load_corpus(_require_file(corpus_path, "corpus file"), strict=args.strict)
 
     t2_ids: Optional[set] = None
     if args.t2_scope == "gold":
@@ -248,6 +249,8 @@ def cmd_triage(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # checked whenever given, also when --out leaves it nothing to supply
+    cfg = _load_config(args) if args.config else None
     tier = Tier(args.tier)
     outcomes = cascade.read_outcomes(_require_file(Path(args.outcomes), "outcomes file"))
     gold = load_corpus(_require_file(Path(args.gold), "gold corpus"), strict=args.strict)
@@ -263,8 +266,8 @@ def cmd_evaluate(args) -> int:
 
     if args.out:
         out_dir = Path(args.out)
-    elif args.config:
-        out_dir = _load_config(args).out_dir
+    elif cfg is not None:
+        out_dir = cfg.out_dir
     else:
         out_dir = Path(".")
     json_path = out_dir / f"eval_{tier.value}.json"

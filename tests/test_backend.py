@@ -131,6 +131,12 @@ TEXTS = st.lists(st.lists(st.sampled_from(["a", "b", "carcinoma", "é", "\U0001f
 # than a block and has one to itself, the fourth starts a new one
 @example(texts=["a b", "c", "d e f g h i j", "k é", "\U0001f600 " * 5], feature_dim=1 << 24,
          block=3)
+# right tokens of 63, 64 and 65 bytes, in 2- and 4-byte characters: the last
+# constant shift table, and the first two composed for the call
+@example(texts=["a " + "é" * 31 + "x " + "é" * 32 + " " + "\U0001f600" * 16 + "x b"],
+         feature_dim=1 << 18, block=BLOCK_TOKENS)
+@example(texts=["\U0001f600" * 16 + "x " + "é" * 32, "x" * 63 + " é " + "x" * 65],
+         feature_dim=16, block=2)
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_hashing_equals_reference_item_by_item_in_order(texts, feature_dim, block):
     with mock.patch.object(baseline, "BLOCK_TOKENS", block):
@@ -172,19 +178,27 @@ def test_text_hashes_the_same_alone_in_a_batch_and_after_another_batch():
 def test_logits_equal_a_sequential_sum_per_row():
     rng = np.random.default_rng(5)
     dim = 1 << 18
-    # rows of 0 to over 1,000 features, in mixed order; weights of mixed
-    # magnitudes, so that any other order of addition moves the last bits
-    widths = [0, 1, 700, 0, 2, 1300, 37, 1, 0, 513]
-    texts = [" ".join(f"w{rng.integers(10**9)}" for _ in range((n + 1) // 2)) for n in widths]
-    rows = FeatureRows.hash_texts(texts, dim)
-    lengths = np.diff(rows.indptr).tolist()
-    assert lengths[0] == 0 and max(lengths) > 1000 and min(x for x in lengths if x) == 1
+    # weights of mixed magnitudes, so that any other order of addition moves
+    # the last bits
     weights = rng.normal(size=dim) * 10.0 ** rng.integers(-8, 8, size=dim)
     bias = -0.37
-    products = weights[rows.indices] * rows.values
-    expected = [bias + (np.cumsum(products[a:b])[-1] if b > a else 0.0)
-                for a, b in zip(rows.indptr[:-1], rows.indptr[1:])]
-    assert rows.logits(weights, bias) == expected
+    # a row of odd width w has w features, barring hash collisions; each batch
+    # has empty rows and rows of one feature, in mixed order
+    few_wide = [0, 1, 700, 0, 2, 1300, 37, 1, 0, 513]
+    many_narrow = [0, 1] + rng.integers(0, 16, size=300).tolist()
+    as_many_as_widest = [0, 1, 41] + rng.integers(0, 42, size=38).tolist()
+    # the sign of (row count - widest row): the per-row and column schemes
+    for widths, shape in ((few_wide, -1), (many_narrow, 1), (as_many_as_widest, 0)):
+        texts = [" ".join(f"w{rng.integers(10**9)}" for _ in range((n + 1) // 2))
+                 for n in widths]
+        rows = FeatureRows.hash_texts(texts, dim)
+        lengths = np.diff(rows.indptr).tolist()
+        assert lengths[0] == 0 and lengths[1] == 1
+        assert np.sign(len(lengths) - max(lengths)) == shape
+        products = weights[rows.indices] * rows.values
+        expected = [bias + (np.cumsum(products[a:b])[-1] if b > a else 0.0)
+                    for a, b in zip(rows.indptr[:-1], rows.indptr[1:])]
+        assert rows.logits(weights, bias) == expected
     assert FeatureRows.hash_texts([], dim).logits(weights, bias) == []
 
 

@@ -788,6 +788,24 @@ def test_evaluate_repeated_report_id_exits_1(tmp_path, capsys):
     assert "'E2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["not JSON", "missing"])
+def test_evaluate_reads_its_config_also_with_out(tmp_path, capsys, case):
+    gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
+                                        miss_a=set(), miss_b=set())
+    config = tmp_path / "config.json"
+    if case == "not JSON":
+        config.write_text("{not json", encoding="utf-8")
+    out_dir = tmp_path / "eval"
+    assert main(["--config", str(config), "evaluate", "--outcomes", str(outcomes),
+                 "--gold", str(gold), "--tier", "t1", "--out", str(out_dir)]) == 1
+    line = error_line(capsys)
+    if case == "missing":
+        assert line == f"error: config file not found: {config}"
+    else:
+        assert line.startswith(f"error: {config}: ")
+    assert not out_dir.exists()
+
+
 def evaluate_one_outcome_line(tmp_path, line):
     """Evaluate the engineered fixture with its second line (E1's) replaced by `line`."""
     gold, outcomes = engineered_fixture(tmp_path, n_pos=3, n_neg=2,
@@ -1522,6 +1540,15 @@ def test_evaluate_member_names_that_do_not_hold_exits_1(tmp_path, capsys, backen
 def test_build_dataset_without_a_corpus_exits_1(tmp_path, capsys):
     config = edited_config_file(tmp_path, lambda doc: doc.pop("corpus"))
     assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    assert error_line(capsys) == \
+        "error: no corpus given: pass --corpus or set 'corpus' in the config"
+
+
+def test_triage_without_a_corpus_exits_1_before_loading_models(tmp_path, capsys):
+    # no model file exists either: the missing corpus is named first
+    config = edited_config_file(tmp_path, lambda doc: doc.pop("corpus"))
+    assert not (tmp_path / "models").exists()
+    assert main(["--config", str(config), "triage"]) == 1
     assert error_line(capsys) == \
         "error: no corpus given: pass --corpus or set 'corpus' in the config"
 
