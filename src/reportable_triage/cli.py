@@ -187,7 +187,7 @@ def cmd_train_baseline(args) -> int:
     train_path = _require_file(cfg.dataset_dir(tier) / "train.jsonl",
                                f"{tier.value} training set (run build-dataset first)")
     corpus = load_corpus(train_path, strict=args.strict)
-    table = cfg.synonym_table()
+    table = cfg.synonyms
     positive = tier.positive
     pairs = []  # (input, 1 if positive) per record, sectioned if it arrived raw only
     for record in corpus:
@@ -227,7 +227,7 @@ def cmd_triage(args) -> int:
                 "--t2-scope gold requires t2 labels in the input corpus"
             )
 
-    table = cfg.synonym_table()
+    table = cfg.synonyms
     reports = [ensure_sections(r.report, table) for r in corpus]
     try:
         outcomes = cascade.triage(reports, t1, t2, t2_report_ids=t2_ids)

@@ -30,16 +30,17 @@ Example:
                  "endpoints": {"t1": null, "t2": null}}
     }
 
-Relative paths (corpus, model_path) resolve against out_dir's parent-free
-base: corpus relative to the config file location, model paths relative to
-out_dir. Seeds are mandatory wherever randomness exists; there are no
-wall-clock defaults.
+Relative paths resolve against the config file's directory (out_dir, corpus,
+section_synonyms), except a member's model_path, which resolves against
+out_dir; a native_baseline member must have one. The synonyms file is read
+when the config loads. Seeds are mandatory wherever randomness exists; there
+are no wall-clock defaults.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
@@ -51,7 +52,7 @@ from .errors import ValidationError
 from .preprocess import DEFAULT_FALLBACK_SECTIONS, DEFAULT_TOKEN_BUDGET, PipelineVariant
 from .sampler import SplitSpec, UndersamplePolicy, default_policy
 from .sectioner import SectionSynonymTable, default_synonym_table, load_synonym_table
-from .util import open_json, parse_json, read_field
+from .util import REQUIRED, open_json, parse_json, read_field
 
 ENV_ENDPOINT = {Tier.T1: "TRIAGE_REMOTE_ENDPOINT_T1", Tier.T2: "TRIAGE_REMOTE_ENDPOINT_T2"}
 
@@ -119,12 +120,7 @@ class RunConfig:
     corpus_path: Optional[Path]
     tiers: dict[Tier, TierSettings]
     remote: RemoteSettings
-    section_synonyms_path: Optional[Path] = None
-
-    def synonym_table(self) -> SectionSynonymTable:
-        if self.section_synonyms_path is None:
-            return default_synonym_table()
-        return load_synonym_table(self.section_synonyms_path)
+    synonyms: SectionSynonymTable
 
     def tier(self, task: Tier) -> TierSettings:
         if task not in self.tiers:
@@ -132,11 +128,8 @@ class RunConfig:
         return self.tiers[task]
 
     def model_file(self, member: MemberConfig) -> Path:
-        if member.model_path is None:
-            raise ValidationError(
-                f"member {member.backend_id!r} is native_baseline but has no model_path"
-            )
-        path = Path(member.model_path)
+        """A native member's model file; load_run_config requires its model_path."""
+        path = Path(member.model_path)  # type: ignore[arg-type]
         return path if path.is_absolute() else self.out_dir / path
 
     def dataset_dir(self, task: Tier) -> Path:
@@ -147,47 +140,49 @@ class RunConfig:
 MAX_SHOWN_KEY = 64
 
 
-class _Keys(dict):
-    """A config object that records the keys its parser reads, by read_field,
-    _present or `in`: the keys an object accepts are the keys its parser
-    reads, so there is no second list of them to keep."""
+class _Reader:
+    """One object of the config, its key path and the keys read from it so
+    far: the keys an object accepts are the keys its parser reads, so there is
+    no second list of them to keep. Every error about the object is named
+    after its key path."""
 
-    def __init__(self, obj: dict):
-        super().__init__(obj)
+    def __init__(self, obj: dict, where: str):
+        self.obj = obj
+        self.where = where
         self.read: set = set()
 
-    def get(self, key, default=None):
+    def field(self, key: str, kind: type, default=REQUIRED):
+        """obj[key] as kind, by read_field; default when the key is absent."""
         self.read.add(key)
-        return super().get(key, default)
+        return read_field(self.obj, key, kind, self.where, default)
 
-    def __contains__(self, key) -> bool:
-        self.read.add(key)
-        return super().__contains__(key)
+    def present(self, **kinds: type):
+        """(key, value) for each key of kinds the object holds, read as its
+        kind only when the caller takes it, so that reads and checks keep
+        their order. As keyword arguments to a dataclass, these leave every
+        absent key to the default the dataclass declares."""
+        for key, kind in kinds.items():
+            if key in self.obj:
+                yield key, self.field(key, kind)
 
-    def check(self, where: str) -> None:
+    def sub(self, key: str, where: str, default=REQUIRED) -> "_Reader":
+        """The object at key, whose key path is where."""
+        return _Reader(self.field(key, dict, default), where)
+
+    def build(self, make, *args, **kwargs):
+        """make(*args, **kwargs); a rule the made object checks itself is
+        named after the key path."""
+        try:
+            return make(*args, **kwargs)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.where}: {exc}") from None
+
+    def check(self) -> None:
         """Once the object is parsed, the first key nothing read is an error."""
-        for key in self:
+        for key in self.obj:
             if key not in self.read:
                 shown = repr(key) if len(key) <= MAX_SHOWN_KEY else f"of {len(key)} characters"
-                raise ValidationError(f"{where}: unknown key {shown}")
-
-
-def _present(obj: dict, where: str, **kinds: type) -> dict:
-    """Each key of kinds that obj holds, read as its kind by read_field.
-
-    Passed as keyword arguments to a dataclass, this leaves every absent key
-    to the default the dataclass declares.
-    """
-    return {key: read_field(obj, key, kind, where) for key, kind in kinds.items() if key in obj}
-
-
-def _build(make, where: str, **kwargs):
-    """make(**kwargs); a rule the object checks itself is named after where,
-    the object's key path in the config."""
-    try:
-        return make(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+                raise ValidationError(f"{self.where}: unknown key {shown}")
 
 
 def check_members(members: Sequence[MemberConfig], where: str) -> None:
@@ -207,15 +202,15 @@ def check_members(members: Sequence[MemberConfig], where: str) -> None:
         raise ValidationError(f"{where}: member backend_ids must be distinct")
 
 
-def _parse_member(obj: dict, where: str) -> MemberConfig:
-    if not isinstance(obj, dict):
+def _parse_member(member: object, where: str) -> MemberConfig:
+    if not isinstance(member, dict):
         raise ValidationError(f"{where}: member must be an object")
-    obj = _Keys(obj)
-    kind = read_field(obj, "kind", str, where)
+    obj = _Reader(member, where)
+    kind = obj.field("kind", str)
     if kind not in ("native_baseline", "remote"):
         # named like a read_field error, without echoing the value
         raise ValidationError(f"{where}: field 'kind': expected one of: native_baseline, remote")
-    settings = _present(obj, where, threshold=float, token_budget=int, fallback_sections=list)
+    settings = dict(obj.present(threshold=float, token_budget=int, fallback_sections=list))
     if "fallback_sections" in settings:
         fallback = settings["fallback_sections"]
         if not all(isinstance(s, str) and is_normalized_section_name(s) for s in fallback):
@@ -223,65 +218,53 @@ def _parse_member(obj: dict, where: str) -> MemberConfig:
                 f"{where}: fallback_sections must be a list of normalized section names"
             )
         settings["fallback_sections"] = tuple(fallback)
-    variant = read_field(obj, "variant", str, where)
+    variant = obj.field("variant", str)
     try:
         variant = PipelineVariant.parse(variant)
     except ValidationError:  # named like a read_field error, without echoing the value
         raise ValidationError(f"{where}: field 'variant': expected one of: a, b") from None
     member = MemberConfig(
-        backend_id=read_field(obj, "backend_id", str, where),
+        backend_id=obj.field("backend_id", str),
         kind=kind,
         variant=variant,
-        model_path=read_field(obj, "model_path", str, where, None),
+        # a native member trains into and scores from its model file
+        model_path=obj.field("model_path", str, None if kind == "remote" else REQUIRED),
         **settings,
     )
     if member.token_budget <= 0:
         raise ValidationError(f"{where}: token_budget must be positive")
-    obj.check(where)
+    obj.check()
     return member
 
 
-def _parse_tier(task: Tier, obj: dict, where: str) -> TierSettings:
-    obj = _Keys(obj)
-    split_where = f"{where}.split"
-    split_obj = _Keys(read_field(obj, "split", dict, where))
-    split = _build(SplitSpec, split_where, seed=read_field(split_obj, "seed", int, split_where),
-                   **_present(split_obj, split_where, train_fraction=float, stratified=bool))
-    split_obj.check(split_where)
+def _parse_tier(task: Tier, obj: _Reader) -> TierSettings:
+    split_obj = obj.sub("split", f"{obj.where}.split")
+    split = split_obj.build(SplitSpec, seed=split_obj.field("seed", int),
+                            **dict(split_obj.present(train_fraction=float, stratified=bool)))
+    split_obj.check()
 
-    under_where = f"{where}.undersample"
-    under_obj = _Keys(read_field(obj, "undersample", dict, where))
-    under_seed = read_field(under_obj, "seed", int, under_where)
-    base_policy = default_policy(task, under_seed)
-    classes = {key: task.parse_label(read_field(under_obj, key, str, under_where,
-                                                getattr(base_policy, key).value),
-                                     under_where, key)
-               for key in ("kept_class", "sampled_class")}
-    policy = _build(
-        UndersamplePolicy, under_where,
-        task=task,
-        **classes,
-        ratio=read_field(under_obj, "ratio", float, under_where, base_policy.ratio),
-        seed=under_seed,
-    )
-    under_obj.check(under_where)
+    under_obj = obj.sub("undersample", f"{obj.where}.undersample")
+    under_seed = under_obj.field("seed", int)
+    classes = {key: task.parse_label(value, under_obj.where, key)
+               for key, value in under_obj.present(kept_class=str, sampled_class=str)}
+    policy = under_obj.build(replace, default_policy(task, under_seed), **classes,
+                             **dict(under_obj.present(ratio=float)))
+    under_obj.check()
 
-    train_where = f"{where}.train"
-    train_obj = _Keys(read_field(obj, "train", dict, where))
-    hyper = _build(TrainHyper, train_where,
-                   **_present(train_obj, train_where, epochs=int, learning_rate=float,
-                              feature_dim=int, l2=float))
-    train_seed = read_field(train_obj, "seed", int, train_where)
+    train_obj = obj.sub("train", f"{obj.where}.train")
+    hyper = train_obj.build(TrainHyper, **dict(train_obj.present(
+        epochs=int, learning_rate=float, feature_dim=int, l2=float)))
+    train_seed = train_obj.field("seed", int)
     if not 0 <= train_seed < 1 << 63:  # the model file stores it as a signed 64-bit integer
-        raise ValidationError(f"{train_where}: seed must be in [0, 2^63)")
-    train_obj.check(train_where)
+        raise ValidationError(f"{train_obj.where}: seed must be in [0, 2^63)")
+    train_obj.check()
 
     members = tuple(
-        _parse_member(m, f"{where}.members[{i}]")
-        for i, m in enumerate(read_field(obj, "members", list, where))
+        _parse_member(m, f"{obj.where}.members[{i}]")
+        for i, m in enumerate(obj.field("members", list))
     )
-    check_members(members, where)
-    obj.check(where)
+    check_members(members, obj.where)
+    obj.check()
     return TierSettings(task=task, split=split, policy=policy, train=hyper,
                         train_seed=train_seed, members=members)  # type: ignore[arg-type]
 
@@ -303,9 +286,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValidationError(f"{path}: config must be a JSON object")
 
     base_dir = path.resolve().parent
-    where = str(path)
-    obj = _Keys(obj)
-    obj.get("workers")  # read, so accepted, and ignored: older configs set it
+    obj = _Reader(obj, str(path))
+    obj.read.add("workers")  # accepted, and ignored: older configs set it
 
     def resolve(raw: Optional[str]) -> Optional[Path]:
         if raw is None:
@@ -313,35 +295,36 @@ def load_run_config(path: str | Path) -> RunConfig:
         p = Path(raw)
         return p if p.is_absolute() else base_dir / p
 
-    out_dir = resolve(read_field(obj, "out_dir", str, where))
-    corpus_path = resolve(read_field(obj, "corpus", str, where, None))
-    synonyms_path = resolve(read_field(obj, "section_synonyms", str, where, None))
+    out_dir = resolve(obj.field("out_dir", str))
+    corpus_path = resolve(obj.field("corpus", str, None))
+    synonyms_path = resolve(obj.field("section_synonyms", str, None))
 
-    tiers_obj = _Keys(read_field(obj, "tiers", dict, where))
+    tiers_obj = obj.sub("tiers", "tiers")
     tiers: dict[Tier, TierSettings] = {}
-    for tier in (Tier.T1, Tier.T2):
-        if tier.value in tiers_obj:
-            tiers[tier] = _parse_tier(tier, read_field(tiers_obj, tier.value, dict, "tiers"),
-                                      f"tiers.{tier.value}")
-    tiers_obj.check("tiers")
+    for key, tier_obj in tiers_obj.present(t1=dict, t2=dict):
+        tiers[Tier(key)] = _parse_tier(Tier(key), _Reader(tier_obj, f"tiers.{key}"))
+    tiers_obj.check()
     if not tiers:
         raise ValidationError(f"{path}: config defines no tiers")
 
-    remote_obj = _Keys(read_field(obj, "remote", dict, where, {}))
-    endpoints = _Keys(read_field(remote_obj, "endpoints", dict, "remote", {}))
+    remote_obj = obj.sub("remote", "remote", {})
+    endpoints = remote_obj.sub("endpoints", "remote.endpoints", {})
     for tier in (Tier.T1, Tier.T2):
-        url = read_field(endpoints, tier.value, str, "remote.endpoints", None)
+        url = endpoints.field(tier.value, str, None)
         if url is not None:
-            check_endpoint(url, f"remote.endpoints: field {tier.value!r}")
-    endpoints.check("remote.endpoints")
-    remote = RemoteSettings(endpoints=dict(endpoints),
-                            **_present(remote_obj, "remote", timeout=float, max_retries=int))
-    remote_obj.check("remote")
+            check_endpoint(url, f"{endpoints.where}: field {tier.value!r}")
+    endpoints.check()
+    remote = RemoteSettings(endpoints=dict(endpoints.obj),
+                            **dict(remote_obj.present(timeout=float, max_retries=int)))
+    remote_obj.check()
     if remote.timeout <= 0:
-        raise ValidationError("remote: field 'timeout': must be positive")
+        raise ValidationError(f"{remote_obj.where}: field 'timeout': must be positive")
     if remote.max_retries < 0:
-        raise ValidationError("remote: field 'max_retries': must not be negative")
+        raise ValidationError(f"{remote_obj.where}: field 'max_retries': must not be negative")
 
-    obj.check(where)
+    obj.check()
+    # read once the document is whole, so that its own faults are named first
+    synonyms = (default_synonym_table() if synonyms_path is None
+                else load_synonym_table(synonyms_path))
     return RunConfig(out_dir=out_dir, corpus_path=corpus_path, tiers=tiers, remote=remote,
-                     section_synonyms_path=synonyms_path)
+                     synonyms=synonyms)

@@ -209,8 +209,15 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, key_path, value):
      "tiers.t1.members[0]: member must be an object"),
     (("tiers", "t2", "members", 1, "token_budget"), 0,
      "tiers.t2.members[1]: token_budget must be positive"),
+    (("tiers", "t1", "members", 0, "fallback_sections"), ["specimen", "Gross Description"],
+     "tiers.t1.members[0]: fallback_sections must be a list of normalized section names"),
+    (("tiers", "t2", "train", "seed"), -1, "tiers.t2.train: seed must be in [0, 2^63)"),
+    (("tiers", "t1", "train", "seed"), 1 << 63, "tiers.t1.train: seed must be in [0, 2^63)"),
+    (("tiers", "t2", "members", 1, "variant"), "a",
+     "tiers.t2: members must cover variants A and B exactly"),
 ], ids=["epochs-0", "feature-dim-3", "train-fraction-1.5", "ratio-negative",
-        "kept-equals-sampled", "variant-unknown", "member-not-an-object", "token-budget-0"])
+        "kept-equals-sampled", "variant-unknown", "member-not-an-object", "token-budget-0",
+        "fallback-not-normalized", "train-seed-negative", "train-seed-2^63", "both-variant-a"])
 def test_config_value_breaking_a_rule_names_its_key_path(tmp_path, capsys, key_path, value,
                                                           line):
     config = write_config(tmp_path)
@@ -222,6 +229,50 @@ def test_config_value_breaking_a_rule_names_its_key_path(tmp_path, capsys, key_p
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("edits, line", [
+    ({("tiers", "t2", "split", "train_fraction"): 1.5, ("tiers", "t2", "split", "stratify"): 1},
+     "tiers.t2.split: train_fraction must be in (0, 1), got 1.5"),
+    ({("tiers", "t1", "undersample", "ratio"): -1, ("tiers", "t1", "undersample", "ratoi"): 1},
+     "tiers.t1.undersample: ratio must be positive, got -1.0"),
+    ({("tiers", "t1", "undersample", "kept_class"): "cancr",
+      ("tiers", "t1", "undersample", "sampled_class"): 5},
+     "tiers.t1.undersample: field 'kept_class': expected one of: cancer, non_cancer"),
+    ({("tiers", "t1", "train", "epochs"): 0, ("tiers", "t1", "train", "learning_rte"): 0.1},
+     "tiers.t1.train: epochs and learning_rate must be positive, l2 >= 0"),
+    ({("tiers", "t1", "train", "seed"): "13", ("tiers", "t1", "train", "epochs"): 0},
+     "tiers.t1.train: epochs and learning_rate must be positive, l2 >= 0"),
+    ({("tiers", "t2", "members", 1, "token_budget"): 0,
+      ("tiers", "t2", "members", 1, "threshhold"): 0.5},
+     "tiers.t2.members[1]: token_budget must be positive"),
+    ({("remote", "timeout"): 0, ("remote", "max_retry"): 1}, "remote: unknown key 'max_retry'"),
+], ids=["split", "undersample", "undersample-classes", "train", "train-seed-string-epochs-0",
+        "member", "remote"])
+def test_config_object_with_two_faults_names_the_same_one(tmp_path, capsys, edits, line):
+    # each object's reads and checks keep their order, so the fault named first stays
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    for key_path, value in edits.items():
+        parent = doc
+        for key in key_path[:-1]:
+            parent = parent[key]
+        parent[key_path[-1]] = value
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_native_member_without_model_path_exits_1(tmp_path, capsys):
+    # named when the config loads, not after train-baseline has trained the member
+    write_corpus(synth_corpus(SynthSpec(n_reports=50), seed=1), tmp_path / "corpus.jsonl")
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    del doc["tiers"]["t2"]["members"][1]["model_path"]
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(config), "build-dataset", "--tier", "t1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: tiers.t2.members[1]: field 'model_path': missing required field\n")
 
 
 @pytest.mark.parametrize("key_path, key, where", [
@@ -1386,12 +1437,13 @@ def synonyms_config(base, tmp_path, content):
     return config_path, synonyms
 
 
-@pytest.mark.parametrize("command", ["train-baseline", "triage"])
+@pytest.mark.parametrize("command", ["build-dataset", "train-baseline", "triage"])
 @pytest.mark.parametrize("case", sorted(SYNONYMS_DAMAGE))
 def test_unreadable_synonyms_file_exits_1_naming_it(pipeline, tmp_path, capsys, command,
                                                     case):
     base, _, _ = pipeline
-    args = {"train-baseline": ["--tier", "t1", "--variant", "a"],
+    args = {"build-dataset": ["--tier", "t1"],
+            "train-baseline": ["--tier", "t1", "--variant", "a"],
             "triage": ["--corpus", str(base / "corpus.jsonl"),
                        "--out", str(tmp_path / "outcomes.jsonl")]}[command]
     content, message = SYNONYMS_DAMAGE[case]
